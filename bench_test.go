@@ -609,45 +609,11 @@ func BenchmarkCNNTrainingStep(b *testing.B) {
 
 // ---------- Batched inference (the serving hot path) ----------
 
-// BenchmarkForwardBatch measures batched CNN inference at several batch
-// sizes; compare the frames/s metric across sub-benchmarks. The batched
-// kernels traverse each layer's weights once per batch (and split large
-// batches across cores), so batch8 should beat batch1 throughput by well
-// over 1.5× on a multi-core machine — the amortization internal/serve
-// banks on when frames queue up during an inference.
-func BenchmarkForwardBatch(b *testing.B) {
-	net, err := core.BuildNetwork(core.ScaledArch(), rand.New(rand.NewPCG(5, 9)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(10, 20))
-	for _, batch := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
-			ins := make([][]float64, batch)
-			for s := range ins {
-				x := make([]float64, core.InputShape.Size())
-				for i := range x {
-					x[i] = rng.Float64()*4 + 0.5 // depth-like: all nonzero
-				}
-				ins[s] = x
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := net.ForwardBatch(ins); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
-		})
-	}
-}
-
 // BenchmarkInferenceEngine measures the compiled GEMM inference engine on
-// the same network, batches and inputs as BenchmarkForwardBatch — the
-// frames/s ratio between the two is the engine speedup. Sub-benchmarks
-// cover the float32 kernels and the int8 quantized kernels; run with
-// -benchmem: steady-state engine forwards must not allocate (pooled
-// im2col/activation arenas, caller-provided outputs).
+// the scaled paper network at batch sizes 1, 8 and 32, reporting frames/s.
+// Sub-benchmarks cover the float32 kernels and the int8 quantized kernels;
+// run with -benchmem: steady-state engine forwards must not allocate
+// (pooled im2col/activation arenas, caller-provided outputs).
 func BenchmarkInferenceEngine(b *testing.B) {
 	net, err := core.BuildNetwork(core.ScaledArch(), rand.New(rand.NewPCG(5, 9)))
 	if err != nil {

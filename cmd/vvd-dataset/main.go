@@ -186,13 +186,10 @@ func inspectCampaign(path string) error {
 	}
 	bad := 0
 	for _, si := range infos {
-		status := "no checksum (v1)"
-		if si.Checksummed {
-			status = "crc ok"
-			if !si.CRCOK {
-				status = "CRC MISMATCH"
-				bad++
-			}
+		status := "crc ok"
+		if !si.CRCOK {
+			status = "CRC MISMATCH"
+			bad++
 		}
 		fmt.Printf("  set %2d: %6d packets, %10d payload bytes, %s\n",
 			si.Index, si.Packets, si.PayloadBytes, status)

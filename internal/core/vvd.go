@@ -365,8 +365,8 @@ func (v *VVD) Estimate(img []float32) ([]complex128, error) {
 // calls (engine results are independent of the batch they ride in). One
 // engine pass amortizes activation packing and keeps every scratch
 // buffer pooled, so a serving pipeline that queued several frames pays
-// far less than len(imgs) sequential inferences (BenchmarkForwardBatch
-// measures the ratio).
+// far less than len(imgs) sequential inferences (the batch1 vs batch8
+// sub-benchmarks of BenchmarkInferenceEngine measure the ratio).
 func (v *VVD) EstimateBatch(imgs [][]float32) ([][]complex128, error) {
 	if v.Net == nil {
 		return nil, errors.New("core: VVD not trained")

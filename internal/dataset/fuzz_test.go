@@ -15,12 +15,13 @@ import (
 // return an error — never panic, and never allocate beyond the decoder's
 // sanity bounds (every length field is checked against its limit and the
 // remaining payload before allocation). The committed seed corpus under
-// testdata/fuzz covers all three on-disk formats (v1, v2, v3); f.Add seeds
-// the same shapes plus truncations and flips so a fresh checkout fuzzes the
-// interesting region immediately.
+// testdata/fuzz covers both readable formats (v2, v3) plus a retired v1
+// file that must be rejected; f.Add seeds the readable shapes plus
+// truncations and flips so a fresh checkout fuzzes the interesting region
+// immediately.
 func FuzzOpenCampaign(f *testing.F) {
 	for _, p := range []string{
-		"testdata/campaign_v1.bin",
+		"testdata/campaign_v3.bin",
 		"testdata/campaign_v2.bin",
 	} {
 		data, err := os.ReadFile(p)
@@ -62,6 +63,9 @@ func FuzzOpenCampaign(f *testing.F) {
 		r, err := OpenCampaign(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if len(data) >= 4 && binary.LittleEndian.Uint32(data) == campaignMagicV1 {
+			t.Fatal("retired v1 campaign accepted")
 		}
 		// The header parsed: the rest of the stream must decode or error
 		// cleanly too.

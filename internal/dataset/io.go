@@ -1,32 +1,25 @@
-// Campaign persistence. The current on-disk format is v2 (stream.go): a
-// versioned, checksummed, streaming store whose header carries the complete
-// Config. The original unversioned v1 format remains readable through the
-// magic switch below; saveV1/loadCampaignV1 in this file are the frozen v1
-// codec, kept for the committed golden fixture and old campaign files.
+// Campaign persistence. The on-disk format is the VVD2 family (stream.go):
+// a versioned, checksummed, streaming store whose header carries the
+// complete Config.
 //
-// Compatibility policy: Save always writes the newest format; LoadCampaign
-// reads every format ever shipped. v1 predates the HumanScatterGain config
-// field, so v1 files of nonzero-scatter-gain campaigns cannot be rebuilt
-// faithfully — v2 serializes the complete Config by construction.
+// Compatibility policy: Save always writes the newest version; LoadCampaign
+// reads every version of the VVD2 family (v2 and v3). Files in the retired,
+// unversioned v1 format ("VVDC" magic) are rejected with an error that asks
+// for the campaign to be regenerated.
 
 package dataset
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
 	"io"
-	"math"
 
 	"vvd/internal/room"
 )
 
-// campaignMagicV1 identifies the legacy v1 campaign format ("VVDC",
-// unversioned, no checksums, whole-campaign decode only).
+// campaignMagicV1 identifies the retired v1 campaign format ("VVDC"). It is
+// recognised only so OpenCampaign can name it when refusing the file.
 const campaignMagicV1 = 0x56564443
 
-// Save writes the campaign in the current (v2) on-disk format — the
+// Save writes the campaign in the current (v3) on-disk format — the
 // repository's equivalent of the paper's published trace. See stream.go
 // for the layout and NewWriter for set-at-a-time streaming writes.
 func (c *Campaign) Save(w io.Writer) error {
@@ -42,9 +35,9 @@ func (c *Campaign) Save(w io.Writer) error {
 	return sw.Close()
 }
 
-// LoadCampaign reads a campaign written by any Save version, rebuilding the
-// simulation objects from the stored configuration. It materializes every
-// set; use OpenCampaign to stream set-at-a-time instead.
+// LoadCampaign reads a v2 or v3 campaign, rebuilding the simulation
+// objects from the stored configuration. It materializes every set; use
+// OpenCampaign to stream set-at-a-time instead.
 func LoadCampaign(r io.Reader) (*Campaign, error) {
 	cr, err := OpenCampaign(r)
 	if err != nil {
@@ -57,245 +50,10 @@ func LoadCampaign(r io.Reader) (*Campaign, error) {
 // campaign from its stored configuration — including the Scripted flag and
 // HumanScatterGain override, both of which the original loader dropped
 // (reloaded campaigns regenerated different receptions than the saved
-// ones). Legacy files with an unset mobility fall back to the default walk.
+// ones). A config with an unset mobility falls back to the default walk.
 func rebuildShell(cfg Config) (*Campaign, error) {
 	if !cfg.Scripted && cfg.Mobility.SpeedMax <= 0 {
 		cfg.Mobility = room.DefaultMobility()
 	}
 	return NewShell(cfg)
-}
-
-// ---------------------------------------------------------------------------
-// v1 codec (frozen)
-
-// saveV1 writes the legacy v1 format. It exists only so tests and
-// benchmarks can produce v1 streams (and regenerate the golden fixture);
-// production saves always use the v2 Writer.
-func saveV1(c *Campaign, w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	le := binary.LittleEndian
-	wU32 := func(v uint32) error { return binary.Write(bw, le, v) }
-	wF64 := func(v float64) error { return binary.Write(bw, le, v) }
-	if err := wU32(campaignMagicV1); err != nil {
-		return err
-	}
-	hdr := []uint32{
-		uint32(c.Cfg.Sets), uint32(c.Cfg.PacketsPerSet), uint32(c.Cfg.PSDULen),
-		uint32(c.Cfg.Seed), uint32(c.Cfg.Seed >> 32), boolU32(c.Cfg.RenderImages), boolU32(c.Cfg.Scripted),
-	}
-	for _, v := range hdr {
-		if err := wU32(v); err != nil {
-			return err
-		}
-	}
-	for _, v := range []float64{
-		c.Cfg.Imp.SNRdB, c.Cfg.Imp.PhaseStdDev, c.Cfg.Imp.CFOStdDevHz,
-		c.Cfg.Mobility.SpeedMin, c.Cfg.Mobility.SpeedMax, c.Cfg.Mobility.PauseTime,
-	} {
-		if err := wF64(v); err != nil {
-			return err
-		}
-	}
-	writeCVec := func(v []complex128) error {
-		if err := wU32(uint32(len(v))); err != nil {
-			return err
-		}
-		for _, x := range v {
-			if err := wF64(real(x)); err != nil {
-				return err
-			}
-			if err := wF64(imag(x)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, set := range c.Sets {
-		for _, p := range set.Packets {
-			if err := wU32(uint32(p.Index)); err != nil {
-				return err
-			}
-			if err := wF64(p.Time); err != nil {
-				return err
-			}
-			if err := wU32(uint32(p.SeqNum)); err != nil {
-				return err
-			}
-			for _, v := range []float64{p.Pos.X, p.Pos.Y, p.Pos.Z, p.SyncPeak} {
-				if err := wF64(v); err != nil {
-					return err
-				}
-			}
-			if err := binary.Write(bw, le, p.LinkSeed); err != nil {
-				return err
-			}
-			if err := wU32(boolU32(p.PreambleDetected)); err != nil {
-				return err
-			}
-			for _, vec := range [][]complex128{p.TrueCIR, p.Perfect, p.PerfectAligned, p.PreambleEst} {
-				if err := writeCVec(vec); err != nil {
-					return err
-				}
-			}
-			for lag := ImageLag(0); lag < numLags; lag++ {
-				img := p.Images[lag]
-				if err := wU32(uint32(len(img))); err != nil {
-					return err
-				}
-				if len(img) > 0 {
-					if err := binary.Write(bw, le, img); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-func boolU32(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// loadCampaignV1 decodes the legacy v1 body (the magic word has already
-// been consumed by OpenCampaign).
-func loadCampaignV1(br *bufio.Reader) (*Campaign, error) {
-	le := binary.LittleEndian
-	rU32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(br, le, &v)
-		return v, err
-	}
-	rF64 := func() (float64, error) {
-		var v float64
-		err := binary.Read(br, le, &v)
-		return v, err
-	}
-	var hdr [7]uint32
-	var err error
-	for i := range hdr {
-		if hdr[i], err = rU32(); err != nil {
-			return nil, err
-		}
-	}
-	cfg := Config{
-		Sets:          int(hdr[0]),
-		PacketsPerSet: int(hdr[1]),
-		PSDULen:       int(hdr[2]),
-		Seed:          uint64(hdr[3]) | uint64(hdr[4])<<32,
-		RenderImages:  hdr[5] != 0,
-		Scripted:      hdr[6] != 0,
-	}
-	if cfg.Sets <= 0 || cfg.Sets > 1024 || cfg.PacketsPerSet <= 0 || cfg.PacketsPerSet > 1_000_000 {
-		return nil, fmt.Errorf("dataset: implausible campaign header %dx%d", cfg.Sets, cfg.PacketsPerSet)
-	}
-	flts := make([]float64, 6)
-	for i := range flts {
-		if flts[i], err = rF64(); err != nil {
-			return nil, err
-		}
-	}
-	cfg.Imp.SNRdB, cfg.Imp.PhaseStdDev, cfg.Imp.CFOStdDevHz = flts[0], flts[1], flts[2]
-	cfg.Mobility.SpeedMin, cfg.Mobility.SpeedMax, cfg.Mobility.PauseTime = flts[3], flts[4], flts[5]
-
-	c, err := rebuildShell(cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	readCVec := func() ([]complex128, error) {
-		n, err := rU32()
-		if err != nil {
-			return nil, err
-		}
-		if n > maxCIRLen {
-			return nil, errors.New("dataset: implausible CIR length")
-		}
-		out := make([]complex128, n)
-		for i := range out {
-			re, err := rF64()
-			if err != nil {
-				return nil, err
-			}
-			im, err := rF64()
-			if err != nil {
-				return nil, err
-			}
-			if math.IsNaN(re) || math.IsNaN(im) {
-				return nil, errors.New("dataset: NaN in stored CIR")
-			}
-			out[i] = complex(re, im)
-		}
-		return out, nil
-	}
-
-	for s := 0; s < cfg.Sets; s++ {
-		set := Set{Index: s + 1, Packets: make([]Packet, cfg.PacketsPerSet)}
-		for k := 0; k < cfg.PacketsPerSet; k++ {
-			var p Packet
-			idx, err := rU32()
-			if err != nil {
-				return nil, err
-			}
-			p.Index = int(idx)
-			if p.Time, err = rF64(); err != nil {
-				return nil, err
-			}
-			seq, err := rU32()
-			if err != nil {
-				return nil, err
-			}
-			p.SeqNum = byte(seq)
-			var pos [4]float64
-			for i := range pos {
-				if pos[i], err = rF64(); err != nil {
-					return nil, err
-				}
-			}
-			p.Pos.X, p.Pos.Y, p.Pos.Z, p.SyncPeak = pos[0], pos[1], pos[2], pos[3]
-			if err := binary.Read(br, le, &p.LinkSeed); err != nil {
-				return nil, err
-			}
-			det, err := rU32()
-			if err != nil {
-				return nil, err
-			}
-			p.PreambleDetected = det != 0
-			if p.TrueCIR, err = readCVec(); err != nil {
-				return nil, err
-			}
-			if p.Perfect, err = readCVec(); err != nil {
-				return nil, err
-			}
-			if p.PerfectAligned, err = readCVec(); err != nil {
-				return nil, err
-			}
-			if p.PreambleEst, err = readCVec(); err != nil {
-				return nil, err
-			}
-			for lag := ImageLag(0); lag < numLags; lag++ {
-				n, err := rU32()
-				if err != nil {
-					return nil, err
-				}
-				if n == 0 {
-					continue
-				}
-				if n > maxImagePixels {
-					return nil, errors.New("dataset: implausible image size")
-				}
-				img := make([]float32, n)
-				if err := binary.Read(br, le, img); err != nil {
-					return nil, err
-				}
-				p.Images[lag] = img
-			}
-			set.Packets[k] = p
-		}
-		c.Sets = append(c.Sets, set)
-	}
-	return c, nil
 }

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -86,11 +87,22 @@ func TestCampaignSaveLoadWithoutImages(t *testing.T) {
 }
 
 func TestLoadCampaignGarbage(t *testing.T) {
-	if _, err := LoadCampaign(bytes.NewReader([]byte{1, 2, 3})); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := LoadCampaign(bytes.NewReader(make([]byte, 64))); err == nil {
-		t.Fatal("zero blob accepted")
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		wantErr string // substring the error must carry; "" accepts any error
+	}{
+		{"garbage", []byte{1, 2, 3}, ""},
+		{"zero blob", make([]byte, 64), ""},
+		{"v1 magic", append([]byte{0x43, 0x44, 0x56, 0x56}, bytes.Repeat([]byte{0xa5}, 60)...), "v1"},
+	} {
+		_, err := LoadCampaign(bytes.NewReader(tc.data))
+		if err == nil {
+			t.Fatalf("%s accepted", tc.name)
+		}
+		if !strings.Contains(err.Error(), tc.wantErr) {
+			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
+		}
 	}
 }
 

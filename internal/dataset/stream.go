@@ -30,10 +30,10 @@
 // is also how `vvd-dataset -inspect` verifies checksums without decoding.
 //
 // Versioning/compat policy: the magic word selects the decoder family
-// (legacy v1 files keep their original magic and route to the frozen v1
-// codec in io.go), the version field gates layout changes within this
-// family, and the JSON config tolerates unknown fields so adding a Config
-// field is not a format break. Save always writes the newest version.
+// (only VVD2 is decoded; the retired v1 magic is refused by name), the
+// version field gates layout changes within this family, and the JSON
+// config tolerates unknown fields so adding a Config field is not a format
+// break. Save always writes the newest version.
 
 package dataset
 
@@ -199,17 +199,12 @@ type SetInfo struct {
 	Index        int
 	Packets      int
 	PayloadBytes int64
-	Checksummed  bool // false for v1 files, which carry no CRCs
 	CRCOK        bool
 }
 
 // Reader streams a stored campaign set-at-a-time. Obtain one with
 // OpenCampaign; the header (config, set count) is available immediately,
 // sets are decoded on demand by NextSet/ReadSet/ReadSets.
-//
-// v1 files are readable through the same interface, but since the v1
-// layout is not skippable the whole campaign is materialized on open —
-// only v2 files get the streaming memory profile.
 type Reader struct {
 	br      *bufio.Reader
 	version int
@@ -217,12 +212,9 @@ type Reader struct {
 	numSets int
 	read    int // set records consumed from the stream
 	buf     []byte
-
-	v1 *Campaign // materialized legacy campaign, nil for v2
 }
 
-// OpenCampaign reads and validates a campaign header from r, dispatching
-// on the magic word to the v2 streaming decoder or the legacy v1 codec.
+// OpenCampaign reads and validates a v2 or v3 campaign header from r.
 func OpenCampaign(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var magic [4]byte
@@ -230,14 +222,10 @@ func OpenCampaign(r io.Reader) (*Reader, error) {
 		return nil, fmt.Errorf("dataset: reading campaign magic: %w", err)
 	}
 	switch binary.LittleEndian.Uint32(magic[:]) {
-	case campaignMagicV1:
-		c, err := loadCampaignV1(br)
-		if err != nil {
-			return nil, err
-		}
-		return &Reader{version: 1, cfg: c.Cfg, numSets: len(c.Sets), v1: c}, nil
 	case campaignMagicV2:
-		// fall through to the v2 header below
+		// the VVD2 header follows
+	case campaignMagicV1:
+		return nil, fmt.Errorf("dataset: campaign is in the retired v1 format, which this build no longer reads; regenerate it with vvd-dataset")
 	default:
 		return nil, fmt.Errorf("dataset: bad campaign magic")
 	}
@@ -280,7 +268,7 @@ func OpenCampaign(r io.Reader) (*Reader, error) {
 	return &Reader{br: br, version: int(version), cfg: cfg, numSets: int(numSets)}, nil
 }
 
-// Version reports the on-disk format version (1, 2 or 3).
+// Version reports the on-disk format version (2 or 3).
 func (r *Reader) Version() int { return r.version }
 
 // Config returns the stored campaign configuration.
@@ -442,14 +430,6 @@ func (r *Reader) verifyBody(hdr setHeader) (bool, error) {
 
 // NextSet decodes the next stored set, returning io.EOF after the last.
 func (r *Reader) NextSet() (*Set, error) {
-	if r.v1 != nil {
-		if r.read >= len(r.v1.Sets) {
-			return nil, io.EOF
-		}
-		set := &r.v1.Sets[r.read]
-		r.read++
-		return set, nil
-	}
 	hdr, err := r.readSetHeader()
 	if err != nil {
 		return nil, err
@@ -457,17 +437,9 @@ func (r *Reader) NextSet() (*Set, error) {
 	return r.decodeBody(hdr)
 }
 
-// SkipSet discards the next stored set without decoding it (v2; a v1 set
-// is already materialized and merely stepped over), returning its index.
+// SkipSet discards the next stored set without decoding it, returning its
+// index.
 func (r *Reader) SkipSet() (int, error) {
-	if r.v1 != nil {
-		if r.read >= len(r.v1.Sets) {
-			return 0, io.EOF
-		}
-		idx := r.v1.Sets[r.read].Index
-		r.read++
-		return idx, nil
-	}
 	hdr, err := r.readSetHeader()
 	if err != nil {
 		return 0, err
@@ -482,19 +454,6 @@ func (r *Reader) ReadSet(id int) (*Set, error) {
 		return nil, fmt.Errorf("dataset: set %d out of range (campaign has %d)", id, r.numSets)
 	}
 	for {
-		if r.v1 != nil {
-			set, err := r.NextSet()
-			if err == io.EOF {
-				return nil, fmt.Errorf("dataset: set %d not found in stream", id)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if set.Index == id {
-				return set, nil
-			}
-			continue
-		}
 		hdr, err := r.readSetHeader()
 		if err == io.EOF {
 			return nil, fmt.Errorf("dataset: set %d not found in stream", id)
@@ -516,18 +475,6 @@ func (r *Reader) ReadSet(id int) (*Set, error) {
 // and left as empty placeholders, so e.g. a training run can stream in
 // only a combination's training+validation sets. keep == nil decodes all.
 func (r *Reader) ReadSets(keep func(setID int) bool) (*Campaign, error) {
-	if r.v1 != nil {
-		c := r.v1
-		if keep != nil {
-			for i := range c.Sets {
-				if !keep(c.Sets[i].Index) {
-					c.Sets[i].Packets = nil
-				}
-			}
-		}
-		r.read = len(c.Sets)
-		return c, nil
-	}
 	c, err := r.Shell()
 	if err != nil {
 		return nil, err
@@ -561,17 +508,9 @@ func (r *Reader) ReadSets(keep func(setID int) bool) (*Campaign, error) {
 }
 
 // Inspect walks the remaining sets verifying framing and checksums without
-// decoding any packet, and returns one SetInfo per set. For v1 files (no
-// framing, no checksums) it reports the already-materialized set shapes.
+// decoding any packet, and returns one SetInfo per set.
 func (r *Reader) Inspect() ([]SetInfo, error) {
 	var out []SetInfo
-	if r.v1 != nil {
-		for ; r.read < len(r.v1.Sets); r.read++ {
-			s := &r.v1.Sets[r.read]
-			out = append(out, SetInfo{Index: s.Index, Packets: len(s.Packets)})
-		}
-		return out, nil
-	}
 	for {
 		hdr, err := r.readSetHeader()
 		if err == io.EOF {
@@ -588,7 +527,6 @@ func (r *Reader) Inspect() ([]SetInfo, error) {
 			Index:        hdr.index,
 			Packets:      hdr.packets,
 			PayloadBytes: int64(hdr.payload),
-			Checksummed:  true,
 			CRCOK:        ok,
 		})
 	}
@@ -625,7 +563,7 @@ func appendAlign8(b []byte) []byte {
 
 // appendCVec bulk-encodes a complex vector as a length prefix plus
 // interleaved real/imaginary float64 pairs — one buffer write instead of
-// one reflective binary.Write per float (the v1 hot-path bottleneck).
+// one reflective binary.Write per float.
 func appendCVec(b []byte, v []complex128) ([]byte, error) {
 	if len(v) > maxCIRLen {
 		return nil, fmt.Errorf("CIR vector has %d taps (max %d)", len(v), maxCIRLen)
@@ -810,8 +748,8 @@ func (c *cursor) cvec() ([]complex128, error) {
 			}
 		}
 	}
-	// Same sanity gate as the v1 loader: a NaN tap would otherwise surface
-	// as NaN losses and metrics far from the persistence layer.
+	// A NaN tap would otherwise surface as NaN losses and metrics far from
+	// the persistence layer.
 	for _, x := range out {
 		if math.IsNaN(real(x)) || math.IsNaN(imag(x)) {
 			return nil, fmt.Errorf("NaN in stored CIR")

@@ -16,8 +16,9 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata golden fixtures")
 
-// fidelityConfig is the config class the v1 store could not round-trip:
-// scripted trajectory plus a nonzero human scatter gain override.
+// fidelityConfig is the config class the retired v1 store could not
+// round-trip, so the current store must: scripted trajectory plus a
+// nonzero human scatter gain override.
 func fidelityConfig() Config {
 	cfg := smallConfig()
 	cfg.Scripted = true
@@ -90,62 +91,11 @@ func TestV2RoundTripFullConfig(t *testing.T) {
 	compareReception(t, orig, loaded, 3, 0)
 }
 
-// TestV1DropsScatterGain documents the legacy limitation the v2 format
-// fixes by construction: v1 never serialized HumanScatterGain, so a
-// reloaded v1 campaign rebuilds the default-geometry environment.
-func TestV1DropsScatterGain(t *testing.T) {
-	orig, err := Generate(fidelityConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := saveV1(orig, &buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadCampaign(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Cfg.HumanScatterGain != 0 {
-		t.Fatal("v1 cannot carry HumanScatterGain; expected it dropped")
-	}
-	if !loaded.Cfg.Scripted {
-		t.Fatal("v1 stores the Scripted flag; expected it preserved")
-	}
-	if loaded.Geometry.HumanScatterGain == orig.Geometry.HumanScatterGain { //vvdlint:bitexact -- store round-trip and regeneration are bit-identical by format contract
-		t.Fatal("expected the v1 rebuild to fall back to the default scatter gain")
-	}
-}
-
-// TestV1CompatRoundTrip exercises the frozen v1 codec end to end,
-// including the depth-image path.
-func TestV1CompatRoundTrip(t *testing.T) {
-	orig, err := Generate(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := saveV1(orig, &buf); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenCampaign(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Version() != 1 {
-		t.Fatalf("version = %d, want 1", r.Version())
-	}
-	loaded, err := r.ReadSets(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comparePackets(t, orig, loaded)
-	compareReception(t, orig, loaded, 1, 3)
-}
-
-// goldenV1Config must stay frozen: testdata/campaign_v1.bin was generated
-// from it (go test -run TestV1GoldenFixture -update-golden).
-func goldenV1Config() Config {
+// goldenV3Config must stay frozen: testdata/campaign_v3.bin holds the
+// scripted-mobility campaign it generates. The fixture was first written in
+// the retired v1 format and converted to v3 by LoadCampaign+Save, so the
+// packets it pins have not changed since scripted mobility was introduced.
+func goldenV3Config() Config {
 	cfg := DefaultConfig()
 	cfg.Sets = 2
 	cfg.PacketsPerSet = 6
@@ -156,20 +106,20 @@ func goldenV1Config() Config {
 	return cfg
 }
 
-// TestV1GoldenFixture decodes the committed v1 fixture through the compat
-// path and checks it against a freshly generated campaign — the guarantee
-// that campaign files written before the v2 store keep loading, bit for
-// bit, as the codebase evolves.
-func TestV1GoldenFixture(t *testing.T) {
-	path := filepath.Join("testdata", "campaign_v1.bin")
-	cfg := goldenV1Config()
+// TestV3GoldenFixture decodes the committed v3 fixture and checks it
+// against a freshly generated campaign — the guarantee that scripted
+// mobility generation stays bit for bit as the codebase evolves, and that
+// v3 files keep loading.
+func TestV3GoldenFixture(t *testing.T) {
+	path := filepath.Join("testdata", "campaign_v3.bin")
+	cfg := goldenV3Config()
 	want, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *updateGolden {
 		var buf bytes.Buffer
-		if err := saveV1(want, &buf); err != nil {
+		if err := want.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -184,7 +134,14 @@ func TestV1GoldenFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCampaign(bytes.NewReader(data))
+	r, err := OpenCampaign(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Version() != 3 {
+		t.Fatalf("fixture version = %d, want 3", r.Version())
+	}
+	loaded, err := r.ReadSets(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,13 +463,12 @@ var (
 	benchOnce sync.Once
 	benchCamp *Campaign
 	benchV2   []byte
-	benchV1   []byte
 	benchErr  error
 )
 
 // benchCampaign builds a mid-size default-shape campaign (depth images on)
 // shared by every persistence benchmark.
-func benchCampaign(b *testing.B) (*Campaign, []byte, []byte) {
+func benchCampaign(b *testing.B) (*Campaign, []byte) {
 	b.Helper()
 	benchOnce.Do(func() {
 		cfg := DefaultConfig()
@@ -524,23 +480,20 @@ func benchCampaign(b *testing.B) (*Campaign, []byte, []byte) {
 		if benchErr != nil {
 			return
 		}
-		var v2, v1 bytes.Buffer
+		var v2 bytes.Buffer
 		if benchErr = benchCamp.Save(&v2); benchErr != nil {
 			return
 		}
-		if benchErr = saveV1(benchCamp, &v1); benchErr != nil {
-			return
-		}
-		benchV2, benchV1 = v2.Bytes(), v1.Bytes()
+		benchV2 = v2.Bytes()
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
 	}
-	return benchCamp, benchV2, benchV1
+	return benchCamp, benchV2
 }
 
 func BenchmarkCampaignSave(b *testing.B) {
-	c, v2, _ := benchCampaign(b)
+	c, v2 := benchCampaign(b)
 	b.SetBytes(int64(len(v2)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -551,20 +504,8 @@ func BenchmarkCampaignSave(b *testing.B) {
 	}
 }
 
-func BenchmarkCampaignSaveV1(b *testing.B) {
-	c, _, v1 := benchCampaign(b)
-	b.SetBytes(int64(len(v1)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := saveV1(c, io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCampaignLoad(b *testing.B) {
-	_, v2, _ := benchCampaign(b)
+	_, v2 := benchCampaign(b)
 	b.SetBytes(int64(len(v2)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -575,23 +516,11 @@ func BenchmarkCampaignLoad(b *testing.B) {
 	}
 }
 
-func BenchmarkCampaignLoadV1(b *testing.B) {
-	_, _, v1 := benchCampaign(b)
-	b.SetBytes(int64(len(v1)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := LoadCampaign(bytes.NewReader(v1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCampaignStream measures the set-at-a-time path every streaming
 // consumer uses: decode one set, drop it, move on — peak live memory is
 // one set regardless of campaign size.
 func BenchmarkCampaignStream(b *testing.B) {
-	_, v2, _ := benchCampaign(b)
+	_, v2 := benchCampaign(b)
 	b.SetBytes(int64(len(v2)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -613,7 +542,7 @@ func BenchmarkCampaignStream(b *testing.B) {
 // BenchmarkCampaignInspect measures the decode-free verification path:
 // header parse plus CRC sweep of every set payload.
 func BenchmarkCampaignInspect(b *testing.B) {
-	_, v2, _ := benchCampaign(b)
+	_, v2 := benchCampaign(b)
 	b.SetBytes(int64(len(v2)))
 	b.ReportAllocs()
 	b.ResetTimer()

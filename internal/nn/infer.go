@@ -18,9 +18,9 @@ import (
 // slices (or nothing at all via ForwardBatchF32Into).
 //
 // The engine never touches the Network's training caches: one engine is
-// safe for any number of concurrent Forward/ForwardBatch calls, and the
-// Network it was compiled from can keep training independently (recompile
-// to pick up new weights).
+// safe for any number of concurrent ForwardBatchF32/ForwardBatchF32Into
+// calls, and the Network it was compiled from can keep training
+// independently (recompile to pick up new weights).
 //
 // An optional symmetric int8 quantized mode (Calibrate + EnableInt8)
 // trades a bounded accuracy loss for integer kernels that move a quarter
@@ -85,7 +85,6 @@ type inferArena struct {
 	apack8     []uint8   // conv int8 A panels (quad-interleaved)
 	rowq       []uint8   // one quantized im2col row (int8 pack staging)
 	acc32      []int32
-	in64       []float32
 }
 
 // NewInferenceEngine compiles a network for inference. Weights are
@@ -229,57 +228,6 @@ func (e *InferenceEngine) ForwardBatchF32(ins [][]float32) ([][]float32, error) 
 	}
 	if err := e.ForwardBatchF32Into(ins, outs); err != nil {
 		return nil, err
-	}
-	return outs, nil
-}
-
-// Forward runs single-sample inference on a float64 input (the Network
-// Forward signature, for drop-in use and parity testing).
-func (e *InferenceEngine) Forward(in []float64) ([]float64, error) {
-	outs, err := e.ForwardBatch([][]float64{in})
-	if err != nil {
-		return nil, err
-	}
-	return outs[0], nil
-}
-
-// ForwardBatch mirrors Network.ForwardBatch on the compiled engine:
-// float64 in, float64 out, float32 arithmetic inside.
-func (e *InferenceEngine) ForwardBatch(ins [][]float64) ([][]float64, error) {
-	inSize := e.in.Size()
-	for s, in := range ins {
-		if len(in) != inSize {
-			return nil, fmt.Errorf("nn: batch input %d size %d, want %d", s, len(in), inSize)
-		}
-	}
-	if len(ins) == 0 {
-		return nil, nil
-	}
-	a := e.arenas.Get().(*inferArena)
-	a.in64 = growF32(a.in64, len(ins)*inSize)
-	f32ins := make([][]float32, len(ins))
-	for s, in := range ins {
-		dst := a.in64[s*inSize : (s+1)*inSize]
-		for i, v := range in {
-			dst[i] = float32(v)
-		}
-		f32ins[s] = dst
-	}
-	outSize := e.out.Size()
-	outs32 := make([][]float32, len(ins))
-	flat := make([]float32, len(ins)*outSize)
-	for s := range outs32 {
-		outs32[s] = flat[s*outSize : (s+1)*outSize]
-	}
-	e.runChunked(a, f32ins, outs32, nil)
-	e.arenas.Put(a)
-	outs := make([][]float64, len(ins))
-	for s, o := range outs32 {
-		out := make([]float64, outSize)
-		for i, v := range o {
-			out[i] = float64(v)
-		}
-		outs[s] = out
 	}
 	return outs, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sync"
 	"testing"
 )
 
@@ -50,6 +51,14 @@ func randomNet(t *testing.T, build func() (Shape, []Layer), seed uint64) *Networ
 	return net
 }
 
+func toF32(x []float64) []float32 {
+	out := make([]float32, len(x))
+	for i, v := range x {
+		out[i] = float32(v)
+	}
+	return out
+}
+
 func randomInput(rng *rand.Rand, n int, nonneg bool) []float64 {
 	x := make([]float64, n)
 	for i := range x {
@@ -62,9 +71,9 @@ func randomInput(rng *rand.Rand, n int, nonneg bool) []float64 {
 	return x
 }
 
-// TestInferenceEngineMatchesForward pins the compiled float32 engine
-// against the float64 reference Forward on random weights and inputs:
-// |Δ| ≤ 1e-4 + 1e-4·|reference| element-wise.
+// TestInferenceEngineMatchesForward pins the compiled float32 engine, fed
+// float32-cast inputs, against the float64 training Forward on random
+// weights and inputs: |Δ| ≤ 1e-4 + 1e-4·|reference| element-wise.
 func TestInferenceEngineMatchesForward(t *testing.T) {
 	const tolAbs, tolRel = 1e-4, 1e-4
 	for name, build := range inferArches() {
@@ -81,15 +90,16 @@ func TestInferenceEngineMatchesForward(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := eng.Forward(in)
+				outs, err := eng.ForwardBatchF32([][]float32{toF32(in)})
 				if err != nil {
 					t.Fatal(err)
 				}
+				got := outs[0]
 				if len(got) != len(want) {
 					t.Fatalf("output size %d, want %d", len(got), len(want))
 				}
 				for i := range got {
-					if diff := math.Abs(got[i] - want[i]); diff > tolAbs+tolRel*math.Abs(want[i]) {
+					if diff := math.Abs(float64(got[i]) - want[i]); diff > tolAbs+tolRel*math.Abs(want[i]) {
 						t.Fatalf("trial %d out[%d]=%g, reference %g (|Δ|=%g)", trial, i, got[i], want[i], diff)
 					}
 				}
@@ -136,33 +146,123 @@ func TestInferenceEngineBatchBitwise(t *testing.T) {
 	}
 }
 
-// TestForwardBatchPooledBuffers re-pins the legacy float64 batch path
-// (now writing into pooled, recycled buffers) as bitwise identical to
-// Forward, including after buffer reuse on a second differently-sized
-// batch.
+// TestForwardBatchPooledBuffers pins the engine's recycled buffers: one
+// set of output slices, poisoned with NaN, is reused across shrinking and
+// growing batches (so pooled arenas and outputs both carry stale data), and
+// every sample must still equal a fresh single-sample forward bit for bit.
 func TestForwardBatchPooledBuffers(t *testing.T) {
 	net := randomNet(t, inferArches()["odd-pools"], 3)
+	eng, err := NewInferenceEngine(net)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewPCG(2, 4))
-	for _, batch := range []int{5, 2, 9} { // shrinking + growing reuses pooled arenas
-		ins := make([][]float64, batch)
+	outs := make([][]float32, 17)
+	for s := range outs {
+		outs[s] = make([]float32, net.Out.Size())
+	}
+	for _, batch := range []int{5, 2, 17, 9} { // shrinking + growing reuses pooled arenas
+		ins := make([][]float32, batch)
 		for s := range ins {
-			ins[s] = randomInput(rng, net.In.Size(), false)
+			ins[s] = toF32(randomInput(rng, net.In.Size(), false))
 		}
-		outs, err := net.ForwardBatch(ins)
-		if err != nil {
+		for _, o := range outs[:batch] {
+			for i := range o {
+				o[i] = float32(math.NaN())
+			}
+		}
+		if err := eng.ForwardBatchF32Into(ins, outs[:batch]); err != nil {
 			t.Fatal(err)
 		}
 		for s := range ins {
-			want, err := net.Forward(ins[s])
+			want, err := eng.ForwardBatchF32(ins[s : s+1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range want {
-				if outs[s][i] != want[i] { //vvdlint:bitexact -- batch and engine parity vs Forward is bitwise by contract
-					t.Fatalf("batch %d sample %d out[%d]: %g != Forward %g", batch, s, i, outs[s][i], want[i])
+			for i := range want[0] {
+				if outs[s][i] != want[0][i] { //vvdlint:bitexact -- batch and engine parity vs Forward is bitwise by contract
+					t.Fatalf("batch %d sample %d out[%d]: %g != single %g", batch, s, i, outs[s][i], want[0][i])
 				}
 			}
 		}
+	}
+}
+
+func TestForwardBatchEmptyAndErrors(t *testing.T) {
+	net := randomNet(t, inferArches()["odd-pools"], 5)
+	eng, err := NewInferenceEngine(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := eng.ForwardBatchF32(nil); err != nil || len(out) != 0 {
+		t.Fatalf("empty batch: got %v, %v", out, err)
+	}
+	if err := eng.ForwardBatchF32Into(nil, nil); err != nil {
+		t.Fatalf("empty Into batch: %v", err)
+	}
+	if _, err := eng.ForwardBatchF32([][]float32{make([]float32, net.In.Size()+1)}); err == nil {
+		t.Fatal("expected size-mismatch error")
+	}
+	if _, err := eng.ForwardBatchF32([][]float32{make([]float32, net.In.Size()), nil}); err == nil {
+		t.Fatal("expected size-mismatch error for nil sample")
+	}
+}
+
+// TestInferenceEngineConcurrent pins the engine's concurrent-use contract:
+// goroutines sharing one InferenceEngine, in float32 and in int8 mode, each
+// get outputs bit-identical to a serial call (run under -race in CI).
+func TestInferenceEngineConcurrent(t *testing.T) {
+	net := randomNet(t, inferArches()["odd-pools"], 12)
+	rng := rand.New(rand.NewPCG(3, 5))
+	ins := make([][]float32, 11) // one full chunk plus a ragged one
+	for s := range ins {
+		ins[s] = toF32(randomInput(rng, net.In.Size(), true))
+	}
+	for _, mode := range []string{"float32", "int8"} {
+		t.Run(mode, func(t *testing.T) {
+			eng, err := NewInferenceEngine(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mode == "int8" {
+				if _, err := eng.Calibrate(ins); err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.EnableInt8(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := eng.ForwardBatchF32(ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for rep := 0; rep < 4; rep++ {
+						got, err := eng.ForwardBatchF32(ins)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						for s := range want {
+							for i := range want[s] {
+								if got[s][i] != want[s][i] { //vvdlint:bitexact -- batch and engine parity vs Forward is bitwise by contract
+									t.Errorf("goroutine %d diverged at sample %d output %d", g, s, i)
+									return
+								}
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if eng.Mode() != mode {
+				t.Fatalf("mode = %q, want %q", eng.Mode(), mode)
+			}
+		})
 	}
 }
 

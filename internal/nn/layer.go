@@ -51,11 +51,6 @@ type Layer interface {
 	// clone returns a copy sharing parameter values (W slices) but with
 	// private caches and gradients.
 	clone() Layer
-	// forwardBatch computes the layer output for a batch of inputs without
-	// touching the Backward caches (inference only), writing into the
-	// caller-provided (possibly recycled, non-zeroed) output slices.
-	// Weighted layers traverse their parameters once for the whole batch.
-	forwardBatch(ins, outs [][]float64)
 	// name identifies the layer type for serialization.
 	name() string
 }

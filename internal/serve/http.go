@@ -14,7 +14,8 @@ import (
 //
 //	POST   /estimate   {"link":"a","image":[...]}  submit a frame, wait for
 //	                   its (or a newer) estimate and return it; wait_ms<0
-//	                   submits without waiting (fire-and-forget feeders)
+//	                   submits without waiting (fire-and-forget feeders),
+//	                   wait_ms above MaxWait is clamped to it
 //	GET    /estimate?link=a                        freshest estimate for a link
 //	GET    /links                                  per-session statistics
 //	DELETE /links?id=a                             close a session
@@ -74,7 +75,7 @@ func NewHandler(s *Service) http.Handler {
 			writeJSON(w, submitResponse{Link: req.Link, SubmittedSeq: res.SubmittedSeq, DroppedOldest: res.DroppedOldest})
 			return
 		}
-		res, err := s.SubmitAndWait(req.Link, req.Image, time.Duration(req.WaitMS)*time.Millisecond)
+		res, err := s.SubmitAndWait(req.Link, req.Image, waitFromMS(req.WaitMS))
 		if err != nil {
 			if errors.Is(err, ErrNotReady) {
 				httpError(w, http.StatusGatewayTimeout, "%v", err)
@@ -159,6 +160,15 @@ type estimateRequest struct {
 	Link   string    `json:"link"`
 	Image  []float32 `json:"image,omitempty"`
 	WaitMS int       `json:"wait_ms,omitempty"`
+}
+
+// waitFromMS converts a request's wait_ms to a Duration, clamping to
+// MaxWait before multiplying so no value can overflow.
+func waitFromMS(ms int) time.Duration {
+	if ms > int(MaxWait/time.Millisecond) {
+		return MaxWait
+	}
+	return time.Duration(ms) * time.Millisecond
 }
 
 type estimateResponse struct {

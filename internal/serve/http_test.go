@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -226,5 +227,27 @@ func TestHTTPOversizedBodyIs413(t *testing.T) {
 	out := decodeBody(t, resp)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: %d (%v), want 413", resp.StatusCode, out)
+	}
+}
+
+// TestWaitFromMS pins the wait_ms→Duration conversion: values up to
+// MaxWait convert exactly, anything above clamps to MaxWait, and huge
+// values that would overflow the multiplication clamp too.
+func TestWaitFromMS(t *testing.T) {
+	for _, tc := range []struct {
+		ms   int
+		want time.Duration
+	}{
+		{-1, -time.Millisecond},
+		{0, 0},
+		{5, 5 * time.Millisecond},
+		{60000, MaxWait},
+		{60001, MaxWait},
+		{1 << 62, MaxWait},
+		{math.MaxInt, MaxWait},
+	} {
+		if got := waitFromMS(tc.ms); got != tc.want {
+			t.Errorf("waitFromMS(%d) = %v, want %v", tc.ms, got, tc.want)
+		}
 	}
 }

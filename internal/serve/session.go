@@ -10,6 +10,11 @@ import (
 // estimate when the caller does not say — a few camera frame periods.
 const DefaultWait = 2 * time.Second
 
+// MaxWait caps the estimate wait any transport may request; a longer wait
+// is clamped, bounding how long a client can park a handler goroutine and
+// its decoded frame.
+const MaxWait = time.Minute
+
 // Transport-agnostic error taxonomy: every protocol front-end (HTTP/JSON
 // in this package, the binary wire protocol in internal/wire) maps these
 // sentinels onto its own status codes instead of re-implementing the
@@ -37,7 +42,8 @@ type SubmitResult struct {
 // transport attached: resolve (auto-open) the link session, submit the
 // frame, wait until an estimate for it — or a newer frame, freshest-wins —
 // is published, and serve that estimate through the link so the session
-// statistics record it. wait <= 0 means DefaultWait.
+// statistics record it. wait <= 0 means DefaultWait; a wait above MaxWait
+// is clamped to it.
 //
 // Errors are the package sentinels (possibly wrapped): ErrLinkLimit,
 // ErrClosed, ErrNotReady, ErrNoEstimate; anything else is a malformed
@@ -58,6 +64,7 @@ func (s *Service) SubmitAndWait(linkID string, img []float32, wait time.Duration
 	if wait <= 0 {
 		wait = DefaultWait
 	}
+	wait = min(wait, MaxWait)
 	if _, ok := s.WaitFor(seq, wait); !ok {
 		select {
 		case <-s.done:

@@ -90,44 +90,20 @@ func (h *ServiceHandler) Fetch(link string, reply *EstimateReply) error {
 // Stats implements Handler.
 func (h *ServiceHandler) Stats(link string) ([]LinkStats, error) {
 	all := h.svc.Links() // sorted by id
-	out := make([]LinkStats, 0, len(all))
+	if link == "" {
+		return all, nil
+	}
 	for _, st := range all {
-		if link != "" && st.ID != link {
-			continue
+		if st.ID == link {
+			return []LinkStats{st}, nil
 		}
-		out = append(out, LinkStats{
-			ID: st.ID, Served: st.Served, Dropped: st.Dropped, Pending: st.Pending,
-			LastAge: st.LastAge, MeanAge: st.MeanAge, MaxAge: st.MaxAge, OpenedAt: st.OpenedAt,
-		})
 	}
-	if link != "" && len(out) == 0 {
-		return nil, Errf(StatusNoEstimate, "link %q not open", link)
-	}
-	return out, nil
+	return nil, Errf(StatusNoEstimate, "link %q not open", link)
 }
 
 // Metrics implements Handler.
 func (h *ServiceHandler) Metrics() (MetricsReply, error) {
-	m := h.svc.Metrics()
-	return MetricsReply{
-		FramesSubmitted: m.FramesSubmitted,
-		FramesDropped:   m.FramesDropped,
-		FramesInferred:  m.FramesInferred,
-		Batches:         m.Batches,
-		LastSeq:         m.LastSeq,
-		EstimatesServed: m.EstimatesServed,
-		MeanBatch:       m.MeanBatch,
-		InferMean:       m.InferMean,
-		InferMeanFrame:  m.InferMeanFrame,
-		InferMax:        m.InferMax,
-		AgeP50:          m.AgeP50,
-		AgeP99:          m.AgeP99,
-		QueueLen:        m.QueueLen,
-		QueueCap:        m.QueueCap,
-		ActiveLinks:     m.ActiveLinks,
-		InferMode:       m.InferMode,
-		Err:             m.Err,
-	}, nil
+	return h.svc.Metrics(), nil
 }
 
 // Ping implements Handler. Inflight is filled by the wire server.

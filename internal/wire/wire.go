@@ -44,6 +44,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"vvd/internal/serve"
 )
 
 // Magic opens every connection in both directions; the bytes on the
@@ -56,8 +58,8 @@ const Version = uint32(1)
 
 // MaxWait caps the server-side estimate wait a Submit may request; a
 // longer wait is clamped, bounding how long a hostile client can park
-// an in-flight slot.
-const MaxWait = time.Minute
+// an in-flight slot. It is the service-wide cap every transport shares.
+const MaxWait = serve.MaxWait
 
 // Message types. Requests flow client→server, replies server→client.
 const (
@@ -176,40 +178,12 @@ type EstimateReply struct {
 	CIR           []complex64
 }
 
-// LinkStats is one session's statistics (TypeStatsReply entry),
-// mirroring serve.LinkStats.
-type LinkStats struct {
-	ID       string
-	Served   uint64
-	Dropped  uint64
-	Pending  int
-	LastAge  time.Duration
-	MeanAge  time.Duration
-	MaxAge   time.Duration
-	OpenedAt time.Time
-}
+// LinkStats is one session's statistics (TypeStatsReply entry).
+type LinkStats = serve.LinkStats
 
-// MetricsReply is the service counter snapshot (TypeMetricsReply),
-// mirroring serve.Metrics. The router aggregates one per shard.
-type MetricsReply struct {
-	FramesSubmitted uint64
-	FramesDropped   uint64
-	FramesInferred  uint64
-	Batches         uint64
-	LastSeq         uint64
-	EstimatesServed uint64
-	MeanBatch       float64
-	InferMean       time.Duration
-	InferMeanFrame  time.Duration
-	InferMax        time.Duration
-	AgeP50          time.Duration
-	AgeP99          time.Duration
-	QueueLen        int
-	QueueCap        int
-	ActiveLinks     int
-	InferMode       string
-	Err             string
-}
+// MetricsReply is the service counter snapshot (TypeMetricsReply). The
+// router aggregates one per shard.
+type MetricsReply = serve.Metrics
 
 // PongReply carries the load signals a health checker reads (TypePong).
 type PongReply struct {
