@@ -612,8 +612,9 @@ func BenchmarkCNNTrainingStep(b *testing.B) {
 // BenchmarkInferenceEngine measures the compiled GEMM inference engine on
 // the scaled paper network at batch sizes 1, 8 and 32, reporting frames/s.
 // Sub-benchmarks cover the float32 kernels and the int8 quantized kernels;
-// run with -benchmem: steady-state engine forwards must not allocate
-// (pooled im2col/activation arenas, caller-provided outputs).
+// run with -benchmem: a steady-state single-frame forward allocates
+// nothing (pooled arenas, caller-provided outputs); larger batches
+// allocate only the goroutines of GEMM calls that fan out across cores.
 func BenchmarkInferenceEngine(b *testing.B) {
 	net, err := core.BuildNetwork(core.ScaledArch(), rand.New(rand.NewPCG(5, 9)))
 	if err != nil {

@@ -119,10 +119,10 @@ type VVD struct {
 	Mean []complex128     // training-set mean CIR (added back on output)
 	Lag  dataset.ImageLag // which image lag this variant was trained on
 
-	// Inference rides a compiled nn.InferenceEngine (im2col + GEMM,
-	// float32), built lazily from Net on the first Estimate and shared by
-	// all concurrent callers. Training and Backward keep using the
-	// float64 Net directly.
+	// Inference rides a compiled nn.InferenceEngine (implicit-GEMM
+	// convolution, float32), built lazily from Net on the first Estimate
+	// and shared by all concurrent callers. Training and Backward keep
+	// using the float64 Net directly.
 	engOnce   sync.Once
 	eng       *nn.InferenceEngine
 	engErr    error

@@ -6,11 +6,15 @@ package gemm
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
-// sgemmKern8x8 and qgemmKern8x8 are the AVX2+FMA micro-kernels in
-// kernels_amd64.s. Panel layouts match the Go kernels exactly.
+// sgemmKern8x8, sgemmGatherKern8x8 and qgemmKern8x8 are the AVX2+FMA
+// micro-kernels in kernels_amd64.s. Panel layouts match the Go kernels
+// exactly.
 //
 //go:noescape
 func sgemmKern8x8(k int64, a, b, c *float32, ldc int64)
+
+//go:noescape
+func sgemmGatherKern8x8(k int64, act *float32, lanes *[8]int, koff *int, b, c *float32, ldc int64)
 
 //go:noescape
 func qgemmKern8x8(kp4 int64, a *uint8, b *int8, c *int32, ldc int64)
@@ -41,6 +45,9 @@ func init() {
 	accelerated = true
 	kernF32 = func(kc int, a, b, c []float32, ldc int) {
 		sgemmKern8x8(int64(kc), &a[0], &b[0], &c[0], int64(ldc))
+	}
+	kernGatherF32 = func(k int, act []float32, lanes *[mr]int, kOff []int, b, c []float32, ldc int) {
+		sgemmGatherKern8x8(int64(k), &act[0], lanes, &kOff[0], &b[0], &c[0], int64(ldc))
 	}
 	kernI8 = func(kp4 int, a []uint8, b []int8, c []int32, ldc int) {
 		qgemmKern8x8(int64(kp4), &a[0], &b[0], &c[0], int64(ldc))

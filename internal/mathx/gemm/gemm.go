@@ -1,15 +1,21 @@
 // Package gemm implements the matrix-multiply core of the inference
-// engine: a cache-blocked float32 GEMM and a symmetric-quantized
-// int8×int8→int32 variant, both built around an 8×8 register micro-tile.
+// engine: a cache-blocked float32 GEMM, an implicit-GEMM float32 variant
+// for convolution, and a symmetric-quantized int8×int8→int32 variant, all
+// built around an 8×8 register micro-tile.
 //
 // The weight operand B is packed once (PackB / PackBInt8) into NR-wide
 // column panels and reused across every call — for CNN inference the
 // weights never change, so the packing cost is paid at model-compile time.
-// The activation operand A is packed per call into MR-row panels held in
-// pooled scratch, so steady-state calls allocate nothing. On amd64 with
-// AVX2+FMA the micro-kernel is hand-written assembly (8 FMA lanes per
-// cycle pair); everywhere else a pure-Go kernel with the same summation
-// order runs, so results are platform-independent up to FMA rounding.
+// How the activation operand A reaches the kernel depends on the entry
+// point: SgemmPacked and QgemmPacked pack a row-major A per call into
+// MR-row panels held in pooled scratch; SgemmGather never materializes A
+// at all — its kernel reads each patch element straight from the
+// convolution's activation plane through precomputed offset tables; and
+// QgemmPrepacked takes int8 panels the caller already wrote. Steady-state
+// calls allocate nothing. On amd64 with AVX2+FMA the micro-kernels are
+// hand-written assembly (8 FMA lanes per cycle pair); everywhere else
+// pure-Go kernels with the same summation order run, so results are
+// platform-independent up to FMA rounding.
 //
 // Large products are tiled across goroutines by row block; row blocks are
 // disjoint, so the parallel result is bitwise identical to sequential.
@@ -40,6 +46,10 @@ const (
 // where a is k×8 (a[p*8+r]), b is k×8 (b[p*8+j]) and c has row stride ldc.
 // dispatch_amd64.go swaps in the AVX2+FMA version when the CPU supports it.
 var kernF32 = sgemmKern8x8Go
+
+// kernGatherF32 is the active implicit-GEMM float32 micro-kernel: as
+// kernF32, but row r of the A panel at k step p is act[lanes[r]+kOff[p]].
+var kernGatherF32 = sgemmGatherKern8x8Go
 
 // kernI8 is the active int8 micro-kernel over k/2 byte-pair steps:
 // C[8×8] += A_panel(u8)·B_panel(s8) with pair-interleaved panels (see
@@ -93,6 +103,7 @@ type scratch struct {
 	apanel8 []uint8
 	tile    [mr * nr]float32
 	tile32  [mr * nr]int32
+	lanes   [mr]int // SgemmGather row-tile offsets (pooled: a stack array would escape through kernGatherF32)
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -134,50 +145,49 @@ func Sgemm(m, k, n int, a, b, c []float32) {
 	SgemmPacked(m, a, k, PackB(k, n, b), c, n)
 }
 
-// ---------- caller-prepacked A ----------
+// ---------- implicit-GEMM A (convolution) ----------
 //
-// Producers that materialize A anyway (im2col) can write it directly in
-// panel form and skip the per-call packing pass entirely. The float32
-// layout is MR-row panels, k-major within a panel:
+// A convolution's im2col patch matrix never needs to exist. With P =
+// len(rowOff) output positions per sample, row g of the patch matrix
+// (sample g/P, position g%P) has its element p at
 //
-//	ap[t*k*MR + p*MR + r] = A[t*MR+r, p]
+//	act[(g/P)·plane + rowOff[g%P] + kOff[p]]
 //
-// with the tail panel's out-of-range rows zeroed by the producer. The
-// int8 layout additionally interleaves K four deep (see PackedBInt8):
-//
-//	ap[t*KP(k)*MR + qq*4*MR + r*4 + i] = A[t*MR+r, 4*qq+i]
-//
-// The prepacked path does not chunk K, so it requires k ≤ the kcCols
-// panel budget (every CNN patch depth is far below it).
+// so the kernel reads A straight from the activation plane and the
+// im2col gather-and-pack pass disappears. Accumulation order is the same
+// as SgemmPacked over the explicitly gathered A (for K within the kcCols
+// panel budget, where SgemmPacked does not chunk K), so the two agree bit
+// for bit.
 
-// MR is the row count of one packed-A panel.
-const MR = mr
-
-// KP returns k rounded up to the int8 quad-interleave granularity.
-func KP(k int) int { return (k + 3) &^ 3 }
-
-// PackedALen returns the float32 buffer length for a prepacked m×k A.
-func PackedALen(m, k int) int { return (m + mr - 1) / mr * k * mr }
-
-// PackedAInt8Len returns the uint8 buffer length for a prepacked m×k A.
-func PackedAInt8Len(m, k int) int { return (m + mr - 1) / mr * KP(k) * mr }
-
-// SgemmPrepacked computes C += A·B with A already in panel layout (see
-// above); c is row-major m×N with stride ldc. Requires pb.K ≤ 1024.
-func SgemmPrepacked(m int, ap []float32, pb *PackedB, c []float32, ldc int) {
-	if m == 0 {
+// SgemmGather computes C += A·B for the implicit patch matrix A above; b
+// was packed with PackB and c is row-major m×N with stride ldc. Offsets
+// must be non-negative with max(rowOff)+max(kOff) < plane, len(kOff) must
+// equal pb.K, and act must hold ceil(m/P) planes; a violation panics
+// before the kernel runs, so the unchecked SIMD loads stay inside act.
+// Fans out over row tiles like SgemmPacked; the result does not depend
+// on GOMAXPROCS.
+func SgemmGather(m int, act []float32, plane int, rowOff, kOff []int, pb *PackedB, c []float32, ldc int) {
+	k, n := pb.K, pb.N
+	if m == 0 || k == 0 {
 		return
 	}
-	if pb.K > kcCols {
-		panic("gemm: SgemmPrepacked requires K within the panel budget")
+	if len(kOff) != k || len(rowOff) == 0 {
+		panic("gemm: SgemmGather offset tables do not match the product shape")
+	}
+	kMax := maxPatchOffset(kOff)
+	if samples := (m + len(rowOff) - 1) / len(rowOff); len(act) < samples*plane {
+		panic("gemm: SgemmGather activation shorter than the planes it spans")
+	}
+	if ldc < n || len(c) < (m-1)*ldc+n {
+		panic("gemm: SgemmGather output shorter than m×N")
 	}
 	rtiles := (m + mr - 1) / mr
 	workers := runtime.GOMAXPROCS(0)
 	if workers > rtiles {
 		workers = rtiles
 	}
-	if workers <= 1 || m*pb.K*pb.N < parallelFlops {
-		sgemmPreRange(0, rtiles, m, ap, pb, c, ldc)
+	if workers <= 1 || m*k*n < parallelFlops {
+		sgemmGatherRange(0, rtiles, m, act, plane, rowOff, kOff, kMax, pb, c, ldc)
 		return
 	}
 	var wg sync.WaitGroup
@@ -187,29 +197,60 @@ func SgemmPrepacked(m int, ap []float32, pb *PackedB, c []float32, ldc int) {
 		wg.Add(1)
 		go func(q0, q1 int) {
 			defer wg.Done()
-			sgemmPreRange(q0, q1, m, ap, pb, c, ldc)
+			sgemmGatherRange(q0, q1, m, act, plane, rowOff, kOff, kMax, pb, c, ldc)
 		}(q0, q1)
 	}
 	wg.Wait()
 }
 
-func sgemmPreRange(q0, q1, m int, ap []float32, pb *PackedB, c []float32, ldc int) {
+// maxPatchOffset returns max(kOff), rejecting negative offsets.
+func maxPatchOffset(kOff []int) int {
+	m := 0
+	for _, o := range kOff {
+		if o < 0 {
+			panic("gemm: SgemmGather negative patch offset")
+		}
+		m = max(m, o)
+	}
+	return m
+}
+
+// sgemmGatherRange computes row tiles [q0, q1). Lane offsets advance
+// incrementally (one division per range, not per row); each row offset
+// is checked against the plane as it is consumed.
+func sgemmGatherRange(q0, q1, m int, act []float32, plane int, rowOff, kOff []int, kMax int, pb *PackedB, c []float32, ldc int) {
 	k, n := pb.K, pb.N
 	st := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(st)
+	base, pos := q0*mr/len(rowOff)*plane, q0*mr%len(rowOff)
+	lanes := &st.lanes
 	for q := q0; q < q1; q++ {
-		a := ap[q*k*mr:]
 		rrows := min(mr, m-q*mr)
+		for r := 0; r < rrows; r++ {
+			ro := rowOff[pos]
+			if ro < 0 || ro+kMax >= plane {
+				panic("gemm: SgemmGather patch reaches outside its activation plane")
+			}
+			lanes[r] = base + ro
+			if pos++; pos == len(rowOff) {
+				pos, base = 0, base+plane
+			}
+		}
+		// Tail lanes past m re-read row q*mr; the edge-tile path below
+		// drops their results.
+		for r := rrows; r < mr; r++ {
+			lanes[r] = lanes[0]
+		}
 		for t := 0; t*nr < n; t++ {
 			bp := pb.data[t*k*nr:]
 			j0 := t * nr
 			cols := min(nr, n-j0)
 			if rrows == mr && cols == nr {
-				kernF32(k, a, bp, c[q*mr*ldc+j0:], ldc)
+				kernGatherF32(k, act, lanes, kOff, bp, c[q*mr*ldc+j0:], ldc)
 				continue
 			}
 			clear(st.tile[:])
-			kernF32(k, a, bp, st.tile[:], nr)
+			kernGatherF32(k, act, lanes, kOff, bp, st.tile[:], nr)
 			for r := 0; r < rrows; r++ {
 				crow := c[(q*mr+r)*ldc+j0:]
 				for j := 0; j < cols; j++ {
@@ -220,8 +261,24 @@ func sgemmPreRange(q0, q1, m int, ap []float32, pb *PackedB, c []float32, ldc in
 	}
 }
 
-// QgemmPrepacked is the int8 counterpart of SgemmPrepacked: A already in
-// quad-interleaved panel layout, C int32 row-major with stride ldc.
+// ---------- caller-prepacked int8 A ----------
+//
+// Producers that materialize quantized A anyway (the int8 im2col) write
+// it directly in panel form and skip the per-call packing pass. The
+// layout is MR-row panels with K interleaved four deep (see PackedBInt8):
+//
+//	ap[t*KP(k)*MR + qq*4*MR + r*4 + i] = A[t*MR+r, 4*qq+i]
+//
+// with the tail panel's out-of-range rows zeroed by the producer (MR = 8).
+
+// KP returns k rounded up to the int8 quad-interleave granularity.
+func KP(k int) int { return (k + 3) &^ 3 }
+
+// PackedAInt8Len returns the uint8 buffer length for a prepacked m×k A.
+func PackedAInt8Len(m, k int) int { return (m + mr - 1) / mr * KP(k) * mr }
+
+// QgemmPrepacked computes C += A·B with A already in the quad-interleaved
+// panel layout above; c is int32 row-major with stride ldc.
 func QgemmPrepacked(m int, ap []uint8, pb *PackedBInt8, c []int32, ldc int) {
 	if m == 0 {
 		return
@@ -347,6 +404,30 @@ func sgemmKern8x8Go(kc int, a, b, c []float32, ldc int) {
 		av := a[p*mr : p*mr+mr]
 		for r := 0; r < mr; r++ {
 			ar := av[r]
+			row := acc[r*nr : r*nr+nr]
+			for j, bj := range bv {
+				row[j] += ar * bj
+			}
+		}
+	}
+	for r := 0; r < mr; r++ {
+		crow := c[r*ldc : r*ldc+nr]
+		for j := 0; j < nr; j++ {
+			crow[j] += acc[r*nr+j]
+		}
+	}
+}
+
+// sgemmGatherKern8x8Go is the portable implicit-GEMM micro-kernel: the
+// same summation as sgemmKern8x8Go, with A element (r, p) read from
+// act[lanes[r]+kOff[p]] instead of a packed panel.
+func sgemmGatherKern8x8Go(k int, act []float32, lanes *[mr]int, kOff []int, b, c []float32, ldc int) {
+	var acc [mr * nr]float32
+	for p := 0; p < k; p++ {
+		bv := b[p*nr : p*nr+nr]
+		off := kOff[p]
+		for r := 0; r < mr; r++ {
+			ar := act[lanes[r]+off]
 			row := acc[r*nr : r*nr+nr]
 			for j, bj := range bv {
 				row[j] += ar * bj

@@ -89,6 +89,149 @@ func TestSgemmKernelAgreement(t *testing.T) {
 	}
 }
 
+// convTables builds SgemmGather's offset tables for a valid kh×kw
+// convolution over an ih×iw×ic plane, the way the inference engine does.
+func convTables(ih, iw, ic, kh, kw int) (rowOff, kOff []int, plane int) {
+	for ky := 0; ky < kh; ky++ {
+		for kx := 0; kx < kw; kx++ {
+			for c := 0; c < ic; c++ {
+				kOff = append(kOff, (ky*iw+kx)*ic+c)
+			}
+		}
+	}
+	for y := 0; y <= ih-kh; y++ {
+		for x := 0; x <= iw-kw; x++ {
+			rowOff = append(rowOff, (y*iw+x)*ic)
+		}
+	}
+	return rowOff, kOff, ih * iw * ic
+}
+
+// gatherA materializes the implicit patch matrix as a row-major m×k A.
+func gatherA(m int, act []float32, plane int, rowOff, kOff []int) []float32 {
+	a := make([]float32, 0, m*len(kOff))
+	for g := 0; g < m; g++ {
+		base := g/len(rowOff)*plane + rowOff[g%len(rowOff)]
+		for _, o := range kOff {
+			a = append(a, act[base+o])
+		}
+	}
+	return a
+}
+
+// TestSgemmGatherMatchesPacked pins the implicit-GEMM entry point bit for
+// bit against SgemmPacked over the explicitly gathered A (K ≤ kcCols, so
+// both accumulate in the same order): ragged m, odd k, ragged n, row tiles
+// crossing output rows and samples, partial last samples, and products
+// large enough to fan out.
+func TestSgemmGatherMatchesPacked(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 21))
+	cases := []struct{ ih, iw, ic, kh, kw, samples, n int }{
+		{5, 7, 1, 1, 1, 3, 5},    // k=1
+		{9, 13, 1, 3, 3, 2, 8},   // k=9, ow=11
+		{11, 21, 8, 3, 3, 3, 13}, // k=72, ow=19
+		{8, 10, 16, 3, 3, 13, 8}, // k=144, ow=8 with 13 samples
+		{7, 12, 32, 3, 3, 5, 22}, // k=288, ow=10
+		{6, 9, 64, 3, 3, 4, 1},   // k=576, ow=7
+		{50, 90, 1, 3, 3, 4, 8},  // paper-width first conv, fans out
+		{22, 42, 8, 3, 3, 8, 9},  // fans out with a ragged N
+	}
+	for _, tc := range cases {
+		rowOff, kOff, plane := convTables(tc.ih, tc.iw, tc.ic, tc.kh, tc.kw)
+		k := len(kOff)
+		act := randMat(rng, tc.samples*plane)
+		pb := PackB(k, tc.n, randMat(rng, k*tc.n))
+		// Every sample in full, and a partial last sample.
+		for _, m := range []int{tc.samples * len(rowOff), tc.samples*len(rowOff) - 3} {
+			c0 := randMat(rng, m*tc.n) // C += must respect prior content
+			want := append([]float32(nil), c0...)
+			SgemmPacked(m, gatherA(m, act, plane, rowOff, kOff), k, pb, want, tc.n)
+			got := append([]float32(nil), c0...)
+			SgemmGather(m, act, plane, rowOff, kOff, pb, got, tc.n)
+			for i := range got {
+				if got[i] != want[i] { //vvdlint:bitexact -- implicit GEMM reproduces the packed accumulation order exactly
+					t.Fatalf("%+v m=%d: c[%d]=%g, packed %g", tc, m, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSgemmGatherKernelPairs pins each gather micro-kernel against its
+// packed-panel twin on the same rows, bit for bit: the Go pair on every
+// CPU, the assembly pair where the SIMD kernels are active. Lanes are
+// deliberately unordered and repeated, as tail tiles produce.
+func TestSgemmGatherKernelPairs(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 4))
+	type kernels struct {
+		name   string
+		gather func(int, []float32, *[mr]int, []int, []float32, []float32, int)
+		packed func(int, []float32, []float32, []float32, int)
+	}
+	pairs := []kernels{{"go", sgemmGatherKern8x8Go, sgemmKern8x8Go}}
+	if Accelerated() {
+		pairs = append(pairs, kernels{"asm", kernGatherF32, kernF32})
+	}
+	for _, pair := range pairs {
+		for _, k := range []int{1, 2, 9, 72, 144, 288, 576} {
+			act := randMat(rng, 4096)
+			kOff := make([]int, k)
+			for p := range kOff {
+				kOff[p] = rng.IntN(1024)
+			}
+			lanes := [mr]int{2900, 0, 17, 17, 3000, 1, 1500, 0}
+			a := make([]float32, k*mr)
+			for p := 0; p < k; p++ {
+				for r := 0; r < mr; r++ {
+					a[p*mr+r] = act[lanes[r]+kOff[p]]
+				}
+			}
+			b := randMat(rng, k*nr)
+			const ldc = 11
+			c0 := randMat(rng, (mr-1)*ldc+nr)
+			want := append([]float32(nil), c0...)
+			pair.packed(k, a, b, want, ldc)
+			got := append([]float32(nil), c0...)
+			pair.gather(k, act, &lanes, kOff, b, got, ldc)
+			for i := range got {
+				if got[i] != want[i] { //vvdlint:bitexact -- both kernels run the same FMA sequence
+					t.Fatalf("%s k=%d: c[%d]=%g, packed kernel %g", pair.name, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSgemmGatherRejectsOutOfPlane pins the bounds checks that keep the
+// unchecked SIMD loads inside act: each malformed call panics before any
+// kernel runs.
+func TestSgemmGatherRejectsOutOfPlane(t *testing.T) {
+	rowOff, kOff, plane := convTables(6, 6, 1, 3, 3)
+	pb := PackB(len(kOff), 4, make([]float32, len(kOff)*4))
+	m := 2 * len(rowOff)
+	c := make([]float32, m*4)
+	act := make([]float32, 2*plane)
+	cases := map[string]func(){
+		"short act":         func() { SgemmGather(m, act[:2*plane-1], plane, rowOff, kOff, pb, c, 4) },
+		"row past plane":    func() { SgemmGather(m, act, plane, append(rowOff[:len(rowOff):len(rowOff)], plane-8), kOff, pb, c, 4) },
+		"negative row":      func() { SgemmGather(m, act, plane, append([]int{-1}, rowOff[1:]...), kOff, pb, c, 4) },
+		"negative patch":    func() { SgemmGather(m, act, plane, rowOff, append([]int{-1}, kOff[1:]...), pb, c, 4) },
+		"k mismatch":        func() { SgemmGather(m, act, plane, rowOff, kOff[1:], pb, c, 4) },
+		"short output":      func() { SgemmGather(m, act, plane, rowOff, kOff, pb, c[:len(c)-1], 4) },
+		"plane understated": func() { SgemmGather(m, act, plane-1, rowOff, kOff, pb, c, 4) },
+	}
+	for name, call := range cases {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("malformed SgemmGather call did not panic")
+				}
+			}()
+			call()
+		})
+	}
+}
+
 // refMulInt8 is the exact integer reference.
 func refMulInt8(m, k, n int, a []uint8, b []int8, c []int32) {
 	for i := 0; i < m; i++ {
@@ -163,7 +306,9 @@ func TestAcceleratedReportsPlatform(t *testing.T) {
 // ---------- benchmarks ----------
 
 // BenchmarkGemm measures the shapes the CNN inference path actually runs
-// (conv1/conv2/conv3 im2col products and the hidden dense layer).
+// (conv1/conv2/conv3 patch products and the hidden dense layer). The
+// f32 and int8 cases multiply an explicit row-major A; f32gather runs the
+// three convolutions as the engine does, reading A from the plane.
 func BenchmarkGemm(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for _, s := range [][3]int{{4224, 9, 8}, {924, 72, 8}, {171, 72, 16}, {8, 224, 64}} {
@@ -194,6 +339,20 @@ func BenchmarkGemm(b *testing.B) {
 				QgemmPacked(m, a8, k, pb8, c32, n)
 			}
 			b.ReportMetric(2*float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GOP/s")
+		})
+	}
+	for _, g := range [][4]int{{50, 90, 1, 8}, {24, 44, 8, 8}, {11, 21, 8, 16}} { // ih, iw, ic, filters
+		rowOff, kOff, plane := convTables(g[0], g[1], g[2], 3, 3)
+		m, k, n := len(rowOff), len(kOff), g[3]
+		act := randMat(rng, plane)
+		pb := PackB(k, n, randMat(rng, k*n))
+		c := make([]float32, m*n)
+		b.Run(fmt.Sprintf("f32gather_%dx%dx%d", m, k, n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				SgemmGather(m, act, plane, rowOff, kOff, pb, c, n)
+			}
+			b.ReportMetric(2*float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
 	}
 }

@@ -116,11 +116,19 @@ func seedModels(tb testing.TB) map[string][]byte {
 	return seeds
 }
 
+// fuzzForwardBudget caps the largest activation tensor (elements) of a
+// fuzzed model that FuzzNetworkLoad compiles and runs, so a tiny input
+// claiming a 2^26-element plane cannot exhaust the fuzzer's memory.
+const fuzzForwardBudget = 1 << 20
+
 // FuzzNetworkLoad throws arbitrary bytes at the model decoder. The
 // invariants: no panic, clean errors, and no network whose weights
 // outgrow the input that claimed to carry them — every parameter float
 // is 8 bytes on the wire, so a loaded model can never hold more than
-// len(data)/8 of them.
+// len(data)/8 of them. Every accepted model within fuzzForwardBudget must
+// also compile into an InferenceEngine and run one zero-frame forward: a
+// forged model can never steer the engine's unchecked SIMD loads out of
+// bounds.
 func FuzzNetworkLoad(f *testing.F) {
 	for _, data := range seedModels(f) {
 		f.Add(data)
@@ -145,6 +153,23 @@ func FuzzNetworkLoad(f *testing.F) {
 		if again.NumParams() != net.NumParams() || again.In != net.In || again.Out != net.Out {
 			t.Fatalf("round-trip drifted: %v/%v params %d/%d",
 				net.In, again.In, net.NumParams(), again.NumParams())
+		}
+		largest, shape := net.In.Size(), net.In
+		for _, l := range net.Layers {
+			if shape, err = l.OutShape(shape); err != nil {
+				t.Fatalf("loaded model fails its own shape walk: %v", err)
+			}
+			largest = max(largest, shape.Size())
+		}
+		if largest > fuzzForwardBudget {
+			return
+		}
+		eng, err := NewInferenceEngine(net)
+		if err != nil {
+			t.Fatalf("loaded model does not compile: %v", err)
+		}
+		if _, err := eng.ForwardBatchF32([][]float32{make([]float32, net.In.Size())}); err != nil {
+			t.Fatalf("zero-frame forward: %v", err)
 		}
 	})
 }

@@ -13,9 +13,11 @@ import (
 
 // InferenceEngine is the compiled, inference-only form of a trained
 // Network: float32 weights packed for the GEMM micro-kernels, convolution
-// re-expressed as im2col + GEMM, and every per-call buffer drawn from a
-// scratch pool, so steady-state forwards allocate only their result
-// slices (or nothing at all via ForwardBatchF32Into).
+// run as an implicit GEMM whose kernel reads each patch straight from the
+// activation plane through offset tables built here (no im2col copy), and
+// every per-call buffer drawn from a scratch pool, so steady-state
+// forwards allocate only their result slices (or nothing at all via
+// ForwardBatchF32Into).
 //
 // The engine never touches the Network's training caches: one engine is
 // safe for any number of concurrent ForwardBatchF32/ForwardBatchF32Into
@@ -63,12 +65,16 @@ type inferOp struct {
 	kh, kw   int
 	poolKind PoolKind
 	preReLU  bool // pool only: clamp loads at zero (fused preceding ReLU)
-	k        int  // GEMM depth: im2col row length (conv) or input width (dense)
+	k        int  // GEMM depth: patch length (conv) or input width (dense)
 	n        int  // GEMM width: filters (conv) or units (dense)
 	pb       *gemm.PackedB
 	bias     []float32
 	w64      []float64 // original weights, kept for quantization
-	kOff     []int     // ic==1 conv: input offset of patch element p (ky·iw+kx)
+	// Conv only: the implicit-GEMM offset tables. Patch element p =
+	// (ky·kw+kx)·ic+c of output position pos = y·ow+x sits at
+	// rowOff[pos]+kOff[p] in the sample's activation plane.
+	kOff   []int // (ky·iw+kx)·ic + c
+	rowOff []int // (y·iw+x)·ic
 }
 
 type quantTable struct {
@@ -80,10 +86,9 @@ type quantTable struct {
 
 type inferArena struct {
 	actA, actB []float32
-	apack      []float32 // conv A panels, written directly by the fused packer
-	act8       []uint8   // dense int8 activation codes
-	apack8     []uint8   // conv int8 A panels (quad-interleaved)
-	rowq       []uint8   // one quantized im2col row (int8 pack staging)
+	act8       []uint8 // dense int8 activation codes
+	apack8     []uint8 // conv int8 A panels (quad-interleaved)
+	rowq       []uint8 // one quantized im2col row (int8 pack staging)
 	acc32      []int32
 }
 
@@ -110,13 +115,8 @@ func NewInferenceEngine(n *Network) (*InferenceEngine, error) {
 				pb:   gemm.PackB(k, t.Filters, f32s(t.w.W)),
 				bias: f32s(t.b.W), w64: t.w.W,
 			}
-			if shape.C == 1 {
-				op.kOff = make([]int, k)
-				for ky := 0; ky < t.KH; ky++ {
-					for kx := 0; kx < t.KW; kx++ {
-						op.kOff[ky*t.KW+kx] = ky*shape.W + kx
-					}
-				}
+			if err := op.buildConvTables(); err != nil {
+				return nil, fmt.Errorf("nn: compiling layer %d (%s): %w", i, l.name(), err)
 			}
 			e.ops = append(e.ops, op)
 			e.maxGemm = max(e.maxGemm, out.Size())
@@ -152,6 +152,35 @@ func NewInferenceEngine(n *Network) (*InferenceEngine, error) {
 	e.calibMax = make([]float32, len(e.ops))
 	e.arenas.New = func() any { return new(inferArena) }
 	return e, nil
+}
+
+// buildConvTables fills kOff and rowOff and checks that every patch lies
+// inside the input plane — the condition gemm.SgemmGather's unchecked
+// SIMD loads rely on.
+func (op *inferOp) buildConvTables() error {
+	iw, ic := op.in.W, op.in.C
+	op.kOff = make([]int, 0, op.k)
+	for ky := 0; ky < op.kh; ky++ {
+		for kx := 0; kx < op.kw; kx++ {
+			for c := 0; c < ic; c++ {
+				op.kOff = append(op.kOff, (ky*iw+kx)*ic+c)
+			}
+		}
+	}
+	op.rowOff = make([]int, 0, op.out.H*op.out.W)
+	for y := 0; y < op.out.H; y++ {
+		for x := 0; x < op.out.W; x++ {
+			op.rowOff = append(op.rowOff, (y*iw+x)*ic)
+		}
+	}
+	if len(op.kOff) == 0 || len(op.rowOff) == 0 {
+		return errors.New("empty convolution")
+	}
+	// Both tables ascend, so their last entries are their maxima.
+	if last := op.rowOff[len(op.rowOff)-1] + op.kOff[len(op.kOff)-1]; last >= op.in.Size() {
+		return fmt.Errorf("patches reach offset %d of a %d-element input plane", last, op.in.Size())
+	}
+	return nil
 }
 
 func f32s(w []float64) []float32 {
@@ -405,7 +434,7 @@ func (e *InferenceEngine) run(a *inferArena, ins [][]float32, outs [][]float32, 
 			if quant != nil && quant[i].pb8 != nil {
 				e.convInt8(op, &quant[i], s, cur, nxt, a)
 			} else {
-				e.convF32(op, s, cur, nxt, a)
+				e.convF32(op, s, cur, nxt)
 			}
 		case opDense:
 			if calib != nil {
@@ -449,72 +478,6 @@ func fillBias(dst []float32, bias []float32, m, n int) {
 	}
 }
 
-// packConvA writes the batch's im2col patch matrix directly in the
-// prepacked panel layout of gemm.SgemmPrepacked: one gather pass replaces
-// the classic im2col pass plus GEMM-internal A packing (the dominant cost
-// of small-channel CNN layers, where GEMM itself is cheap). Row g of the
-// logical patch matrix (sample-major, then output position) lands in
-// panel g/MR at lane g%MR; tail lanes past the last row are zeroed.
-func packConvA(dst []float32, cur []float32, op *inferOp, s int) {
-	iw, ic := op.in.W, op.in.C
-	oh, ow := op.out.H, op.out.W
-	seg := op.kw * ic
-	k := op.k
-	inSize := op.in.Size()
-	// Single-channel layers with panel-aligned output rows (the first conv
-	// of every paper network) transpose by straight 8-float copies: lane r
-	// of a panel is output position x0+r, and with ic==1 the k-th patch
-	// element of those eight lanes is eight consecutive input floats.
-	if ic == 1 && ow&7 == 0 {
-		g := 0
-		for i := 0; i < s; i++ {
-			base := i * inSize
-			for y := 0; y < oh; y++ {
-				rowBase := base + y*iw
-				for x0 := 0; x0 < ow; x0 += 8 {
-					panel := dst[(g>>3)*k*8 : (g>>3)*k*8+k*8]
-					p := 0
-					for ky := 0; ky < op.kh; ky++ {
-						src := cur[rowBase+ky*iw+x0:]
-						for kx := 0; kx < op.kw; kx++ {
-							copy(panel[p*8:(p+1)*8], src[kx:kx+8])
-							p++
-						}
-					}
-					g += 8
-				}
-			}
-		}
-		return // m is a multiple of 8: no tail lanes to zero
-	}
-	g := 0
-	for i := 0; i < s; i++ {
-		base := i * inSize
-		for y := 0; y < oh; y++ {
-			rowBase := base + y*iw*ic
-			for x := 0; x < ow; x++ {
-				panel := dst[(g>>3)*k*8 : (g>>3)*k*8+k*8]
-				src := cur[rowBase+x*ic:]
-				p := g & 7
-				for ky := 0; ky < op.kh; ky++ {
-					row := src[ky*iw*ic : ky*iw*ic+seg]
-					for _, v := range row {
-						panel[p] = v
-						p += 8
-					}
-				}
-				g++
-			}
-		}
-	}
-	for ; g&7 != 0; g++ {
-		panel := dst[(g>>3)*k*8 : (g>>3)*k*8+k*8]
-		for p := g & 7; p < k*8; p += 8 {
-			panel[p] = 0
-		}
-	}
-}
-
 // packConvAInt8 gathers the already-quantized activation plane act8 into
 // the quad-interleaved panel layout of gemm.QgemmPrepacked: per patch row
 // the KH byte segments are staged contiguously in rowq (which must hold
@@ -531,7 +494,7 @@ func packConvAInt8(dst, rowq, act8 []uint8, op *inferOp, s int) {
 	// 32-byte quad block straight from four 8-byte input windows (lane r
 	// is output position x0+r, so with ic==1 the windows are contiguous)
 	// — a SIMD 4×8 transpose per quad instead of per-row staging.
-	if op.kOff != nil && ow&7 == 0 {
+	if ic == 1 && ow&7 == 0 {
 		k := op.k
 		pi := 0
 		for i := 0; i < s; i++ {
@@ -619,12 +582,10 @@ func fillBias32(dst []int32, bias []int32, m, n int) {
 	}
 }
 
-func (e *InferenceEngine) convF32(op *inferOp, s int, cur, nxt []float32, a *inferArena) {
-	m := s * op.out.H * op.out.W
-	a.apack = growF32(a.apack, gemm.PackedALen(m, op.k))
-	packConvA(a.apack, cur, op, s)
+func (e *InferenceEngine) convF32(op *inferOp, s int, cur, nxt []float32) {
+	m := s * len(op.rowOff)
 	fillBias(nxt, op.bias, m, op.n)
-	gemm.SgemmPrepacked(m, a.apack, op.pb, nxt, op.n)
+	gemm.SgemmGather(m, cur, op.in.Size(), op.rowOff, op.kOff, op.pb, nxt, op.n)
 }
 
 func (e *InferenceEngine) convInt8(op *inferOp, qt *quantTable, s int, cur, nxt []float32, a *inferArena) {

@@ -6,6 +6,8 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
+
+	"vvd/internal/mathx/gemm"
 )
 
 // inferArches is the shape zoo for engine parity: the paper's Fig. 8
@@ -263,6 +265,119 @@ func TestInferenceEngineConcurrent(t *testing.T) {
 				t.Fatalf("mode = %q, want %q", eng.Mode(), mode)
 			}
 		})
+	}
+}
+
+// packConvA is the naive im2col reference for the engine's implicit-GEMM
+// convolution: it writes the batch's patch matrix row-major into dst
+// (row g = sample-major, then output position; column p = (ky·kw+kx)·ic+c).
+func packConvA(dst, cur []float32, op *inferOp, s int) {
+	iw, ic := op.in.W, op.in.C
+	inSize := op.in.Size()
+	g := 0
+	for i := 0; i < s; i++ {
+		for y := 0; y < op.out.H; y++ {
+			for x := 0; x < op.out.W; x++ {
+				row := dst[g*op.k : (g+1)*op.k]
+				p := 0
+				for ky := 0; ky < op.kh; ky++ {
+					for kx := 0; kx < op.kw; kx++ {
+						for c := 0; c < ic; c++ {
+							row[p] = cur[i*inSize+((y+ky)*iw+x+kx)*ic+c]
+							p++
+						}
+					}
+				}
+				g++
+			}
+		}
+	}
+}
+
+// TestConvGatherParity pins the engine's implicit-GEMM convolution bit
+// for bit against explicit im2col (packConvA) + gemm.SgemmPacked, across
+// channel counts, output widths that leave ragged row tiles, and batch
+// sizes whose 8-sample chunks end mid-panel. Every K stays ≤ 1024, where
+// SgemmPacked does not split K and so sums in the same order.
+func TestConvGatherParity(t *testing.T) {
+	for _, ic := range []int{1, 3, 8, 16, 32} {
+		for _, geo := range []struct{ h, w, kh, kw, filters int }{
+			{9, 13, 3, 3, 8},  // ow=11
+			{7, 16, 2, 3, 5},  // ow=14, ragged N
+			{12, 10, 5, 5, 4}, // ow=6; K=800 at ic=32 stays within SgemmPacked's unchunked K
+		} {
+			in := Shape{H: geo.h, W: geo.w, C: ic}
+			net, err := NewNetwork(in, rand.New(rand.NewPCG(uint64(ic), 5)), NewConv2D(geo.kh, geo.kw, geo.filters))
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := NewInferenceEngine(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			op := &eng.ops[0]
+			rng := rand.New(rand.NewPCG(uint64(geo.w), uint64(ic)))
+			for _, batch := range []int{1, 3, 8, 13} {
+				ins := make([][]float32, batch)
+				flat := make([]float32, 0, batch*in.Size())
+				for s := range ins {
+					ins[s] = toF32(randomInput(rng, in.Size(), false))
+					flat = append(flat, ins[s]...)
+				}
+				got, err := eng.ForwardBatchF32(ins)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := batch * op.out.H * op.out.W
+				a := make([]float32, m*op.k)
+				packConvA(a, flat, op, batch)
+				want := make([]float32, m*op.n)
+				fillBias(want, op.bias, m, op.n)
+				gemm.SgemmPacked(m, a, op.k, op.pb, want, op.n)
+				for s := range got {
+					for i, v := range got[s] {
+						if w := want[s*op.out.Size()+i]; v != w { //vvdlint:bitexact -- implicit GEMM reproduces the im2col accumulation order exactly
+							t.Fatalf("ic=%d %+v batch %d sample %d out[%d]: engine %g, im2col %g", ic, geo, batch, s, i, v, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestForwardBatchIntoZeroAllocs pins the allocation contract of the
+// pooled arenas: a steady-state single-frame ForwardBatchF32Into allocates
+// nothing, in float32 and in int8 mode.
+func TestForwardBatchIntoZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	net := randomNet(t, inferArches()["paper-like"], 19)
+	rng := rand.New(rand.NewPCG(4, 8))
+	ins := [][]float32{toF32(randomInput(rng, net.In.Size(), true))}
+	outs := [][]float32{make([]float32, net.Out.Size())}
+	for _, mode := range []string{"float32", "int8"} {
+		eng, err := NewInferenceEngine(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode == "int8" {
+			if _, err := eng.Calibrate(ins); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.EnableInt8(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := eng.ForwardBatchF32Into(ins, outs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: ForwardBatchF32Into allocates %.1f times per frame, want 0", mode, allocs)
+		}
 	}
 }
 

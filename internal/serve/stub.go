@@ -7,9 +7,11 @@ import "time"
 // latency, with no model and (almost) no CPU. It exists so the cluster
 // tier — wire protocol, shard router, load generator — can be measured
 // and tested without re-measuring the inference kernel underneath:
-// Latency is set to the real engine's measured per-batch cost (PR 6:
-// ~1.6 ms for a batch of 8 on one core) to emulate a backend of known
-// capacity, or to 0 to make the transport itself the bottleneck.
+// Latency is a fixed emulated per-batch cost — the cluster benchmark uses
+// 1.6 ms, the engine's per-batch cost for a batch of 8 on one core as
+// measured when the GEMM engine was introduced, not a figure tracking the
+// current engine — giving a backend of known capacity, or 0 to make the
+// transport itself the bottleneck.
 //
 // The CIR is a pure function of the frame bytes and is batch-invariant,
 // so any two backends given the same frame produce byte-identical

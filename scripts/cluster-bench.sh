@@ -5,10 +5,12 @@
 #   scripts/cluster-bench.sh          # full run (~1 min of measurement)
 #   scripts/cluster-bench.sh quick    # CI smoke: short windows, hard asserts
 #
-# Backends run serve.StubEstimator pinned to the GEMM engine's measured
-# per-batch inference cost (PR 6: ~1.6 ms per batch of 8 on one core), so
-# the cluster tier is measured without re-measuring the kernel underneath
-# and a backend's capacity is known: MaxBatch / latency ≈ 5000 frames/s.
+# Backends run serve.StubEstimator with a fixed emulated inference cost of
+# 1.6 ms per batch (the GEMM engine's cost for a batch of 8 on one core as
+# measured when that engine was introduced; the current engine is faster),
+# so the cluster tier is measured without re-measuring the kernel
+# underneath and a backend's capacity is known: MaxBatch / latency ≈ 5000
+# frames/s.
 # Phases:
 #   A  protocol cost    — HTTP/JSON vs binary wire, one instant backend
 #   B  router scaling   — 1 backend direct vs 2 backends behind vvd-router
