@@ -396,31 +396,64 @@ func BenchmarkEvaluateWorkersMax(b *testing.B) { benchEvaluate(b, runtime.GOMAXP
 // ---------- Campaign generation (the synthesis hot path) ----------
 
 // benchCampaignGenerate measures full campaign synthesis — packet
-// pipeline, channel, receiver estimates and depth images — at a fixed
-// worker count on the benchmark campaign (4×70 packets with images).
+// pipeline, channel, receiver estimates and depth images — of cfg.
 // Allocations are reported: the fused signal chain, transmit cache and
-// frame memoization are pinned by allocs/op as much as by ns/op.
-func benchCampaignGenerate(b *testing.B, workers int) {
-	cfg := benchParams().Campaign
-	cfg.Workers = workers
+// frame memoization are pinned by allocs/op as much as by ns/op. The
+// first iteration also reports live-B/packet: the heap a generated
+// campaign keeps alive (estimates, images, transmit cache), measured after
+// a forced GC with the timer stopped and divided by the packet count.
+func benchCampaignGenerate(b *testing.B, cfg dataset.Config) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		var before runtime.MemStats
+		if i == 0 {
+			b.StopTimer()
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			b.StartTimer()
+		}
 		c, err := dataset.Generate(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
+			b.StopTimer()
 			packets := float64(len(c.Sets) * len(c.Sets[0].Packets))
+			runtime.GC()
+			var after runtime.MemStats
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(c)
 			b.ReportMetric(packets, "packets")
+			b.ReportMetric((float64(after.HeapAlloc)-float64(before.HeapAlloc))/packets, "live-B/packet")
+			b.StartTimer()
 		}
 	}
 	b.ReportMetric(float64(cfg.Sets*cfg.PacketsPerSet)*float64(b.N)/b.Elapsed().Seconds(), "packets/s")
 }
 
-func BenchmarkCampaignGenerate1(b *testing.B) { benchCampaignGenerate(b, 1) }
+// benchCampaign is the benchmark campaign (4×70 packets, PSDU 64, with
+// images) at a fixed worker count.
+func benchCampaign(workers int) dataset.Config {
+	cfg := benchParams().Campaign
+	cfg.Workers = workers
+	return cfg
+}
 
-func BenchmarkCampaignGenerateMax(b *testing.B) { benchCampaignGenerate(b, runtime.GOMAXPROCS(0)) }
+func BenchmarkCampaignGenerate1(b *testing.B) { benchCampaignGenerate(b, benchCampaign(1)) }
+
+func BenchmarkCampaignGenerateMax(b *testing.B) {
+	benchCampaignGenerate(b, benchCampaign(runtime.GOMAXPROCS(0)))
+}
+
+// BenchmarkCampaignGeneratePaperScale generates dataset.DefaultConfig (15
+// sets × 120 packets, PSDU 127, with images) on all cores; live-B/packet ×
+// packets is the heap a paper-scale campaign holds.
+func BenchmarkCampaignGeneratePaperScale(b *testing.B) {
+	cfg := dataset.DefaultConfig()
+	cfg.Workers = runtime.GOMAXPROCS(0)
+	benchCampaignGenerate(b, cfg)
+}
 
 // BenchmarkSyncDetect measures preamble detection (normalized sync
 // correlation over the lag window) on a regenerated reception.
@@ -562,6 +595,23 @@ func BenchmarkModulatePacket(b *testing.B) {
 		if _, _, _, err := dataset.BuildTx(mod, byte(i), 127); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkModulateChipsInto measures what generation and regeneration
+// pay per packet to rebuild a transmit waveform from its cached chips: one
+// modulation at the benchmark campaign's PSDU length into a reused buffer.
+// Compare it with BenchmarkCampaignGenerate1's time per packet.
+func BenchmarkModulateChipsInto(b *testing.B) {
+	mod := phy.NewModulator()
+	_, wave, chips, err := dataset.BuildTx(mod, 1, benchParams().Campaign.PSDULen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wave = mod.ModulateChipsInto(wave, chips)
 	}
 }
 

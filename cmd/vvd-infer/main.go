@@ -95,7 +95,7 @@ func main() {
 		}
 		counter.AddMSE(metrics.SqError(estimate.AlignPhase(h, pkt.Perfect), pkt.Perfect), len(pkt.Perfect))
 		if *decode {
-			ppdu, _, txChips, rec, err := campaign.ReceptionPacket(pkt)
+			ppdu, txChips, rec, err := campaign.ReceptionPacket(pkt)
 			if err != nil {
 				fatal(err)
 			}

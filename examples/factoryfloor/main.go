@@ -62,7 +62,7 @@ func main() {
 	for k := sporadicInterval; k < len(test); k += sporadicInterval {
 		pkt := test[k]
 		prev := test[k-sporadicInterval] // last time the sensor spoke
-		ppdu, _, txChips, rec, err := campaign.Reception(combo.Test, pkt.Index)
+		ppdu, txChips, rec, err := campaign.ReceptionPacket(pkt)
 		if err != nil {
 			log.Fatal(err)
 		}

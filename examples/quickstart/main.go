@@ -57,7 +57,7 @@ func main() {
 	demo := -1
 	var demoEst []complex128
 	for _, pkt := range test {
-		ppdu, _, txChips, rec, err := campaign.Reception(combo.Test, pkt.Index)
+		ppdu, txChips, rec, err := campaign.ReceptionPacket(pkt)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -58,7 +58,7 @@ func main() {
 	var stale, fresh metrics.Counter
 	for k := wakeEvery; k < len(test); k += wakeEvery {
 		pkt := test[k]
-		ppdu, _, txChips, rec, err := campaign.Reception(combo.Test, pkt.Index)
+		ppdu, txChips, rec, err := campaign.ReceptionPacket(pkt)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -102,7 +102,7 @@ func main() {
 		if !ok {
 			continue // estimator warming up
 		}
-		ppdu, _, txChips, rec, err := campaign.Reception(combo.Test, pkt.Index)
+		ppdu, txChips, rec, err := campaign.ReceptionPacket(pkt)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -162,13 +162,17 @@ type Campaign struct {
 	tx *txCache
 }
 
-// txVariant is one cached transmit build plus the ground-truth LS solver
-// whose reference-side normal equations depend only on the waveform.
+// txVariant is the cached part of one transmit build: what is small or
+// costly per sequence number. The waveform is neither — it is as large as
+// a reception and takes one modulation pass to rebuild from the chips —
+// so it is not kept: whoever transmits regenerates it from the chips with
+// txCache.mod, bit-identically to BuildTx.
 type txVariant struct {
-	ppdu     *phy.PPDU
-	wave     []complex128
-	power    float64 // dsp.Power(wave), constant per variant
-	chips    []byte
+	ppdu  *phy.PPDU
+	chips []byte
+	power float64 // dsp.Power of the waveform, constant per variant
+	// gtSolver holds the ground-truth LS normal equations of the
+	// waveform; Estimate is handed the regenerated waveform.
 	gtSolver *estimate.LSSolver
 }
 
@@ -183,11 +187,21 @@ type txCache struct {
 
 	mu       sync.Mutex
 	variants [256]atomic.Pointer[txVariant]
+
+	// waves pools the waveform buffers ReceptionPacket regenerates into
+	// (*[]complex128).
+	waves sync.Pool
 }
 
 func newTxCache(psduLen int, receiver *estimate.Receiver) *txCache {
-	return &txCache{psduLen: psduLen, receiver: receiver, mod: phy.NewModulator()}
+	tc := &txCache{psduLen: psduLen, receiver: receiver, mod: phy.NewModulator()}
+	tc.waves.New = func() any { return new([]complex128) }
+	return tc
 }
+
+// errNoTxCache rejects regeneration on a Campaign that was not built by
+// NewShell (directly or through Generate or the campaign store).
+var errNoTxCache = errors.New("dataset: campaign has no transmit cache; build it with NewShell or Generate")
 
 func (tc *txCache) get(seq byte) (*txVariant, error) {
 	if v := tc.variants[seq].Load(); v != nil {
@@ -202,11 +216,11 @@ func (tc *txCache) get(seq byte) (*txVariant, error) {
 	if err != nil {
 		return nil, err
 	}
-	solver, err := tc.receiver.GroundTruthSolver(wave)
+	solver, err := estimate.NewLSSolver(wave, tc.receiver.Cfg.CIRTaps)
 	if err != nil {
 		return nil, err
 	}
-	v := &txVariant{ppdu: ppdu, wave: wave, power: dsp.Power(wave), chips: chips, gtSolver: solver}
+	v := &txVariant{ppdu: ppdu, chips: chips, power: dsp.Power(wave), gtSolver: solver}
 	tc.variants[seq].Store(v)
 	return v, nil
 }
@@ -380,13 +394,14 @@ func planSet(c *Campaign, s int) *setPlan {
 }
 
 // genWorker carries one generation goroutine's reusable state: the
-// reception waveform buffer and a reseedable RNG (a packet's link stream
-// is a function of its seed alone, so reseeding one PCG is equivalent to
-// constructing a fresh one per packet).
+// transmit and reception waveform buffers and a reseedable RNG (a
+// packet's link stream is a function of its seed alone, so reseeding one
+// PCG is equivalent to constructing a fresh one per packet).
 type genWorker struct {
 	c       *Campaign
 	pcg     *rand.PCG
 	rng     *rand.Rand
+	txBuf   []complex128
 	waveBuf []complex128
 }
 
@@ -416,13 +431,14 @@ func (g *genWorker) packet(plan *setPlan, s, k int) error {
 	if err != nil {
 		return err
 	}
+	g.txBuf = c.tx.mod.ModulateChipsInto(g.txBuf, tv.chips)
 	g.pcg.Seed(linkSeed, linkSeed^0x9e3779b9)
 	link := channel.NewLink(c.Model, cfg.Imp, g.rng)
-	rec := link.TransmitMultiBufPow(tv.wave, tv.power, humans, g.waveBuf)
+	rec := link.TransmitMultiBufPow(g.txBuf, tv.power, humans, g.waveBuf)
 	g.waveBuf = rec.Waveform
 	rxc, _ := c.Receiver.CorrectCFOInPlace(rec.Waveform)
 	detected, peak, _ := c.Receiver.DetectPreamble(rxc)
-	perfect, err := tv.gtSolver.Estimate(rxc)
+	perfect, err := tv.gtSolver.Estimate(g.txBuf, rxc)
 	if err != nil {
 		return fmt.Errorf("dataset: set %d packet %d ground truth: %w", s+1, k, err)
 	}
@@ -560,7 +576,10 @@ func BuildTx(mod *phy.Modulator, seq byte, psduLen int) (*phy.PPDU, []complex128
 	return ppdu, wave, chips, nil
 }
 
-// Reception regenerates the bit-exact link realization of a packet.
+// Reception regenerates the bit-exact link realization of a packet, like
+// ReceptionPacket, and also returns the packet's transmit waveform,
+// regenerated into a new slice that the caller owns. Callers that do not
+// need the waveform use ReceptionPacket, which spares the allocation.
 func (c *Campaign) Reception(setIdx1Based, pktIdx int) (*phy.PPDU, []complex128, []byte, *channel.Reception, error) {
 	if setIdx1Based < 1 || setIdx1Based > len(c.Sets) {
 		return nil, nil, nil, nil, fmt.Errorf("dataset: set %d out of range", setIdx1Based)
@@ -569,40 +588,51 @@ func (c *Campaign) Reception(setIdx1Based, pktIdx int) (*phy.PPDU, []complex128,
 	if pktIdx < 0 || pktIdx >= len(set.Packets) {
 		return nil, nil, nil, nil, fmt.Errorf("dataset: packet %d out of range", pktIdx)
 	}
-	return c.ReceptionPacket(&set.Packets[pktIdx])
+	tv, wave, rec, err := c.transmit(&set.Packets[pktIdx], nil)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	return tv.ppdu, wave, tv.chips, rec, nil
 }
 
 // ReceptionPacket regenerates the bit-exact link realization of a packet
 // that need not live in c.Sets — the streaming path hands packets of one
 // decoded set to a campaign shell without materializing the others.
 //
-// The transmit-side artifacts (PPDU, waveform, chips) come from the
-// campaign's per-sequence cache and are shared between calls: treat them
-// as read-only.
-func (c *Campaign) ReceptionPacket(pkt *Packet) (*phy.PPDU, []complex128, []byte, *channel.Reception, error) {
-	var (
-		ppdu  *phy.PPDU
-		wave  []complex128
-		chips []byte
-	)
-	if c.tx != nil {
-		tv, err := c.tx.get(pkt.SeqNum)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		ppdu, wave, chips = tv.ppdu, tv.wave, tv.chips
-	} else {
-		// Campaigns built by NewShell always carry the cache; a hand-rolled
-		// shell (zero-value Campaign) gets a one-off build.
-		var err error
-		ppdu, wave, chips, err = BuildTx(phy.NewModulator(), pkt.SeqNum, c.Cfg.PSDULen)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
+// The PPDU and chips come from the campaign's per-sequence cache and are
+// shared between calls: treat them as read-only. The transmit waveform is
+// regenerated into a pooled buffer for the transmission and not returned;
+// Reception returns it. The campaign must come from Generate, NewShell or
+// the campaign store.
+func (c *Campaign) ReceptionPacket(pkt *Packet) (*phy.PPDU, []byte, *channel.Reception, error) {
+	if c.tx == nil {
+		return nil, nil, nil, errNoTxCache
 	}
+	bp := c.tx.waves.Get().(*[]complex128)
+	tv, wave, rec, err := c.transmit(pkt, *bp)
+	*bp = wave
+	c.tx.waves.Put(bp)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return tv.ppdu, tv.chips, rec, nil
+}
+
+// transmit regenerates pkt's transmit waveform into buf (see
+// phy.Modulator.ModulateChipsInto) and sends it through the packet's
+// seeded link.
+func (c *Campaign) transmit(pkt *Packet, buf []complex128) (*txVariant, []complex128, *channel.Reception, error) {
+	if c.tx == nil {
+		return nil, buf, nil, errNoTxCache
+	}
+	tv, err := c.tx.get(pkt.SeqNum)
+	if err != nil {
+		return nil, buf, nil, err
+	}
+	wave := c.tx.mod.ModulateChipsInto(buf, tv.chips)
 	link := channel.NewLink(c.Model, c.Cfg.Imp, rand.New(rand.NewPCG(pkt.LinkSeed, pkt.LinkSeed^0x9e3779b9)))
-	rec := link.TransmitMulti(wave, pkt.Bodies(c.Cfg))
-	return ppdu, wave, chips, rec, nil
+	rec := link.TransmitMultiBufPow(wave, tv.power, pkt.Bodies(c.Cfg), nil)
+	return tv, wave, rec, nil
 }
 
 // Set returns the 1-based measurement set.

@@ -291,7 +291,7 @@ func TestStreamShellEnvironment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, recB, err := shell.ReceptionPacket(&set.Packets[4])
+	_, _, recB, err := shell.ReceptionPacket(&set.Packets[4])
 	if err != nil {
 		t.Fatal(err)
 	}

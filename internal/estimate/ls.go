@@ -40,7 +40,7 @@ func LS(known, rx []complex128, taps int) ([]complex128, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.Estimate(rx)
+	return s.Estimate(known, rx)
 }
 
 // normalEquations builds XᴴX and Xᴴy for the convolution matrix X of the
@@ -98,15 +98,19 @@ func knownCrossCorr(known, rx []complex128, taps int) []complex128 {
 }
 
 // LSSolver performs repeated LS channel estimation against one fixed
-// known reference sequence. The reference-side normal-equation block XᴴX
-// — which depends only on the known samples — is assembled (and diagonally
-// loaded) once at construction, so each Estimate pays only the Xᴴy
-// cross-correlation and the taps×taps solve. The campaign generator keys
-// one solver per cached transmit waveform.
+// known reference sequence. It holds only the reference-side block of the
+// normal equations — XᴴX, which depends only on the known samples — loaded
+// and factored once at construction, so each Estimate pays only the Xᴴy
+// cross-correlation and the taps×taps solve. It does not hold the
+// reference itself: every Estimate is handed the known samples again. A
+// caller that regenerates its reference per use therefore keeps taps²
+// values per solver instead of a copy of the reference; the campaign
+// generator keys one solver per transmit waveform and regenerates the
+// waveform for each packet.
 type LSSolver struct {
-	knownConj []complex128 // conjugated reference, hoisted once
-	taps      int
-	lu        *mathx.LU // factored (XᴴX + εI)
+	n    int // reference length
+	taps int
+	lu   *mathx.LU // factored (XᴴX + εI)
 }
 
 // NewLSSolver validates the reference and precomputes the loaded XᴴX.
@@ -130,31 +134,46 @@ func NewLSSolver(known []complex128, taps int) (*LSSolver, error) {
 	if err != nil {
 		return nil, err
 	}
-	kc := make([]complex128, len(known))
-	for i, kv := range known {
-		kc[i] = complex(real(kv), -imag(kv))
-	}
-	return &LSSolver{knownConj: kc, taps: taps, lu: lu}, nil
+	return &LSSolver{n: len(known), taps: taps, lu: lu}, nil
 }
 
-// Estimate solves for the channel seen by rx. The result equals
-// LS(known, rx, taps) for the solver's reference up to summation-order
-// rounding: Xᴴy accumulates all taps lags in a single pass over the
-// reference, reading each operand once instead of once per lag. Safe for
-// concurrent use.
-func (s *LSSolver) Estimate(rx []complex128) ([]complex128, error) {
-	rows := len(s.knownConj) + s.taps - 1
+// Estimate solves for the channel seen by rx. known must hold the samples
+// the solver was built from; only its length is checked. The result
+// equals LS(known, rx, taps) up to summation-order rounding: Xᴴy
+// accumulates all taps lags in a single pass over the reference, reading
+// each operand once instead of once per lag, and conjugates each
+// reference sample as it reads it. Safe for concurrent use.
+func (s *LSSolver) Estimate(known, rx []complex128) ([]complex128, error) {
+	if len(known) != s.n {
+		return nil, fmt.Errorf("estimate: LSSolver built for %d reference samples, got %d", s.n, len(known))
+	}
+	rows := s.n + s.taps - 1
 	if len(rx) < rows {
 		return nil, fmt.Errorf("%w: need %d have %d", ErrShortObservation, rows, len(rx))
 	}
 	xhy := make([]complex128, s.taps)
-	for m, kc := range s.knownConj {
+	for m, kv := range known {
+		kc := complex(real(kv), -imag(kv))
 		w := rx[m : m+s.taps]
 		for d, wv := range w {
 			xhy[d] += kc * wv
 		}
 	}
 	return s.lu.Solve(xhy)
+}
+
+// BoundLSSolver is an LSSolver bound to its reference, for callers that
+// keep the reference alive anyway. It aliases the reference rather than
+// copying it, so the reference must stay unchanged while the solver is in
+// use.
+type BoundLSSolver struct {
+	s     *LSSolver
+	known []complex128
+}
+
+// Estimate is LSSolver.Estimate against the bound reference.
+func (b BoundLSSolver) Estimate(rx []complex128) ([]complex128, error) {
+	return b.s.Estimate(b.known, rx)
 }
 
 // ZF computes the LS zero-forcing equalizer of Eq. 6–7: an L-tap FIR filter

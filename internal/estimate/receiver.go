@@ -115,13 +115,19 @@ func (r *Receiver) EstimateGroundTruth(rx, txWave []complex128) ([]complex128, e
 	return LS(txWave, rx, r.Cfg.CIRTaps)
 }
 
-// GroundTruthSolver returns an LSSolver that repeats EstimateGroundTruth
+// GroundTruthSolver returns a solver that repeats EstimateGroundTruth
 // against a fixed known transmit waveform: the reference-side normal
 // equations are precomputed once, halving the per-packet estimation cost
-// when many receptions share a transmit waveform (the campaign
-// generator's case).
-func (r *Receiver) GroundTruthSolver(txWave []complex128) (*LSSolver, error) {
-	return NewLSSolver(txWave, r.Cfg.CIRTaps)
+// when many receptions share a transmit waveform. The solver aliases
+// txWave, which must stay unchanged while it is in use. A caller that
+// regenerates its waveform instead of keeping it keeps only
+// NewLSSolver(txWave, r.Cfg.CIRTaps), as the campaign generator does.
+func (r *Receiver) GroundTruthSolver(txWave []complex128) (BoundLSSolver, error) {
+	s, err := NewLSSolver(txWave, r.Cfg.CIRTaps)
+	if err != nil {
+		return BoundLSSolver{}, err
+	}
+	return BoundLSSolver{s: s, known: txWave}, nil
 }
 
 // EstimatePreamble performs LS estimation over the known synchronization
@@ -131,14 +137,14 @@ func (r *Receiver) GroundTruthSolver(txWave []complex128) (*LSSolver, error) {
 func (r *Receiver) EstimatePreamble(rx []complex128) ([]complex128, error) {
 	taps := r.Cfg.CIRTaps
 	if v, ok := r.preSolvers.Load(taps); ok {
-		return v.(*LSSolver).Estimate(rx)
+		return v.(*LSSolver).Estimate(r.shrKnown, rx)
 	}
 	s, err := NewLSSolver(r.shrKnown, taps)
 	if err != nil {
 		return nil, err
 	}
 	v, _ := r.preSolvers.LoadOrStore(taps, s)
-	return v.(*LSSolver).Estimate(rx)
+	return v.(*LSSolver).Estimate(r.shrKnown, rx)
 }
 
 // Result summarizes the decode of a single packet.

@@ -62,7 +62,7 @@ func (e *Engine) measureEstimator(name string, cb dataset.Combination, est func(
 		if err != nil {
 			return AblationRow{}, err
 		}
-		ppdu, _, txChips, rec, err := e.Campaign.Reception(cb.Test, pkt.Index)
+		ppdu, txChips, rec, err := e.Campaign.ReceptionPacket(pkt)
 		if err != nil {
 			return AblationRow{}, err
 		}

@@ -320,7 +320,7 @@ func (r *comboRun) passed(k int) {
 func (r *comboRun) prepared(k int) (*preparedPacket, error) {
 	p := &r.prep[k]
 	p.once.Do(func() {
-		ppdu, _, txChips, rec, err := r.e.Campaign.Reception(r.cb.Test, r.test[k].Index)
+		ppdu, txChips, rec, err := r.e.Campaign.ReceptionPacket(r.test[k])
 		if err != nil {
 			p.err = err
 			return

@@ -269,7 +269,7 @@ func RunFig15(e *Engine, window int) ([]Fig15Point, error) {
 	losA, losB := e.Campaign.Room.TX, e.Campaign.Room.RX
 	var out []Fig15Point
 	for _, pkt := range test[:window] {
-		ppdu, _, txChips, rec, err := e.Campaign.Reception(cb.Test, pkt.Index)
+		ppdu, txChips, rec, err := e.Campaign.ReceptionPacket(pkt)
 		if err != nil {
 			return nil, err
 		}
@@ -357,7 +357,7 @@ func RunAging(e *Engine, agesPackets []int) (*AgingResult, error) {
 		for k := maxAge; k < len(test); k++ {
 			pkt := test[k]
 			old := test[k-age]
-			ppdu, _, txChips, rec, err := e.Campaign.Reception(cb.Test, pkt.Index)
+			ppdu, txChips, rec, err := e.Campaign.ReceptionPacket(pkt)
 			if err != nil {
 				return nil, err
 			}

@@ -39,7 +39,23 @@ func WaveformLen(nchips int) int {
 // quadrature rail delayed by one chip period (the "offset" in O-QPSK), each
 // shaped by a half-sine spanning two chip periods.
 func (m *Modulator) ModulateChips(chips []byte) []complex128 {
-	out := make([]complex128, WaveformLen(len(chips)))
+	return m.ModulateChipsInto(nil, chips)
+}
+
+// ModulateChipsInto is ModulateChips writing into dst, which is reused
+// when its capacity covers WaveformLen(len(chips)) and reallocated
+// otherwise; whatever dst held is overwritten. It returns the waveform.
+// A caller modulating packet after packet into one buffer allocates only
+// when the waveform grows.
+func (m *Modulator) ModulateChipsInto(dst []complex128, chips []byte) []complex128 {
+	n := WaveformLen(len(chips))
+	var out []complex128
+	if cap(dst) < n {
+		out = make([]complex128, n)
+	} else {
+		out = dst[:n]
+		clear(out)
+	}
 	for k, c := range chips {
 		amp := -1.0
 		if c != 0 {

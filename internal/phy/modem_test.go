@@ -194,3 +194,74 @@ func TestNormalizedSyncPeakShortInput(t *testing.T) {
 		t.Fatal("short input must return zero peak")
 	}
 }
+
+// accumulateChips is the modulation loop ModulateChips ran before it
+// wrote into a caller's buffer: a fresh zeroed waveform with every chip's
+// half-sine pulse added onto its rail. It is the reference
+// ModulateChipsInto must reproduce bit for bit.
+func accumulateChips(m *Modulator, chips []byte) []complex128 {
+	out := make([]complex128, WaveformLen(len(chips)))
+	for k, c := range chips {
+		amp := -1.0
+		if c != 0 {
+			amp = 1.0
+		}
+		start := k * SamplesPerChip
+		if k%2 == 0 {
+			for i, pv := range m.pulse {
+				out[start+i] += complex(amp*pv, 0)
+			}
+		} else {
+			for i, pv := range m.pulse {
+				out[start+i] += complex(0, amp*pv)
+			}
+		}
+	}
+	return out
+}
+
+// TestModulateChipsIntoMatchesAccumulate regenerates every sequence
+// number's PPDU waveform at three PSDU lengths into one reused buffer,
+// dirtied between calls, and compares each sample's bits against the
+// reference loop, so a −0 where the reference has +0 fails too. The
+// lengths run long, short, medium so the buffer both shrinks and grows.
+func TestModulateChipsIntoMatchesAccumulate(t *testing.T) {
+	m := NewModulator()
+	var buf []complex128
+	for _, psduLen := range []int{127, 24, 64} {
+		for seq := 0; seq < 256; seq++ {
+			frame := &Frame{SeqNum: byte(seq), Payload: DefaultPayload(psduLen)}
+			psdu, err := frame.BuildPSDU()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ppdu, err := BuildPPDU(psdu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chips := SpreadBits(ppdu.Bits)
+			want := accumulateChips(m, chips)
+			dirty := buf[:cap(buf)]
+			for i := range dirty {
+				dirty[i] = complex(math.Copysign(0, -1), math.NaN())
+			}
+			got := m.ModulateChipsInto(buf, chips)
+			if len(got) != len(want) {
+				t.Fatalf("psdu %d seq %d: %d samples, want %d", psduLen, seq, len(got), len(want))
+			}
+			if cap(buf) >= len(want) && &got[0] != &buf[0] {
+				t.Fatalf("psdu %d seq %d: a buffer of capacity %d was not reused for %d samples", psduLen, seq, cap(buf), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("psdu %d seq %d sample %d: %v, want %v", psduLen, seq, i, got[i], want[i])
+				}
+			}
+			buf = got
+		}
+	}
+	if got := m.ModulateChipsInto(buf, nil); len(got) != 0 {
+		t.Fatalf("no chips gave %d samples", len(got))
+	}
+}

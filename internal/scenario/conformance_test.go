@@ -78,7 +78,7 @@ func scenarioMetrics(t *testing.T, name string) map[string]string {
 	detected := 0
 	test := c.TestPackets(cb)
 	for _, p := range test {
-		_, _, _, rec, err := c.ReceptionPacket(p)
+		_, _, rec, err := c.ReceptionPacket(p)
 		if err != nil {
 			t.Fatalf("%s: regenerating packet %d: %v", name, p.Index, err)
 		}
