@@ -661,8 +661,7 @@ func BenchmarkCNNTrainingStep(b *testing.B) {
 
 // BenchmarkInferenceEngine measures the compiled GEMM inference engine on
 // the scaled paper network at batch sizes 1, 8 and 32, reporting frames/s.
-// Sub-benchmarks cover the float32 kernels and the int8 quantized kernels;
-// run with -benchmem: a steady-state single-frame forward allocates
+// Sub-benchmarks are named f32/batchN; run with -benchmem: a steady-state single-frame forward allocates
 // nothing (pooled arenas, caller-provided outputs); larger batches
 // allocate only the goroutines of GEMM calls that fan out across cores.
 func BenchmarkInferenceEngine(b *testing.B) {
@@ -682,41 +681,26 @@ func BenchmarkInferenceEngine(b *testing.B) {
 		}
 		return ins
 	}
-	engines := map[string]*nn.InferenceEngine{}
-	for _, mode := range []string{"f32", "int8"} {
-		eng, err := nn.NewInferenceEngine(net)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if mode == "int8" {
-			if _, err := eng.Calibrate(mkBatch(32)); err != nil {
-				b.Fatal(err)
-			}
-			if err := eng.EnableInt8(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		engines[mode] = eng
+	eng, err := nn.NewInferenceEngine(net)
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, mode := range []string{"f32", "int8"} {
-		eng := engines[mode]
-		for _, batch := range []int{1, 8, 32} {
-			b.Run(fmt.Sprintf("%s/batch%d", mode, batch), func(b *testing.B) {
-				ins := mkBatch(batch)
-				outs := make([][]float32, batch)
-				for s := range outs {
-					outs[s] = make([]float32, core.OutputUnits)
+	for _, batch := range []int{1, 8, 32} {
+		b.Run(fmt.Sprintf("f32/batch%d", batch), func(b *testing.B) {
+			ins := mkBatch(batch)
+			outs := make([][]float32, batch)
+			for s := range outs {
+				outs[s] = make([]float32, core.OutputUnits)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := eng.ForwardBatchF32Into(ins, outs); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := eng.ForwardBatchF32Into(ins, outs); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
-			})
-		}
+			}
+			b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+		})
 	}
 }
 

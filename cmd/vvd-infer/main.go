@@ -27,7 +27,6 @@ func main() {
 		campaignPath = flag.String("campaign", "campaign.bin", "campaign file from vvd-dataset")
 		setID        = flag.Int("set", 1, "measurement set to run inference on")
 		decode       = flag.Bool("decode", true, "also decode every packet with the estimate")
-		quant        = flag.Bool("quant", false, "int8 quantized inference (calibrates on the set's first frames)")
 		regDir       = flag.String("registry", "", "content-addressed model registry directory (makes -model accept name@version refs)")
 	)
 	flag.Parse()
@@ -58,24 +57,6 @@ func main() {
 	cf.Close()
 	if err != nil {
 		fatal(err)
-	}
-
-	if *quant {
-		var calib [][]float32
-		for i := range set.Packets {
-			if img := set.Packets[i].Images[model.Lag]; img != nil {
-				calib = append(calib, img)
-			}
-			if len(calib) >= 64 {
-				break
-			}
-		}
-		if len(calib) == 0 {
-			fatal(fmt.Errorf("campaign has no images for lag %d to calibrate on", model.Lag))
-		}
-		if err := model.CalibrateQuantization(calib); err != nil {
-			fatal(err)
-		}
 	}
 
 	var counter metrics.Counter

@@ -66,7 +66,6 @@ func main() {
 		linkBuf    = flag.Int("linkbuf", 4, "per-link estimate inbox depth")
 		maxLinks   = flag.Int("maxlinks", 10000, "max open link sessions (0 = unlimited)")
 		demo       = flag.Bool("demo", false, "train a tiny model and feed simulated camera frames")
-		quant      = flag.Bool("quant", false, "int8 quantized inference (calibrates on the first frames, then switches)")
 		stub       = flag.Duration("stub", -1, "serve a stub estimator with this fixed per-batch latency instead of a model (0 for instant; negative disables)")
 		stubPixels = flag.Int("stub-pixels", 4500, "frame size the stub estimator accepts")
 	)
@@ -109,22 +108,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("loaded %s: VVD lag %d, %d parameters\n", *modelPath, model.Lag, model.Net.NumParams())
-	}
-
-	if *quant && model != nil {
-		if feed != nil {
-			// Demo mode has representative frames up front: calibrate now.
-			calib := feed
-			if len(calib) > 64 {
-				calib = calib[:64]
-			}
-			if err := model.CalibrateQuantization(calib); err != nil {
-				fatal(err)
-			}
-		} else if err := model.EnableQuantization(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("quantization: inference mode %s\n", model.InferenceMode())
 	}
 
 	scfg := serve.Config{

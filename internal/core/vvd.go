@@ -17,7 +17,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"sync"
-	"sync/atomic"
 
 	"vvd/internal/camera"
 	"vvd/internal/dataset"
@@ -123,15 +122,10 @@ type VVD struct {
 	// convolution, float32), built lazily from Net on the first Estimate
 	// and shared by all concurrent callers. Training and Backward keep
 	// using the float64 Net directly.
-	engOnce   sync.Once
-	eng       *nn.InferenceEngine
-	engErr    error
-	quantWant atomic.Bool // int8 requested; flips the engine once calibrated
+	engOnce sync.Once
+	eng     *nn.InferenceEngine
+	engErr  error
 }
-
-// quantCalibFrames is how many frames EnableQuantization observes at full
-// float32 accuracy before switching the engine to int8 kernels.
-const quantCalibFrames = 64
 
 // TrainConfig bundles the knobs of a VVD training run.
 type TrainConfig struct {
@@ -287,8 +281,7 @@ func (v *VVD) engine() (*nn.InferenceEngine, error) {
 }
 
 // Engine exposes the compiled inference engine (compiling it if needed)
-// for callers that want the raw float32 entry points or quantization
-// control. Returns an error if the model has no trained network.
+// for callers that want the raw float32 entry points. Returns an error if the model has no trained network.
 func (v *VVD) Engine() (*nn.InferenceEngine, error) {
 	if v.Net == nil {
 		return nil, errors.New("core: VVD not trained")
@@ -296,60 +289,19 @@ func (v *VVD) Engine() (*nn.InferenceEngine, error) {
 	return v.engine()
 }
 
-// EnableQuantization arms int8 inference: the next quantCalibFrames
-// estimated frames run at full float32 accuracy while calibrating
-// per-layer activation ranges, then the engine switches to the int8
-// kernels. Estimates stay bitwise consistent between Estimate and
-// EstimateBatch throughout. CalibrateQuantization skips the traffic-
-// driven warm-up when representative images are available up front.
-func (v *VVD) EnableQuantization() error {
-	if v.Net == nil {
-		return errors.New("core: VVD not trained")
-	}
-	if _, err := v.engine(); err != nil {
-		return err
-	}
-	v.quantWant.Store(true)
-	return nil
-}
-
-// CalibrateQuantization calibrates on the given images and switches to
-// int8 immediately (imgs should be representative; a few dozen frames
-// suffice for the per-tensor ranges).
-func (v *VVD) CalibrateQuantization(imgs [][]float32) error {
-	eng, err := v.Engine()
-	if err != nil {
-		return err
-	}
-	if _, err := eng.Calibrate(imgs); err != nil {
-		return err
-	}
-	if err := eng.EnableInt8(); err != nil {
-		return err
-	}
-	v.quantWant.Store(true)
-	return nil
-}
-
-// InferenceMode reports the active inference kernels: "float32", "int8",
-// or "int8-calibrating" while EnableQuantization is still observing
-// frames.
+// InferenceMode reports the active inference kernels: "float32", or
+// "untrained" when there is no network to compile.
 func (v *VVD) InferenceMode() string {
-	eng, err := v.Engine()
-	if err != nil {
+	if _, err := v.Engine(); err != nil {
 		return "untrained"
 	}
-	mode := eng.Mode()
-	if v.quantWant.Load() && !eng.Quantized() {
-		return "int8-calibrating"
-	}
-	return mode
+	return "float32"
 }
 
 // Estimate maps one preprocessed depth image to a complex CIR estimate
 // (de-normalized; phase-aligned to the campaign reference like its
-// training targets). Inference runs on the compiled float32 GEMM engine
-// (optionally int8, see EnableQuantization). The paper reports ≈0.9 ms
+// training targets). Inference runs on the compiled float32 GEMM engine.
+// The paper reports ≈0.9 ms
 // per estimate on GPU and ≈9.8 ms on CPU; BenchmarkVVDInference measures
 // this implementation.
 func (v *VVD) Estimate(img []float32) ([]complex128, error) {
@@ -380,17 +332,7 @@ func (v *VVD) EstimateBatch(imgs [][]float32) ([][]complex128, error) {
 	if err != nil {
 		return nil, err
 	}
-	var outs [][]float32
-	if v.quantWant.Load() && !eng.Quantized() {
-		// Warm-up traffic doubles as calibration data: Calibrate runs the
-		// same float32 forward and records activation ranges.
-		outs, err = eng.Calibrate(imgs)
-		if err == nil && eng.CalibrationFrames() >= quantCalibFrames {
-			err = eng.EnableInt8()
-		}
-	} else {
-		outs, err = eng.ForwardBatchF32(imgs)
-	}
+	outs, err := eng.ForwardBatchF32(imgs)
 	if err != nil {
 		return nil, err
 	}
@@ -417,14 +359,12 @@ func (v *VVD) denormalize(out []float32) []complex128 {
 // Clone returns a VVD sharing the trained weights but owning private
 // forward caches and its own compiled engine, so Estimate can run
 // concurrently on the clone and the original (the weights are only read
-// during inference). A pending quantization request carries over; the
-// clone calibrates on its own traffic.
+// during inference).
 func (v *VVD) Clone() *VVD {
 	cp := &VVD{Norm: v.Norm, Mean: v.Mean, Lag: v.Lag}
 	if v.Net != nil {
 		cp.Net = v.Net.Clone()
 	}
-	cp.quantWant.Store(v.quantWant.Load())
 	return cp
 }
 

@@ -6,9 +6,8 @@ package gemm
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
-// sgemmKern8x8, sgemmGatherKern8x8 and qgemmKern8x8 are the AVX2+FMA
-// micro-kernels in kernels_amd64.s. Panel layouts match the Go kernels
-// exactly.
+// sgemmKern8x8 and sgemmGatherKern8x8 are the AVX2+FMA micro-kernels in
+// kernels_amd64.s. Panel layouts match the Go kernels exactly.
 //
 //go:noescape
 func sgemmKern8x8(k int64, a, b, c *float32, ldc int64)
@@ -16,27 +15,14 @@ func sgemmKern8x8(k int64, a, b, c *float32, ldc int64)
 //go:noescape
 func sgemmGatherKern8x8(k int64, act *float32, lanes *[8]int, koff *int, b, c *float32, ldc int64)
 
-//go:noescape
-func qgemmKern8x8(kp4 int64, a *uint8, b *int8, c *int32, ldc int64)
-
-// Element-wise inference kernels in simd_amd64.s. The int results report
-// how many leading elements were handled (a multiple of 8; the Go wrapper
-// finishes the tail), the bool results report whether the kernel ran.
+// Pooling kernels in simd_amd64.s; the bool result reports whether the
+// kernel ran.
 //
-//go:noescape
-func quantU8Asm(dst []uint8, src []float32, invA float32) int
-
-//go:noescape
-func dequantAsm(dst []float32, acc []int32, scale float32) int
-
 //go:noescape
 func poolAvgAsm(dst, r0, r1 []float32, c int) bool
 
 //go:noescape
 func poolMaxAsm(dst, r0, r1 []float32, c int) bool
-
-//go:noescape
-func packQuad8Asm(dst, a, b, c, d []uint8)
 
 func init() {
 	if !haveAVX2FMA() {
@@ -49,14 +35,8 @@ func init() {
 	kernGatherF32 = func(k int, act []float32, lanes *[mr]int, kOff []int, b, c []float32, ldc int) {
 		sgemmGatherKern8x8(int64(k), &act[0], lanes, &kOff[0], &b[0], &c[0], int64(ldc))
 	}
-	kernI8 = func(kp4 int, a []uint8, b []int8, c []int32, ldc int) {
-		qgemmKern8x8(int64(kp4), &a[0], &b[0], &c[0], int64(ldc))
-	}
-	quantU8Kern = quantU8Asm
-	dequantKern = dequantAsm
 	poolAvgKern = poolAvgAsm
 	poolMaxKern = poolMaxAsm
-	packQuadK = packQuad8Asm
 }
 
 // haveAVX2FMA reports CPU+OS support for the AVX2/FMA kernels.

@@ -1,28 +1,25 @@
 // Package gemm implements the matrix-multiply core of the inference
-// engine: a cache-blocked float32 GEMM, an implicit-GEMM float32 variant
-// for convolution, and a symmetric-quantized int8×int8→int32 variant, all
-// built around an 8×8 register micro-tile.
+// engine: a cache-blocked float32 GEMM and an implicit-GEMM float32
+// variant for convolution, both built around an 8×8 register micro-tile.
 //
-// The weight operand B is packed once (PackB / PackBInt8) into NR-wide
-// column panels and reused across every call — for CNN inference the
-// weights never change, so the packing cost is paid at model-compile time.
-// How the activation operand A reaches the kernel depends on the entry
-// point: SgemmPacked and QgemmPacked pack a row-major A per call into
-// MR-row panels held in pooled scratch; SgemmGather never materializes A
-// at all — its kernel reads each patch element straight from the
-// convolution's activation plane through precomputed offset tables; and
-// QgemmPrepacked takes int8 panels the caller already wrote. Steady-state
-// calls allocate nothing. On amd64 with AVX2+FMA the micro-kernels are
-// hand-written assembly (8 FMA lanes per cycle pair); everywhere else
-// pure-Go kernels with the same summation order run, so results are
-// platform-independent up to FMA rounding.
+// The weight operand B is packed once (PackB) into NR-wide column panels
+// and reused across every call — for CNN inference the weights never
+// change, so the packing cost is paid at model-compile time. How the
+// activation operand A reaches the kernel depends on the entry point:
+// SgemmPacked packs a row-major A per call into MR-row panels held in
+// pooled scratch; SgemmGather never materializes A at all — its kernel
+// reads each patch element straight from the convolution's activation
+// plane through precomputed offset tables. Steady-state calls allocate
+// nothing. On amd64 with AVX2+FMA the micro-kernels are hand-written
+// assembly (8 FMA lanes per cycle pair); everywhere else pure-Go kernels
+// with the same summation order run, so results are platform-independent
+// up to FMA rounding.
 //
 // Large products are tiled across goroutines by row block; row blocks are
 // disjoint, so the parallel result is bitwise identical to sequential.
 package gemm
 
 import (
-	"encoding/binary"
 	"runtime"
 	"sync"
 )
@@ -50,12 +47,6 @@ var kernF32 = sgemmKern8x8Go
 // kernGatherF32 is the active implicit-GEMM float32 micro-kernel: as
 // kernF32, but row r of the A panel at k step p is act[lanes[r]+kOff[p]].
 var kernGatherF32 = sgemmGatherKern8x8Go
-
-// kernI8 is the active int8 micro-kernel over k/2 byte-pair steps:
-// C[8×8] += A_panel(u8)·B_panel(s8) with pair-interleaved panels (see
-// packAInt8). Integer accumulation is exact, so both implementations
-// return identical results.
-var kernI8 = qgemmKern8x8Go
 
 // Accelerated reports whether the SIMD micro-kernels are active (amd64
 // with AVX2+FMA detected at startup).
@@ -99,11 +90,9 @@ func PackB(k, n int, b []float32) *PackedB {
 
 // scratch holds one worker's packing buffers and edge tiles.
 type scratch struct {
-	apanel  []float32
-	apanel8 []uint8
-	tile    [mr * nr]float32
-	tile32  [mr * nr]int32
-	lanes   [mr]int // SgemmGather row-tile offsets (pooled: a stack array would escape through kernGatherF32)
+	apanel []float32
+	tile   [mr * nr]float32
+	lanes  [mr]int // SgemmGather row-tile offsets (pooled: a stack array would escape through kernGatherF32)
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -111,12 +100,20 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // SgemmPacked computes C += A·B: a is row-major m×K with stride lda,
 // c is row-major m×N with stride ldc, b was packed with PackB. Safe for
 // concurrent use; the call itself fans out over row blocks when the
-// product is large enough.
+// product is large enough. A call whose a or c is shorter than m rows at
+// its stride panics before any kernel runs, so the unchecked SIMD loads
+// and stores stay inside the slices given.
 func SgemmPacked(m int, a []float32, lda int, pb *PackedB, c []float32, ldc int) {
 	if m == 0 {
 		return
 	}
 	k, n := pb.K, pb.N
+	if lda < k || len(a) < (m-1)*lda+k {
+		panic("gemm: SgemmPacked input shorter than m×K")
+	}
+	if ldc < n || len(c) < (m-1)*ldc+n {
+		panic("gemm: SgemmPacked output shorter than m×N")
+	}
 	workers := runtime.GOMAXPROCS(0)
 	blocks := (m + mcRows - 1) / mcRows
 	if workers > blocks {
@@ -261,77 +258,6 @@ func sgemmGatherRange(q0, q1, m int, act []float32, plane int, rowOff, kOff []in
 	}
 }
 
-// ---------- caller-prepacked int8 A ----------
-//
-// Producers that materialize quantized A anyway (the int8 im2col) write
-// it directly in panel form and skip the per-call packing pass. The
-// layout is MR-row panels with K interleaved four deep (see PackedBInt8):
-//
-//	ap[t*KP(k)*MR + qq*4*MR + r*4 + i] = A[t*MR+r, 4*qq+i]
-//
-// with the tail panel's out-of-range rows zeroed by the producer (MR = 8).
-
-// KP returns k rounded up to the int8 quad-interleave granularity.
-func KP(k int) int { return (k + 3) &^ 3 }
-
-// PackedAInt8Len returns the uint8 buffer length for a prepacked m×k A.
-func PackedAInt8Len(m, k int) int { return (m + mr - 1) / mr * KP(k) * mr }
-
-// QgemmPrepacked computes C += A·B with A already in the quad-interleaved
-// panel layout above; c is int32 row-major with stride ldc.
-func QgemmPrepacked(m int, ap []uint8, pb *PackedBInt8, c []int32, ldc int) {
-	if m == 0 {
-		return
-	}
-	rtiles := (m + mr - 1) / mr
-	workers := runtime.GOMAXPROCS(0)
-	if workers > rtiles {
-		workers = rtiles
-	}
-	if workers <= 1 || m*pb.K*pb.N < parallelFlops {
-		qgemmPreRange(0, rtiles, m, ap, pb, c, ldc)
-		return
-	}
-	var wg sync.WaitGroup
-	per := (rtiles + workers - 1) / workers
-	for q0 := 0; q0 < rtiles; q0 += per {
-		q1 := min(q0+per, rtiles)
-		wg.Add(1)
-		go func(q0, q1 int) {
-			defer wg.Done()
-			qgemmPreRange(q0, q1, m, ap, pb, c, ldc)
-		}(q0, q1)
-	}
-	wg.Wait()
-}
-
-func qgemmPreRange(q0, q1, m int, ap []uint8, pb *PackedBInt8, c []int32, ldc int) {
-	n, kp := pb.N, pb.kp
-	st := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(st)
-	for q := q0; q < q1; q++ {
-		a := ap[q*kp*mr:]
-		rrows := min(mr, m-q*mr)
-		for t := 0; t*nr < n; t++ {
-			bp := pb.data[t*kp*nr:]
-			j0 := t * nr
-			cols := min(nr, n-j0)
-			if rrows == mr && cols == nr {
-				kernI8(kp/4, a, bp, c[q*mr*ldc+j0:], ldc)
-				continue
-			}
-			clear(st.tile32[:])
-			kernI8(kp/4, a, bp, st.tile32[:], nr)
-			for r := 0; r < rrows; r++ {
-				crow := c[(q*mr+r)*ldc+j0:]
-				for j := 0; j < cols; j++ {
-					crow[j] += st.tile32[r*nr+j]
-				}
-			}
-		}
-	}
-}
-
 func sgemmRange(i0, i1 int, a []float32, lda int, pb *PackedB, c []float32, ldc int) {
 	k, n := pb.K, pb.N
 	st := scratchPool.Get().(*scratch)
@@ -431,175 +357,6 @@ func sgemmGatherKern8x8Go(k int, act []float32, lanes *[mr]int, kOff []int, b, c
 			row := acc[r*nr : r*nr+nr]
 			for j, bj := range bv {
 				row[j] += ar * bj
-			}
-		}
-	}
-	for r := 0; r < mr; r++ {
-		crow := c[r*ldc : r*ldc+nr]
-		for j := 0; j < nr; j++ {
-			crow[j] += acc[r*nr+j]
-		}
-	}
-}
-
-// ---------- int8 ----------
-
-// PackedBInt8 is a symmetric-quantized weight matrix packed for the
-// u8×s8→s32 kernel: NR-wide column panels with the K dimension
-// interleaved four deep, so each 32-bit lane of a panel block holds one
-// column's next four weights (VPMADDUBSW + VPMADDWD reduce a 4-deep dot
-// product per lane).
-type PackedBInt8 struct {
-	K, N int
-	kp   int // K rounded up to a multiple of 4
-	data []int8
-}
-
-// PackBInt8 packs the row-major k×n int8 matrix b.
-func PackBInt8(k, n int, b []int8) *PackedBInt8 {
-	if len(b) < k*n {
-		panic("gemm: PackBInt8 matrix shorter than k×n")
-	}
-	kp := (k + 3) &^ 3
-	tiles := (n + nr - 1) / nr
-	pb := &PackedBInt8{K: k, N: n, kp: kp, data: make([]int8, tiles*kp*nr)}
-	for t := 0; t < tiles; t++ {
-		panel := pb.data[t*kp*nr:]
-		j0 := t * nr
-		cols := min(nr, n-j0)
-		for qq := 0; qq < kp/4; qq++ {
-			blk := panel[qq*4*nr:]
-			for j := 0; j < cols; j++ {
-				for i := 0; i < 4; i++ {
-					p := 4*qq + i
-					if p < k {
-						blk[j*4+i] = b[p*n+j0+j]
-					}
-				}
-			}
-		}
-	}
-	return pb
-}
-
-// QgemmPacked computes C += A·B for quantized operands: a is row-major
-// m×K uint8 with stride lda, c is row-major m×N int32 with stride ldc.
-// Accumulation is exact; callers zero c (or pre-load it with a bias in
-// the int32 domain) before the call. The kernel requires activation
-// values ≤ 127 — the quantizer's 7-bit unsigned range — so the s16
-// intermediate of the SIMD path cannot saturate.
-func QgemmPacked(m int, a []uint8, lda int, pb *PackedBInt8, c []int32, ldc int) {
-	if m == 0 {
-		return
-	}
-	k, n := pb.K, pb.N
-	workers := runtime.GOMAXPROCS(0)
-	blocks := (m + mcRows - 1) / mcRows
-	if workers > blocks {
-		workers = blocks
-	}
-	if workers <= 1 || m*k*n < parallelFlops {
-		qgemmRange(0, m, a, lda, pb, c, ldc)
-		return
-	}
-	var wg sync.WaitGroup
-	per := (blocks + workers - 1) / workers * mcRows
-	for i0 := 0; i0 < m; i0 += per {
-		i1 := min(i0+per, m)
-		wg.Add(1)
-		go func(i0, i1 int) {
-			defer wg.Done()
-			qgemmRange(i0, i1, a, lda, pb, c, ldc)
-		}(i0, i1)
-	}
-	wg.Wait()
-}
-
-func qgemmRange(i0, i1 int, a []uint8, lda int, pb *PackedBInt8, c []int32, ldc int) {
-	k, n, kp := pb.K, pb.N, pb.kp
-	st := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(st)
-	for ic := i0; ic < i1; ic += mcRows {
-		rows := min(mcRows, i1-ic)
-		rtiles := (rows + mr - 1) / mr
-		// K is never chunked on the int8 path: CNN patch depths are far
-		// below kcCols and the packed pair layout would complicate offsets.
-		st.apanel8 = packAInt8(st.apanel8, a, lda, ic, rows, k, kp)
-		for t := 0; t*nr < n; t++ {
-			bp := pb.data[t*kp*nr:]
-			j0 := t * nr
-			cols := min(nr, n-j0)
-			for q := 0; q < rtiles; q++ {
-				ap := st.apanel8[q*kp*mr:]
-				rrows := min(mr, rows-q*mr)
-				if rrows == mr && cols == nr {
-					kernI8(kp/4, ap, bp, c[(ic+q*mr)*ldc+j0:], ldc)
-					continue
-				}
-				clear(st.tile32[:])
-				kernI8(kp/4, ap, bp, st.tile32[:], nr)
-				for r := 0; r < rrows; r++ {
-					crow := c[(ic+q*mr+r)*ldc+j0:]
-					for j := 0; j < cols; j++ {
-						crow[j] += st.tile32[r*nr+j]
-					}
-				}
-			}
-		}
-	}
-}
-
-// packAInt8 packs rows×k of a (stride lda, starting at row ic) into
-// quad-interleaved MR-row panels: dst[q][qq*4*mr + r*4 + i] = A[row, 4qq+i].
-func packAInt8(dst []uint8, a []uint8, lda, ic, rows, k, kp int) []uint8 {
-	rtiles := (rows + mr - 1) / mr
-	need := rtiles * kp * mr
-	if cap(dst) < need {
-		dst = make([]uint8, need)
-	}
-	dst = dst[:need]
-	for q := 0; q < rtiles; q++ {
-		panel := dst[q*kp*mr:]
-		for r := 0; r < mr; r++ {
-			row := q*mr + r
-			if row >= rows {
-				for qq := 0; qq < kp/4; qq++ {
-					blk := panel[qq*4*mr+r*4:]
-					blk[0], blk[1], blk[2], blk[3] = 0, 0, 0, 0
-				}
-				continue
-			}
-			src := a[(ic+row)*lda : (ic+row)*lda+k]
-			nq := k >> 2
-			for qq := 0; qq < nq; qq++ {
-				binary.LittleEndian.PutUint32(panel[qq*4*mr+r*4:], binary.LittleEndian.Uint32(src[qq*4:]))
-			}
-			if k&3 != 0 {
-				blk := panel[nq*4*mr+r*4:][:4]
-				blk[0], blk[1], blk[2], blk[3] = 0, 0, 0, 0
-				copy(blk, src[nq*4:])
-			}
-		}
-	}
-	return dst
-}
-
-// qgemmKern8x8Go is the portable int8 micro-kernel (exact integer match
-// with the SIMD version).
-func qgemmKern8x8Go(kp4 int, a []uint8, b []int8, c []int32, ldc int) {
-	var acc [mr * nr]int32
-	for qq := 0; qq < kp4; qq++ {
-		ab := a[qq*4*mr : qq*4*mr+4*mr]
-		bb := b[qq*4*nr : qq*4*nr+4*nr]
-		for r := 0; r < mr; r++ {
-			a0 := int32(ab[r*4])
-			a1 := int32(ab[r*4+1])
-			a2 := int32(ab[r*4+2])
-			a3 := int32(ab[r*4+3])
-			row := acc[r*nr : r*nr+nr]
-			for j := 0; j < nr; j++ {
-				bj := bb[j*4 : j*4+4]
-				row[j] += a0*int32(bj[0]) + a1*int32(bj[1]) + a2*int32(bj[2]) + a3*int32(bj[3])
 			}
 		}
 	}

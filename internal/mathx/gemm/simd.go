@@ -1,80 +1,14 @@
 package gemm
 
-// Element-wise inference kernels that bracket the GEMMs: activation
-// quantization, accumulator dequantization and fused ReLU+2×2 pooling.
+// The fused ReLU+2×2 pooling kernels that follow each convolution GEMM.
 // Like the matrix kernels they dispatch to AVX2 on amd64 and fall back to
 // portable Go elsewhere. They live here rather than in the nn package so
 // every SIMD entry point shares one CPU-feature gate.
 
 var (
-	quantU8Kern func(dst []uint8, src []float32, invA float32) int
-	dequantKern func(dst []float32, acc []int32, scale float32) int
 	poolAvgKern func(dst, r0, r1 []float32, c int) bool
 	poolMaxKern func(dst, r0, r1 []float32, c int) bool
-	packQuadK   func(dst, a, b, c, d []uint8)
 )
-
-// PackQuad8 writes one 32-byte quad block of the PackedAInt8 panel
-// layout: dst[r*4+i] = src_i[r] for the four 8-byte source windows
-// a,b,c,d (a 4×8 byte transpose). Each source must expose 8 bytes, dst 32.
-func PackQuad8(dst, a, b, c, d []uint8) {
-	if packQuadK != nil {
-		packQuadK(dst, a, b, c, d)
-		return
-	}
-	_ = dst[31]
-	for r := 0; r < 8; r++ {
-		dst[r*4] = a[r]
-		dst[r*4+1] = b[r]
-		dst[r*4+2] = c[r]
-		dst[r*4+3] = d[r]
-	}
-}
-
-// QuantizeU8 encodes activations as unsigned 7-bit codes:
-// clamp(round(v·invA), 0, 127), rounding half to even.
-func QuantizeU8(dst []uint8, src []float32, invA float32) {
-	i := 0
-	if quantU8Kern != nil {
-		i = quantU8Kern(dst, src, invA)
-	}
-	quantizeU8Go(dst[i:], src[i:], invA)
-}
-
-func quantizeU8Go(dst []uint8, src []float32, invA float32) {
-	for i, v := range src {
-		q := v * invA
-		switch {
-		case q <= 0:
-			dst[i] = 0
-		case q >= 127:
-			dst[i] = 127
-		default:
-			dst[i] = uint8(roundEven32(q))
-		}
-	}
-}
-
-// roundEven32 rounds to nearest, ties to even, for q in (0, 127) — the
-// same rounding CVTPS2DQ applies in the vector path.
-func roundEven32(q float32) int32 {
-	r := int32(q + 0.5)
-	if float32(r)-q == 0.5 && r&1 == 1 {
-		r--
-	}
-	return r
-}
-
-// DequantScale writes dst[i] = float32(acc[i]) · scale.
-func DequantScale(dst []float32, acc []int32, scale float32) {
-	i := 0
-	if dequantKern != nil {
-		i = dequantKern(dst, acc, scale)
-	}
-	for ; i < len(dst); i++ {
-		dst[i] = float32(acc[i]) * scale
-	}
-}
 
 // Pool2x2AvgReLU writes one output row of fused ReLU + 2×2/stride-2
 // average pooling over the interleaved-channel input rows r0 and r1:

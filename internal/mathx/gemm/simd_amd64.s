@@ -2,73 +2,9 @@
 
 #include "textflag.h"
 
-// Element-wise AVX2 inference kernels. All loops run 8 floats per
-// iteration; callers guarantee the lengths they pass (quant/dequant
-// handle any length by returning how much they processed, the pool
-// kernels require len(dst) to be a multiple of c and c a multiple of 8).
-
-// func quantU8Asm(dst []uint8, src []float32, invA float32) int
-//
-// dst[i] = clamp(round-to-even(src[i]·invA), 0, 127) for the leading
-// len(src)&^7 elements; returns that count.
-TEXT ·quantU8Asm(SB), NOSPLIT, $0-64
-	MOVQ  dst_base+0(FP), DI
-	MOVQ  src_base+24(FP), SI
-	MOVQ  src_len+32(FP), CX
-	ANDQ  $-8, CX
-	MOVQ  CX, ret+56(FP)
-	TESTQ CX, CX
-	JZ    qdone
-	VBROADCASTSS invA+48(FP), Y0
-	VXORPS Y1, Y1, Y1
-	MOVL  $0x42FE0000, AX // 127.0f
-	MOVL  AX, X2
-	VBROADCASTSS X2, Y2
-
-qloop:
-	VMULPS (SI), Y0, Y3
-	VMAXPS Y1, Y3, Y3
-	VMINPS Y2, Y3, Y3
-	VCVTPS2DQ Y3, Y3            // round to nearest even
-	VEXTRACTI128 $1, Y3, X4
-	VPACKUSDW X4, X3, X3        // 8×s32 → 8×u16
-	VPACKUSWB X3, X3, X3        // 8×u16 → 8×u8 (low half)
-	MOVQ   X3, (DI)
-	ADDQ   $32, SI
-	ADDQ   $8, DI
-	SUBQ   $8, CX
-	JNZ    qloop
-
-qdone:
-	VZEROUPPER
-	RET
-
-// func dequantAsm(dst []float32, acc []int32, scale float32) int
-//
-// dst[i] = float32(acc[i])·scale for the leading len(dst)&^7 elements;
-// returns that count.
-TEXT ·dequantAsm(SB), NOSPLIT, $0-64
-	MOVQ  dst_base+0(FP), DI
-	MOVQ  acc_base+24(FP), SI
-	MOVQ  dst_len+8(FP), CX
-	ANDQ  $-8, CX
-	MOVQ  CX, ret+56(FP)
-	TESTQ CX, CX
-	JZ    ddone
-	VBROADCASTSS scale+48(FP), Y0
-
-dloop:
-	VCVTDQ2PS (SI), Y1
-	VMULPS Y0, Y1, Y1
-	VMOVUPS Y1, (DI)
-	ADDQ   $32, SI
-	ADDQ   $32, DI
-	SUBQ   $8, CX
-	JNZ    dloop
-
-ddone:
-	VZEROUPPER
-	RET
+// Fused ReLU + 2×2 pooling AVX2 kernels. Loops run 8 floats per
+// iteration; callers guarantee len(dst) is a multiple of c and c a
+// multiple of 8.
 
 // func poolAvgAsm(dst, r0, r1 []float32, c int) bool
 //
@@ -162,27 +98,4 @@ pmaxj:
 
 pmaxdone:
 	VZEROUPPER
-	RET
-
-// func packQuad8Asm(dst, a, b, c, d []uint8)
-//
-// 4×8 byte transpose: dst[r*4+i] = src_i[r]. One PackedAInt8 quad block
-// from four 8-byte source windows, via SSE byte/word unpacks.
-TEXT ·packQuad8Asm(SB), NOSPLIT, $0-120
-	MOVQ  dst_base+0(FP), DI
-	MOVQ  a_base+24(FP), SI
-	MOVQ  b_base+48(FP), DX
-	MOVQ  c_base+72(FP), CX
-	MOVQ  d_base+96(FP), R8
-	MOVQ  (SI), X0
-	MOVQ  (DX), X1
-	MOVQ  (CX), X2
-	MOVQ  (R8), X3
-	PUNPCKLBW X1, X0 // a0 b0 a1 b1 ...
-	PUNPCKLBW X3, X2 // c0 d0 c1 d1 ...
-	MOVO  X0, X4
-	PUNPCKLWL X2, X0 // lanes 0-3: a b c d per lane
-	PUNPCKHWL X2, X4 // lanes 4-7
-	MOVOU X0, (DI)
-	MOVOU X4, 16(DI)
 	RET

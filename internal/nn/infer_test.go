@@ -211,8 +211,8 @@ func TestForwardBatchEmptyAndErrors(t *testing.T) {
 }
 
 // TestInferenceEngineConcurrent pins the engine's concurrent-use contract:
-// goroutines sharing one InferenceEngine, in float32 and in int8 mode, each
-// get outputs bit-identical to a serial call (run under -race in CI).
+// goroutines sharing one InferenceEngine each get outputs bit-identical to
+// a serial call (run under -race in CI).
 func TestInferenceEngineConcurrent(t *testing.T) {
 	net := randomNet(t, inferArches()["odd-pools"], 12)
 	rng := rand.New(rand.NewPCG(3, 5))
@@ -220,52 +220,39 @@ func TestInferenceEngineConcurrent(t *testing.T) {
 	for s := range ins {
 		ins[s] = toF32(randomInput(rng, net.In.Size(), true))
 	}
-	for _, mode := range []string{"float32", "int8"} {
-		t.Run(mode, func(t *testing.T) {
-			eng, err := NewInferenceEngine(net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mode == "int8" {
-				if _, err := eng.Calibrate(ins); err != nil {
-					t.Fatal(err)
-				}
-				if err := eng.EnableInt8(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := eng.ForwardBatchF32(ins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			for g := 0; g < 8; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for rep := 0; rep < 4; rep++ {
-						got, err := eng.ForwardBatchF32(ins)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						for s := range want {
-							for i := range want[s] {
-								if got[s][i] != want[s][i] { //vvdlint:bitexact -- batch and engine parity vs Forward is bitwise by contract
-									t.Errorf("goroutine %d diverged at sample %d output %d", g, s, i)
-									return
-								}
+	t.Run("float32", func(t *testing.T) {
+		eng, err := NewInferenceEngine(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := eng.ForwardBatchF32(ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for rep := 0; rep < 4; rep++ {
+					got, err := eng.ForwardBatchF32(ins)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for s := range want {
+						for i := range want[s] {
+							if got[s][i] != want[s][i] { //vvdlint:bitexact -- batch and engine parity vs Forward is bitwise by contract
+								t.Errorf("goroutine %d diverged at sample %d output %d", g, s, i)
+								return
 							}
 						}
 					}
-				}()
-			}
-			wg.Wait()
-			if eng.Mode() != mode {
-				t.Fatalf("mode = %q, want %q", eng.Mode(), mode)
-			}
-		})
-	}
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }
 
 // packConvA is the naive im2col reference for the engine's implicit-GEMM
@@ -348,7 +335,7 @@ func TestConvGatherParity(t *testing.T) {
 
 // TestForwardBatchIntoZeroAllocs pins the allocation contract of the
 // pooled arenas: a steady-state single-frame ForwardBatchF32Into allocates
-// nothing, in float32 and in int8 mode.
+// nothing.
 func TestForwardBatchIntoZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -357,27 +344,17 @@ func TestForwardBatchIntoZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 8))
 	ins := [][]float32{toF32(randomInput(rng, net.In.Size(), true))}
 	outs := [][]float32{make([]float32, net.Out.Size())}
-	for _, mode := range []string{"float32", "int8"} {
-		eng, err := NewInferenceEngine(net)
-		if err != nil {
+	eng, err := NewInferenceEngine(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := eng.ForwardBatchF32Into(ins, outs); err != nil {
 			t.Fatal(err)
 		}
-		if mode == "int8" {
-			if _, err := eng.Calibrate(ins); err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.EnableInt8(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		allocs := testing.AllocsPerRun(50, func() {
-			if err := eng.ForwardBatchF32Into(ins, outs); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: ForwardBatchF32Into allocates %.1f times per frame, want 0", mode, allocs)
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("ForwardBatchF32Into allocates %.1f times per frame, want 0", allocs)
 	}
 }
 
@@ -401,67 +378,6 @@ func TestPool2DOddInput(t *testing.T) {
 	want := []float64{(1 + 2 + 5 + 6) / 4.0, (3 + 4 + 7 + 8) / 4.0}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] { //vvdlint:bitexact -- batch and engine parity vs Forward is bitwise by contract
 		t.Fatalf("odd pool forward %v, want %v", got, want)
-	}
-}
-
-// TestInferenceEngineInt8 verifies the quantized path end to end:
-// calibration is required, and once enabled the int8 outputs track the
-// float32 engine within the pinned per-element budget for 7-bit
-// symmetric quantization.
-func TestInferenceEngineInt8(t *testing.T) {
-	net := randomNet(t, inferArches()["paper-like"], 41)
-	eng, err := NewInferenceEngine(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.EnableInt8(); err == nil {
-		t.Fatal("EnableInt8 must fail before calibration")
-	}
-	rng := rand.New(rand.NewPCG(6, 28))
-	calib := make([][]float32, 16)
-	for s := range calib {
-		calib[s] = make([]float32, net.In.Size())
-		for i := range calib[s] {
-			calib[s][i] = float32(rng.Float64() * 4)
-		}
-	}
-	if _, err := eng.Calibrate(calib); err != nil {
-		t.Fatal(err)
-	}
-	if got := eng.CalibrationFrames(); got != 16 {
-		t.Fatalf("CalibrationFrames = %d, want 16", got)
-	}
-	if eng.Mode() != "float32" {
-		t.Fatalf("mode before EnableInt8 = %q", eng.Mode())
-	}
-	wantOuts, err := eng.ForwardBatchF32(calib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.EnableInt8(); err != nil {
-		t.Fatal(err)
-	}
-	if eng.Mode() != "int8" || !eng.Quantized() {
-		t.Fatalf("mode after EnableInt8 = %q", eng.Mode())
-	}
-	gotOuts, err := eng.ForwardBatchF32(calib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sumSq, sumRef float64
-	for s := range wantOuts {
-		for i := range wantOuts[s] {
-			d := float64(gotOuts[s][i] - wantOuts[s][i])
-			sumSq += d * d
-			sumRef += float64(wantOuts[s][i]) * float64(wantOuts[s][i])
-		}
-	}
-	if sumRef == 0 {
-		t.Fatal("degenerate reference outputs")
-	}
-	// Pinned budget: relative quantization MSE below 1% of signal power.
-	if rel := sumSq / sumRef; rel > 0.01 {
-		t.Fatalf("int8 relative MSE %.4f exceeds 0.01 budget", rel)
 	}
 }
 

@@ -193,70 +193,3 @@ func TestScenarioConformanceGoldens(t *testing.T) {
 		}
 	}
 }
-
-// TestQuantizedMSEBudget pins the accuracy cost of int8 inference against
-// the committed conformance goldens: on the golden campaign, a quantized
-// model's test-set CIR MSE must stay within a fixed multiplicative budget
-// of the golden float mse_vvd. Exceeding it means the quantization scheme
-// (7-bit symmetric weights/activations, per-tensor scales) regressed.
-func TestQuantizedMSEBudget(t *testing.T) {
-	const scenarioName = "empty-room"
-	const budget = 1.5 // quantized MSE may cost at most 50% over the golden
-
-	data, err := os.ReadFile(filepath.Join("testdata", "conformance.json"))
-	if err != nil {
-		t.Fatalf("reading goldens: %v", err)
-	}
-	want := map[string]map[string]string{}
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	var golden float64
-	if _, err := fmt.Sscanf(want[scenarioName]["mse_vvd"], "%e", &golden); err != nil {
-		t.Fatalf("parsing golden mse_vvd %q: %v", want[scenarioName]["mse_vvd"], err)
-	}
-
-	cfg, err := scenario.Resolve(scenarioName, conformanceConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := dataset.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb := dataset.CombinationsFor(len(c.Sets), 1)[0]
-	tc := core.DefaultTrainConfig()
-	tc.Epochs = 4
-	tc.Batch = 8
-	vvd, _, err := core.Train(c, cb, dataset.LagCurrent, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var calib [][]float32
-	for _, p := range c.TrainingPackets(cb) {
-		calib = append(calib, p.Images[dataset.LagCurrent])
-	}
-	if err := vvd.CalibrateQuantization(calib); err != nil {
-		t.Fatal(err)
-	}
-	if mode := vvd.InferenceMode(); mode != "int8" {
-		t.Fatalf("InferenceMode after calibration = %q, want int8", mode)
-	}
-
-	var sum float64
-	var n int
-	for _, p := range c.TestPackets(cb) {
-		est, err := vvd.Estimate(p.Images[dataset.LagCurrent])
-		if err != nil {
-			t.Fatal(err)
-		}
-		aligned := estimate.AlignPhase(est, p.Perfect)
-		sum += metrics.SqError(aligned, p.Perfect)
-		n += len(p.Perfect)
-	}
-	mse := sum / float64(n)
-	t.Logf("int8 mse_vvd = %.6e (golden float %.6e, budget ×%.2f)", mse, golden, budget)
-	if mse > golden*budget {
-		t.Fatalf("int8 mse_vvd %.6e exceeds budget %.6e (golden %.6e × %.2f)", mse, golden*budget, golden, budget)
-	}
-}

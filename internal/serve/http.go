@@ -215,7 +215,7 @@ type metricsJSON struct {
 	EstimatesServed  uint64  `json:"estimates_served"`
 	AgeP50MS         float64 `json:"age_p50_ms"`               // served-age percentiles over the
 	AgeP99MS         float64 `json:"age_p99_ms"`               // recent window — the tail signal
-	InferMode        string  `json:"inference_mode,omitempty"` // float32 / int8 / int8-calibrating
+	InferMode        string  `json:"inference_mode,omitempty"` // float32, or untrained
 	Err              string  `json:"err,omitempty"`
 }
 

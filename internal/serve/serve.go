@@ -48,7 +48,8 @@ type BatchEstimator interface {
 }
 
 // ModeReporter is an optional BatchEstimator extension that reports the
-// active inference kernel set ("float32", "int8", "int8-calibrating").
+// active inference kernel set ("float32", or "untrained" for a VVD with
+// no network).
 // When the estimator implements it, Metrics and /metricsz expose the
 // mode. *core.VVD implements it.
 type ModeReporter interface {

@@ -3,11 +3,16 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"vvd/internal/core"
+	"vvd/internal/dataset"
+	"vvd/internal/nn"
 )
 
 // stubEstimator encodes each frame's first pixel into a 1-tap CIR, so
@@ -232,11 +237,40 @@ func TestManyConcurrentLinks(t *testing.T) {
 	runManyConcurrentLinks(t, &stubEstimator{}, 0, frame)
 }
 
+// cnnFrame builds a full-size preprocessed depth image whose pixels vary
+// with the frame index, so every inference sees distinct activations.
+func cnnFrame(n int) []float32 {
+	img := make([]float32, dataset.ImagePixels)
+	for p := range img {
+		img[p] = float32((n*31+p)%97) / 96
+	}
+	return img
+}
+
+// TestManyConcurrentLinksCNN is the serving-scale acceptance test again,
+// with the real estimator stack underneath: a tiny untrained core.VVD on
+// the float32 GEMM engine instead of the 1-pixel stub (the serving path
+// only cares that EstimateBatch is a real CNN forward pass, not that the
+// weights mean anything). Same 120 links, same virtual-clock freshness and
+// age bounds, and the service must report the engine's inference mode.
+func TestManyConcurrentLinksCNN(t *testing.T) {
+	arch := core.Arch{Conv1: 2, Conv2: 2, Conv3: 4, Conv4: 4, Dense: 16, Pool: nn.AvgPool}
+	net, err := core.BuildNetwork(arch, rand.New(rand.NewPCG(11, 13)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := &core.VVD{Net: net, Norm: 1, Mean: make([]complex128, core.OutputTaps)}
+	m := runManyConcurrentLinks(t, v, dataset.ImagePixels, cnnFrame)
+	if m.InferMode != "float32" {
+		t.Fatalf("Metrics().InferMode = %q, want float32", m.InferMode)
+	}
+}
+
 // runManyConcurrentLinks is the acceptance body shared by the stub and the
-// quantized-CNN variants: the estimator and frame shape are the only
-// degrees of freedom, every assertion is estimator-agnostic (sequence
-// numbers and ages, never CIR contents).
-func runManyConcurrentLinks(t *testing.T, est BatchEstimator, inputSize int, mkFrame func(int) []float32) {
+// CNN variants: the estimator and frame shape are the only degrees of
+// freedom, every assertion is estimator-agnostic (sequence numbers and
+// ages, never CIR contents). It returns the closed service's metrics.
+func runManyConcurrentLinks(t *testing.T, est BatchEstimator, inputSize int, mkFrame func(int) []float32) Metrics {
 	t.Helper()
 	const (
 		nLinks      = 120
@@ -336,6 +370,7 @@ func runManyConcurrentLinks(t *testing.T, est BatchEstimator, inputSize int, mkF
 	}
 	t.Logf("%d links served %d estimates over %d frames (mean %.1f reads/frame/link)",
 		nLinks, served, nFrames, float64(served)/float64(nFrames)/float64(nLinks))
+	return m
 }
 
 func TestSubmitValidationAndClose(t *testing.T) {
