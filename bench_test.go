@@ -708,10 +708,10 @@ func BenchmarkInferenceEngine(b *testing.B) {
 
 // benchServeLinks drives the serving pipeline with a real trained model
 // under nLinks concurrent link sessions: a feeder submits camera frames in
-// bursts (so batched inference engages) while every link consumes the
-// estimate stream. Reported metrics are sustained inference and serving
-// throughput plus the mean estimate age links observed — the multi-link
-// claim of paper §6.6/Table 1 under load.
+// bursts (so batched inference engages) while every link waits for each
+// newly published estimate and Fetches it. Reported metrics are sustained
+// inference and serving throughput plus the mean estimate age links
+// observed — the multi-link claim of paper §6.6/Table 1 under load.
 func benchServeLinks(b *testing.B, nLinks int) {
 	e := sharedEngine(b)
 	cb := e.Combos()[0]
@@ -725,7 +725,6 @@ func benchServeLinks(b *testing.B, nLinks int) {
 		InputSize:  len(img),
 		QueueDepth: 16,
 		MaxBatch:   8,
-		LinkBuffer: 2,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -733,23 +732,28 @@ func benchServeLinks(b *testing.B, nLinks int) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < nLinks; i++ {
-		l, err := svc.OpenLink(fmt.Sprintf("link-%04d", i))
-		if err != nil {
-			b.Fatal(err)
-		}
+		id := fmt.Sprintf("link-%04d", i)
 		wg.Add(1)
-		go func(l *serve.Link) {
+		go func() {
 			defer wg.Done()
+			var seen uint64
 			for {
-				if _, ok := l.Next(20 * time.Millisecond); !ok {
-					select {
-					case <-done:
-						return
-					default:
-					}
+				select {
+				case <-done:
+					return
+				default:
 				}
+				if _, ok := svc.WaitFor(seen+1, 20*time.Millisecond); !ok {
+					continue
+				}
+				est, err := svc.Fetch(id)
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				seen = est.FrameSeq
 			}
-		}(l)
+		}()
 	}
 	const burst = 8
 	b.ResetTimer()

@@ -63,7 +63,6 @@ func main() {
 		wireAddr   = flag.String("wire", "", "also listen for the binary wire protocol on this address (empty = HTTP only)")
 		queue      = flag.Int("queue", 8, "frame queue depth (drop-oldest beyond)")
 		batch      = flag.Int("batch", 8, "max frames per batched inference")
-		linkBuf    = flag.Int("linkbuf", 4, "per-link estimate inbox depth")
 		maxLinks   = flag.Int("maxlinks", 10000, "max open link sessions (0 = unlimited)")
 		demo       = flag.Bool("demo", false, "train a tiny model and feed simulated camera frames")
 		stub       = flag.Duration("stub", -1, "serve a stub estimator with this fixed per-batch latency instead of a model (0 for instant; negative disables)")
@@ -113,7 +112,6 @@ func main() {
 	scfg := serve.Config{
 		QueueDepth: *queue,
 		MaxBatch:   *batch,
-		LinkBuffer: *linkBuf,
 		MaxLinks:   *maxLinks,
 	}
 	if model != nil {

@@ -6,8 +6,8 @@
 // actual deployment pipeline using internal/serve: a camera goroutine
 // submits depth frames at 30 fps into the service's bounded drop-oldest
 // queue, the service's estimator goroutine runs (batched) CNN inference
-// and publishes the latest CIR freshest-wins, and a receiver link session
-// decodes packets as they arrive using whatever estimate is freshest. It
+// and publishes the latest CIR freshest-wins, and a receiver fetches that
+// freshest estimate through its link session as each packet arrives. It
 // reports the measured inference latency, the estimate age at each
 // decode, and how both compare to the coherence time.
 //
@@ -17,6 +17,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"time"
@@ -67,11 +68,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	link, err := svc.OpenLink("receiver-1")
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	// Camera: submits the frame stream of the take into the service.
 	stop := make(chan struct{})
 	go func() {
@@ -90,7 +86,8 @@ func main() {
 	}()
 
 	// Receiver: packets arrive every 100 ms (wall: 10 ms); decode each
-	// with the freshest published estimate from the link session.
+	// with the freshest published estimate, fetched through the link
+	// session so its serving statistics record the estimate's age.
 	var counter metrics.Counter
 	decoded := 0
 	rx := campaign.Receiver
@@ -98,9 +95,12 @@ func main() {
 	defer packetTick.Stop()
 	for _, pkt := range test {
 		<-packetTick.C
-		est, ok := link.Latest()
-		if !ok {
+		est, err := svc.Fetch("receiver-1")
+		if errors.Is(err, serve.ErrNoEstimate) {
 			continue // estimator warming up
+		}
+		if err != nil {
+			log.Fatal(err)
 		}
 		ppdu, txChips, rec, err := campaign.ReceptionPacket(pkt)
 		if err != nil {
@@ -117,7 +117,7 @@ func main() {
 	}
 
 	m := svc.Metrics()
-	st := link.Stats()
+	st := svc.Links()[0] // the receiver's session, opened by its first Fetch
 	fmt.Printf("\nonline phase (replayed %.0f× real time):\n", speedup)
 	fmt.Printf("  frames inferred:         %d in %d batches (mean %.1f frames/batch, %d dropped)\n",
 		m.FramesInferred, m.Batches, m.MeanBatch, m.FramesDropped)

@@ -64,28 +64,14 @@ func NewHandler(s *Service) http.Handler {
 			serveFetch(w, s, req.Link)
 			return
 		}
-		if req.WaitMS < 0 {
-			// Fire-and-forget submission: camera feeders push frames
-			// without consuming the estimate stream.
-			res, err := s.SubmitFor(req.Link, req.Image)
-			if err != nil {
-				httpError(w, statusFor(err), "%v", err)
-				return
-			}
-			writeJSON(w, submitResponse{Link: req.Link, SubmittedSeq: res.SubmittedSeq, DroppedOldest: res.DroppedOldest})
+		wait := waitFromMS(req.WaitMS)
+		res, err := s.SubmitAndWait(req.Link, req.Image, wait)
+		if err != nil {
+			httpError(w, statusFor(err), "%v", err)
 			return
 		}
-		res, err := s.SubmitAndWait(req.Link, req.Image, waitFromMS(req.WaitMS))
-		if err != nil {
-			if errors.Is(err, ErrNotReady) {
-				httpError(w, http.StatusGatewayTimeout, "%v", err)
-				return
-			}
-			if errors.Is(err, ErrNoEstimate) {
-				httpError(w, http.StatusServiceUnavailable, "no estimate published")
-				return
-			}
-			httpError(w, statusFor(err), "%v", err)
+		if wait < 0 {
+			writeJSON(w, submitResponse{Link: req.Link, SubmittedSeq: res.SubmittedSeq, DroppedOldest: res.DroppedOldest})
 			return
 		}
 		writeEstimate(w, s, req.Link, res.Estimate, res.SubmittedSeq, res.DroppedOldest)
@@ -115,7 +101,7 @@ func NewHandler(s *Service) http.Handler {
 		out := make([]linkJSON, len(stats))
 		for i, st := range stats {
 			out[i] = linkJSON{
-				ID: st.ID, Served: st.Served, Dropped: st.Dropped, Pending: st.Pending,
+				ID: st.ID, Served: st.Served,
 				LastAgeMS: ms(st.LastAge), MeanAgeMS: ms(st.MeanAge), MaxAgeMS: ms(st.MaxAge),
 				OpenedAt: st.OpenedAt,
 			}
@@ -163,12 +149,11 @@ type estimateRequest struct {
 }
 
 // waitFromMS converts a request's wait_ms to a Duration, clamping to
-// MaxWait before multiplying so no value can overflow.
+// ±MaxWait before multiplying so no value can overflow and every
+// negative wait_ms stays a negative (fire-and-forget) wait.
 func waitFromMS(ms int) time.Duration {
-	if ms > int(MaxWait/time.Millisecond) {
-		return MaxWait
-	}
-	return time.Duration(ms) * time.Millisecond
+	const maxMS = int(MaxWait / time.Millisecond)
+	return time.Duration(min(max(ms, -maxMS), maxMS)) * time.Millisecond
 }
 
 type estimateResponse struct {
@@ -191,8 +176,6 @@ type submitResponse struct {
 type linkJSON struct {
 	ID        string    `json:"id"`
 	Served    uint64    `json:"served"`
-	Dropped   uint64    `json:"dropped"`
-	Pending   int       `json:"pending"`
 	LastAgeMS float64   `json:"last_age_ms"`
 	MeanAgeMS float64   `json:"mean_age_ms"`
 	MaxAgeMS  float64   `json:"max_age_ms"`

@@ -231,13 +231,16 @@ func TestHTTPOversizedBodyIs413(t *testing.T) {
 }
 
 // TestWaitFromMS pins the wait_ms→Duration conversion: values up to
-// MaxWait convert exactly, anything above clamps to MaxWait, and huge
-// values that would overflow the multiplication clamp too.
+// MaxWait convert exactly, anything above clamps to MaxWait, huge values
+// that would overflow the multiplication clamp too, and every negative
+// value stays negative (fire-and-forget) instead of wrapping around.
 func TestWaitFromMS(t *testing.T) {
 	for _, tc := range []struct {
 		ms   int
 		want time.Duration
 	}{
+		{math.MinInt, -MaxWait},
+		{-9223372036855, -MaxWait},
 		{-1, -time.Millisecond},
 		{0, 0},
 		{5, 5 * time.Millisecond},

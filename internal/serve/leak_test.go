@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -15,8 +16,8 @@ import (
 // asynchronously after Service.Close and server shutdown, hence the retry
 // loop; if the count never recovers the surviving stacks are reported.
 // Under -race (CI runs the whole suite with it) this pins the contract
-// that no exit path strands an estimator goroutine, a blocked Next
-// consumer, or an HTTP worker.
+// that no exit path strands an estimator goroutine, a blocked WaitFor
+// reader, or an HTTP worker.
 func verifyNoLeaks(t *testing.T) {
 	t.Helper()
 	baseline := runtime.NumGoroutine()
@@ -42,29 +43,26 @@ func verifyNoLeaks(t *testing.T) {
 }
 
 // TestCloseReturnsGoroutinesToBaseline drives the full lifecycle — open
-// sessions, blocked stream consumers, batched inference — and asserts
-// Service.Close unwinds every goroutine it or its consumers started.
+// sessions, blocked waiters, batched inference — and asserts
+// Service.Close unwinds every goroutine it or its readers started.
 func TestCloseReturnsGoroutinesToBaseline(t *testing.T) {
 	verifyNoLeaks(t)
 	s, err := New(Config{Estimator: &stubEstimator{}, InputSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Consumers blocked deep inside Next with a generous timeout: Close
-	// must wake them long before the deadline.
+	// Readers blocked in WaitFor on a frame that is never submitted, with
+	// a generous timeout: Close must wake them long before the deadline.
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
-		l, err := s.OpenLink(fmt.Sprintf("l%d", i))
-		if err != nil {
-			t.Fatal(err)
+		if _, err := s.Fetch(fmt.Sprintf("l%d", i)); !errors.Is(err, ErrNoEstimate) {
+			t.Fatalf("Fetch before any publish = %v, want ErrNoEstimate", err)
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if _, ok := l.Next(time.Minute); !ok {
-					return
-				}
+			if _, ok := s.WaitFor(1<<40, time.Minute); ok {
+				t.Error("WaitFor on a never-submitted frame must fail")
 			}
 		}()
 	}

@@ -14,19 +14,19 @@
 //     MaxBatch frames and runs one batched CNN inference per drain
 //     (core.VVD.EstimateBatch), amortizing the layer-weight traversal
 //     across everything that queued up during the previous inference.
-//   - Every produced estimate is published freshest-wins: Latest always
-//     returns the estimate of the newest inferred frame, stamped with its
-//     capture time so consumers can judge its age against the channel
-//     coherence time (~50 ms indoors).
-//   - Link sessions (OpenLink) are per-receiver views: each records how
-//     many estimates it was served and how old they were, and each owns a
-//     bounded estimate inbox (again drop-oldest) for consumers that want
-//     the estimate stream rather than just the freshest value. Inboxes
-//     start filling on the session's first Next call, so poll-only
-//     sessions cost the publish fan-out almost nothing.
+//   - Only the newest frame of each batch is published, freshest-wins:
+//     every read returns the estimate of the newest inferred frame,
+//     stamped with its capture time so consumers can judge its age
+//     against the channel coherence time (~50 ms indoors). Publishing is
+//     O(1) in the number of links.
+//   - Reads go through Fetch (or SubmitAndWait), which names a link
+//     session. Sessions open on first use and are pure bookkeeping: each
+//     records how many estimates it was served and how old they were
+//     (Links). Latest reads the same value without touching any session.
 //
-// cmd/vvd-serve exposes a Service over HTTP/JSON; examples/streaming
-// drives one from a simulated camera in real time.
+// NewHandler exposes a Service over HTTP/JSON and internal/wire over the
+// binary protocol; both call the same SubmitAndWait/Fetch flow.
+// examples/streaming drives one from a simulated camera in real time.
 package serve
 
 import (
@@ -69,13 +69,9 @@ type Config struct {
 	// MaxBatch caps the frames handed to one EstimateBatch call.
 	// Default 8.
 	MaxBatch int
-	// LinkBuffer bounds each link session's estimate inbox; a full inbox
-	// drops its oldest estimate. Default 4.
-	LinkBuffer int
 	// MaxLinks, when non-zero, caps the number of open link sessions —
 	// the guard that keeps unauthenticated GET /estimate?link=<random>
-	// traffic from growing the session map (and the publish fan-out)
-	// without bound. 0 = unlimited.
+	// traffic from growing the session map without bound. 0 = unlimited.
 	MaxLinks int
 	// Clock substitutes a time source (tests). Default time.Now.
 	Clock func() time.Time
@@ -116,7 +112,7 @@ type Metrics struct {
 	QueueLen        int
 	QueueCap        int
 	ActiveLinks     int
-	EstimatesServed uint64        // Latest/Next reads across all sessions, ever
+	EstimatesServed uint64        // Fetch/SubmitAndWait reads across all sessions, ever
 	AgeP50          time.Duration // median served-estimate age (recent window)
 	AgeP99          time.Duration // tail served-estimate age — mean/max hide this
 	InferMode       string        // estimator kernel set, when it reports one
@@ -124,7 +120,7 @@ type Metrics struct {
 }
 
 // Service is the multi-link estimation pipeline. Create with New, feed
-// with Submit, read through Latest or link sessions, stop with Close.
+// with Submit, read through Fetch or Latest, stop with Close.
 // All methods are safe for concurrent use.
 type Service struct {
 	cfg   Config
@@ -140,7 +136,7 @@ type Service struct {
 
 	state       sync.RWMutex // published estimate, links, inference counters
 	latest      Estimate
-	links       map[string]*Link
+	links       map[string]*session
 	inferred    uint64
 	batches     uint64
 	batchFrames uint64
@@ -148,7 +144,7 @@ type Service struct {
 	inferMax    time.Duration
 	err         error
 
-	served atomic.Uint64 // Latest/Next reads across all sessions
+	served atomic.Uint64 // Fetch/SubmitAndWait reads across all sessions
 	ages   ageSampler    // recent served ages for the percentile snapshot
 
 	pubMu   sync.Mutex // publish broadcast for WaitFor
@@ -169,16 +165,13 @@ func New(cfg Config) (*Service, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 8
 	}
-	if cfg.LinkBuffer <= 0 {
-		cfg.LinkBuffer = 4
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
 	s := &Service{
 		cfg:   cfg,
 		clock: cfg.Clock,
-		links: map[string]*Link{},
+		links: map[string]*session{},
 		pubCh: make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -219,8 +212,8 @@ func (s *Service) SubmitAt(img []float32, capturedAt time.Time) (seq uint64, dro
 }
 
 // Latest returns the freshest published estimate (ok=false before the
-// first publish). Reads through a Link session instead to record serving
-// statistics.
+// first publish). It records nothing; Fetch is the same read counted in
+// a link session's statistics.
 func (s *Service) Latest() (Estimate, bool) {
 	s.state.RLock()
 	defer s.state.RUnlock()
@@ -372,49 +365,34 @@ func (s *Service) take() []Frame {
 	return frames
 }
 
-// publish makes a batch's estimates visible (the batch's newest frame
-// becomes Latest) and fans them out to link inboxes in frame order. The
-// state write lock covers only the counter/latest update and a snapshot
-// of the session list; the O(links × frames) inbox fan-out runs outside
-// it (only the per-link mutexes), so Latest reads never stall behind it.
-// Publish order across batches is preserved because run() is the only
-// publisher.
+// publish makes the batch's newest estimate visible as Latest and wakes
+// WaitFor callers. Older frames of the batch were inferred but are never
+// served: freshest-wins. Publish order across batches is preserved
+// because run() is the only publisher.
 func (s *Service) publish(frames []Frame, cirs [][]complex128, lat time.Duration) {
-	now := s.clock()
-	ests := make([]Estimate, len(frames))
-	for i, f := range frames {
-		ests[i] = Estimate{
-			CIR:         cirs[i],
-			FrameSeq:    f.Seq,
-			CapturedAt:  f.CapturedAt,
-			PublishedAt: now,
-			Inference:   lat,
-			Batch:       len(frames),
-		}
+	n := len(frames)
+	last := frames[n-1]
+	e := Estimate{
+		CIR:         cirs[n-1],
+		FrameSeq:    last.Seq,
+		CapturedAt:  last.CapturedAt,
+		PublishedAt: s.clock(),
+		Inference:   lat,
+		Batch:       n,
 	}
 	s.state.Lock()
-	s.latest = ests[len(ests)-1]
-	s.inferred += uint64(len(frames))
+	s.latest = e
+	s.inferred += uint64(n)
 	s.batches++
-	s.batchFrames += uint64(len(frames))
+	s.batchFrames += uint64(n)
 	s.inferTotal += lat
 	if lat > s.inferMax {
 		s.inferMax = lat
 	}
-	links := make([]*Link, 0, len(s.links))
-	//vvdlint:allow maporder -- fan-out to independent per-link inboxes; each link sees every estimate in order, cross-link delivery order is immaterial
-	for _, l := range s.links {
-		links = append(links, l)
-	}
 	s.state.Unlock()
-	for _, e := range ests {
-		for _, l := range links {
-			l.offer(e)
-		}
-	}
 
 	s.pubMu.Lock()
-	s.lastPub = frames[len(frames)-1].Seq
+	s.lastPub = last.Seq
 	close(s.pubCh)
 	s.pubCh = make(chan struct{})
 	s.pubMu.Unlock()

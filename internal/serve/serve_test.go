@@ -177,62 +177,14 @@ func TestBatchAmortization(t *testing.T) {
 	}
 }
 
-func TestLinkInboxOrderAndDropOldest(t *testing.T) {
-	est := &stubEstimator{}
-	s, err := New(Config{Estimator: est, LinkBuffer: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := s.OpenLink("sensor-7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.OpenLink("sensor-7"); err == nil {
-		t.Fatal("duplicate link id must fail")
-	}
-	// The first Next call subscribes the session to the estimate stream
-	// (nothing published yet, so it times out).
-	if _, ok := l.Next(5 * time.Millisecond); ok {
-		t.Fatal("Next before any publish must time out")
-	}
-	var last uint64
-	for i := 1; i <= 5; i++ {
-		last, _, _ = s.Submit(frame(i))
-		if _, ok := s.WaitFor(last, 5*time.Second); !ok {
-			t.Fatalf("frame %d never published", i)
-		}
-	}
-	// Inbox holds the newest 2 of 5 published estimates.
-	e1, ok := l.Next(time.Second)
-	if !ok || real(e1.CIR[0]) != 4 {
-		t.Fatalf("first inbox pop = %v (ok=%v), want frame 4", e1.CIR, ok)
-	}
-	e2, ok := l.Next(time.Second)
-	if !ok || real(e2.CIR[0]) != 5 {
-		t.Fatalf("second inbox pop = %v (ok=%v), want frame 5", e2.CIR, ok)
-	}
-	if _, ok := l.Next(10 * time.Millisecond); ok {
-		t.Fatal("empty inbox must time out")
-	}
-	st := l.Stats()
-	if st.Dropped != 3 || st.Served != 2 {
-		t.Fatalf("stats = %+v, want 3 dropped / 2 served", st)
-	}
-	if !s.CloseLink("sensor-7") || s.CloseLink("sensor-7") {
-		t.Fatal("CloseLink bookkeeping wrong")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestManyConcurrentLinks is the serving-scale acceptance test: ≥100 link
-// sessions read estimates concurrently with the camera feed, and every
-// served estimate's age stays within one frame period plus the inference
-// latency. Time is virtual (a manual clock that only advances between
-// publish cycles), so in clock terms the inference latency is zero and
-// the bound is exactly the frame period; goroutine interleaving stays
-// real, which is what -race exercises.
+// sessions read estimates through Fetch — the path both transports use —
+// concurrently with the camera feed, and every served estimate's age
+// stays within one frame period plus the inference latency. Time is
+// virtual (a manual clock that only advances between publish cycles), so
+// in clock terms the inference latency is zero and the bound is exactly
+// the frame period; goroutine interleaving stays real, which is what
+// -race exercises.
 func TestManyConcurrentLinks(t *testing.T) {
 	runManyConcurrentLinks(t, &stubEstimator{}, 0, frame)
 }
@@ -282,10 +234,12 @@ func runManyConcurrentLinks(t *testing.T, est BatchEstimator, inputSize int, mkF
 	if err != nil {
 		t.Fatal(err)
 	}
-	links := make([]*Link, nLinks)
-	for i := range links {
-		if links[i], err = s.OpenLink(fmt.Sprintf("link-%03d", i)); err != nil {
-			t.Fatal(err)
+	ids := make([]string, nLinks)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("link-%03d", i)
+		// The first Fetch opens the session; nothing is published yet.
+		if _, err := s.Fetch(ids[i]); !errors.Is(err, ErrNoEstimate) {
+			t.Fatalf("Fetch before any publish = %v, want ErrNoEstimate", err)
 		}
 	}
 
@@ -293,9 +247,9 @@ func runManyConcurrentLinks(t *testing.T, est BatchEstimator, inputSize int, mkF
 	var wg sync.WaitGroup
 	var violations atomic.Int64
 	var lastSubmitted atomic.Uint64
-	for _, l := range links {
+	for _, id := range ids {
 		wg.Add(1)
-		go func(l *Link) {
+		go func() {
 			defer wg.Done()
 			for {
 				select {
@@ -304,8 +258,9 @@ func runManyConcurrentLinks(t *testing.T, est BatchEstimator, inputSize int, mkF
 				default:
 				}
 				floor := s.Metrics().LastSeq // published before our read
-				e, ok := l.Latest()
-				if ok {
+				e, err := s.Fetch(id)
+				switch {
+				case err == nil:
 					// Freshest-wins: never older than what was already
 					// published when we asked.
 					if e.FrameSeq < floor {
@@ -314,10 +269,12 @@ func runManyConcurrentLinks(t *testing.T, est BatchEstimator, inputSize int, mkF
 					if e.FrameSeq > lastSubmitted.Load() {
 						violations.Add(1)
 					}
+				case !errors.Is(err, ErrNoEstimate):
+					violations.Add(1)
 				}
 				runtime.Gosched()
 			}
-		}(l)
+		}()
 	}
 
 	var lastSeq uint64
@@ -348,8 +305,7 @@ func runManyConcurrentLinks(t *testing.T, est BatchEstimator, inputSize int, mkF
 		t.Fatalf("%d freshness violations across %d links", violations.Load(), nLinks)
 	}
 	var served uint64
-	for _, l := range links {
-		st := l.Stats()
+	for _, st := range s.Links() {
 		served += st.Served
 		// The age bound: frame period + inference latency (zero in
 		// virtual time, since the clock only advances between frames).
@@ -427,28 +383,62 @@ func TestLinkCapAndInvalidID(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Link(""); err == nil {
+	if _, err := s.sessionFor(""); err == nil {
 		t.Fatal("empty link id must fail")
 	}
-	if _, err := s.Link("a"); err != nil {
+	a, err := s.sessionFor("a")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if l, err := s.Link("a"); err != nil || l == nil {
-		t.Fatalf("reopening an existing session must succeed: %v", err)
+	if again, err := s.sessionFor("a"); err != nil || again != a {
+		t.Fatalf("reopening an existing session must return it: %v", err)
 	}
-	if _, err := s.Link("b"); err != nil {
+	if _, err := s.sessionFor("b"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Link("c"); err == nil {
-		t.Fatal("MaxLinks cap must reject a third session")
+	if _, err := s.sessionFor("c"); !errors.Is(err, ErrLinkLimit) {
+		t.Fatalf("third session = %v, want ErrLinkLimit", err)
 	}
-	if _, err := s.OpenLink("c"); err == nil {
-		t.Fatal("MaxLinks cap must apply to OpenLink too")
+	if _, err := s.Fetch("c"); !errors.Is(err, ErrLinkLimit) {
+		t.Fatalf("Fetch on a third session = %v, want ErrLinkLimit", err)
 	}
-	if !s.CloseLink("a") {
-		t.Fatal("CloseLink failed")
+	if !s.CloseLink("a") || s.CloseLink("a") {
+		t.Fatal("CloseLink must report true for an open id, then false")
 	}
-	if _, err := s.Link("c"); err != nil {
+	if _, err := s.sessionFor("c"); err != nil {
 		t.Fatalf("closing a session must free capacity: %v", err)
+	}
+}
+
+// TestSessionGetOrOpenRace: concurrent first uses of one id share a single
+// session, so the cap never rejects an opener that lost the race. Each
+// round races a fresh id and closes it afterwards, freeing the one slot.
+func TestSessionGetOrOpenRace(t *testing.T) {
+	s, err := New(Config{Estimator: &stubEstimator{}, MaxLinks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const rounds, n = 200, 32
+	for r := range rounds {
+		id := fmt.Sprintf("shared-%d", r)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for range n {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, err := s.Fetch(id); !errors.Is(err, ErrNoEstimate) {
+					t.Errorf("round %d: Fetch = %v, want ErrNoEstimate (session opened, nothing published)", r, err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if links := s.Links(); len(links) != 1 || links[0].ID != id {
+			t.Fatalf("round %d: Links() = %+v, want exactly the one shared session", r, links)
+		}
+		s.CloseLink(id)
 	}
 }

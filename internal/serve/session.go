@@ -41,9 +41,12 @@ type SubmitResult struct {
 // SubmitAndWait is the whole "POST a frame" session flow with no
 // transport attached: resolve (auto-open) the link session, submit the
 // frame, wait until an estimate for it — or a newer frame, freshest-wins —
-// is published, and serve that estimate through the link so the session
-// statistics record it. wait <= 0 means DefaultWait; a wait above MaxWait
-// is clamped to it.
+// is published, and serve that estimate through the session so its
+// statistics record it. wait < 0 is fire-and-forget: the frame is
+// submitted and the result carries only the submission bookkeeping (no
+// estimate, nothing recorded). wait == 0 means DefaultWait; a wait above
+// MaxWait is clamped to it. Every transport calls this one function and
+// only chooses the reply shape.
 //
 // Errors are the package sentinels (possibly wrapped): ErrLinkLimit,
 // ErrClosed, ErrNotReady, ErrNoEstimate; anything else is a malformed
@@ -52,7 +55,7 @@ func (s *Service) SubmitAndWait(linkID string, img []float32, wait time.Duration
 	if len(img) == 0 {
 		return SubmitResult{}, fmt.Errorf("serve: empty frame")
 	}
-	link, err := s.Link(linkID)
+	l, err := s.sessionFor(linkID)
 	if err != nil {
 		return SubmitResult{}, err
 	}
@@ -61,7 +64,10 @@ func (s *Service) SubmitAndWait(linkID string, img []float32, wait time.Duration
 		return SubmitResult{}, err
 	}
 	res := SubmitResult{SubmittedSeq: seq, DroppedOldest: dropped}
-	if wait <= 0 {
+	if wait < 0 {
+		return res, nil
+	}
+	if wait == 0 {
 		wait = DefaultWait
 	}
 	wait = min(wait, MaxWait)
@@ -73,42 +79,31 @@ func (s *Service) SubmitAndWait(linkID string, img []float32, wait time.Duration
 			return res, fmt.Errorf("%w: frame %d after %v", ErrNotReady, seq, wait)
 		}
 	}
-	e, ok := link.Latest()
-	if !ok {
-		return res, ErrNoEstimate
-	}
-	res.Estimate = e
-	return res, nil
-}
-
-// SubmitFor submits a frame on behalf of a link session without waiting
-// for its estimate — the fire-and-forget half of SubmitAndWait, used by
-// camera feeders that only push frames while other sessions read.
-func (s *Service) SubmitFor(linkID string, img []float32) (SubmitResult, error) {
-	if len(img) == 0 {
-		return SubmitResult{}, fmt.Errorf("serve: empty frame")
-	}
-	if _, err := s.Link(linkID); err != nil {
-		return SubmitResult{}, err
-	}
-	seq, dropped, err := s.Submit(img)
-	if err != nil {
-		return SubmitResult{}, err
-	}
-	return SubmitResult{SubmittedSeq: seq, DroppedOldest: dropped}, nil
+	res.Estimate, err = s.serveLatest(l)
+	return res, err
 }
 
 // Fetch is the transport-agnostic "GET the freshest estimate" flow:
 // resolve (auto-open) the link session and serve the latest published
 // estimate through it. ErrNoEstimate before the first publish.
 func (s *Service) Fetch(linkID string) (Estimate, error) {
-	link, err := s.Link(linkID)
+	l, err := s.sessionFor(linkID)
 	if err != nil {
 		return Estimate{}, err
 	}
-	e, ok := link.Latest()
+	return s.serveLatest(l)
+}
+
+// serveLatest reads the freshest published estimate and records its age
+// in the session and the service-wide served counters.
+func (s *Service) serveLatest(l *session) (Estimate, error) {
+	e, ok := s.Latest()
 	if !ok {
 		return Estimate{}, ErrNoEstimate
 	}
+	age := e.AgeAt(s.clock())
+	l.record(age)
+	s.served.Add(1)
+	s.ages.record(age)
 	return e, nil
 }

@@ -209,9 +209,14 @@ func TestEstimatePayloadRoundTrip(t *testing.T) {
 func TestStatsPayloadRoundTrip(t *testing.T) {
 	now := time.Unix(0, time.Now().UnixNano())
 	in := []LinkStats{
-		{ID: "a", Served: 10, Dropped: 1, Pending: 2,
+		{ID: "a", Served: 10,
 			LastAge: time.Millisecond, MeanAge: 2 * time.Millisecond, MaxAge: 9 * time.Millisecond, OpenedAt: now},
 		{ID: "b", Served: 3, OpenedAt: now.Add(-time.Minute)},
+	}
+	// Many 1-byte ids: entries this close to minStatsEntry must still
+	// pass the too-short guard.
+	for i := range 64 {
+		in = append(in, LinkStats{ID: string(rune('!' + i)), Served: uint64(i), OpenedAt: now})
 	}
 	p := appendStatsReplyPayload(nil, in)
 	out, err := parseStatsReplyPayload(p, nil)

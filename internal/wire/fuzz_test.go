@@ -26,7 +26,7 @@ func seedFrames() map[string][]byte {
 		CIR: []complex64{complex(1, -1), complex(2, -2), complex(3, -3)},
 	}
 	stats := []LinkStats{{
-		ID: "cam-0", Served: 12, Dropped: 1, Pending: 2,
+		ID: "cam-0", Served: 12,
 		LastAge: time.Millisecond, MeanAge: 2 * time.Millisecond,
 		MaxAge: 5 * time.Millisecond, OpenedAt: time.Unix(0, 1700000000000000000),
 	}}
@@ -121,7 +121,7 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 		if stats, perr := parseStatsReplyPayload(payload, nil); perr == nil {
-			if len(stats)*50 > len(payload)+50 {
+			if len(stats)*minStatsEntry > len(payload) {
 				t.Fatalf("decoded %d stats entries from %d payload bytes", len(stats), len(payload))
 			}
 		}

@@ -96,14 +96,17 @@ func parseEstimatePayload(p []byte, e *EstimateReply) error {
 
 // ---- Stats reply ----
 
+// minStatsEntry is the smallest encoded stats entry: the u16 id length
+// (empty id), Served, three ages and OpenedAt. It bounds the entry count
+// a payload of a given size can honestly claim.
+const minStatsEntry = 2 + 8 + 3*8 + 8
+
 func appendStatsReplyPayload(b []byte, stats []LinkStats) []byte {
 	b = appendU32(b, uint32(len(stats)))
 	for i := range stats {
 		st := &stats[i]
 		b = appendString(b, st.ID)
 		b = appendU64(b, st.Served)
-		b = appendU64(b, st.Dropped)
-		b = appendU32(b, uint32(st.Pending))
 		b = appendDur(b, st.LastAge)
 		b = appendDur(b, st.MeanAge)
 		b = appendDur(b, st.MaxAge)
@@ -118,8 +121,8 @@ func parseStatsReplyPayload(p []byte, dst []LinkStats) ([]LinkStats, error) {
 	if n > maxStatsEntries {
 		return dst[:0], c.failDone("stats entry count %d exceeds limit %d", n, maxStatsEntries)
 	}
-	// Each entry is ≥ 50 bytes; bound the allocation by what is present.
-	if c.err == nil && len(p)-c.off < n*50 {
+	// Bound the allocation by what is present.
+	if c.err == nil && len(p)-c.off < n*minStatsEntry {
 		return dst[:0], c.failDone("stats payload too short for %d entries", n)
 	}
 	dst = dst[:0]
@@ -127,8 +130,6 @@ func parseStatsReplyPayload(p []byte, dst []LinkStats) ([]LinkStats, error) {
 		var st LinkStats
 		st.ID = c.str(maxLinkID)
 		st.Served = c.u64()
-		st.Dropped = c.u64()
-		st.Pending = int(c.u32())
 		st.LastAge = c.dur()
 		st.MeanAge = c.dur()
 		st.MaxAge = c.dur()

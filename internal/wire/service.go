@@ -57,21 +57,14 @@ func fillEstimate(reply *EstimateReply, e serve.Estimate, now time.Time) {
 
 // Submit implements Handler.
 func (h *ServiceHandler) Submit(link string, img []float32, wait time.Duration, reply *EstimateReply) error {
-	if wait < 0 {
-		res, err := h.svc.SubmitFor(link, img)
-		if err != nil {
-			return statusErr(err)
-		}
-		*reply = EstimateReply{SubmittedSeq: res.SubmittedSeq, DroppedOldest: res.DroppedOldest, CIR: reply.CIR[:0]}
-		return nil
-	}
 	res, err := h.svc.SubmitAndWait(link, img, wait)
 	if err != nil {
 		return statusErr(err)
 	}
-	fillEstimate(reply, res.Estimate, h.svc.Now())
-	reply.SubmittedSeq = res.SubmittedSeq
-	reply.DroppedOldest = res.DroppedOldest
+	*reply = EstimateReply{SubmittedSeq: res.SubmittedSeq, DroppedOldest: res.DroppedOldest, CIR: reply.CIR[:0]}
+	if wait >= 0 {
+		fillEstimate(reply, res.Estimate, h.svc.Now())
+	}
 	return nil
 }
 

@@ -54,7 +54,7 @@ const Magic = uint32(0x57445656)
 
 // Version is the protocol revision spoken by this build. A peer with a
 // different version is rejected at the preface.
-const Version = uint32(1)
+const Version = uint32(2)
 
 // MaxWait caps the server-side estimate wait a Submit may request; a
 // longer wait is clamped, bounding how long a hostile client can park
