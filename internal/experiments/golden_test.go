@@ -31,7 +31,7 @@ func goldenParams() Params {
 		Combos:   2,
 		Train: core.TrainConfig{
 			Arch:   core.Arch{Conv1: 2, Conv2: 2, Conv3: 4, Conv4: 4, Dense: 16, Pool: nn.AvgPool},
-			Epochs: 2, Batch: 8, Workers: 2, Seed: 7, LR: 1e-3,
+			Epochs: 3, Batch: 8, Workers: 2, Seed: 11, LR: 1e-3,
 		},
 		SkipPackets: 6,
 		Workers:     3,
