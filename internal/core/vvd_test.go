@@ -369,3 +369,74 @@ func TestEstimateBatchMatchesEstimate(t *testing.T) {
 		t.Fatal("expected untrained error")
 	}
 }
+
+// noGradients fails if any parameter of net holds a gradient buffer.
+func noGradients(t *testing.T, what string, net *nn.Network) {
+	t.Helper()
+	for i, p := range net.Params() {
+		if p.G != nil {
+			t.Errorf("%s: parameter %d holds a %d-element gradient", what, i, len(p.G))
+		}
+	}
+}
+
+// TestModelsCarryNoTrainingState: a trained, built or loaded VVD network
+// holds weights only — no gradients; the Nadam moments never live on a
+// parameter.
+func TestModelsCarryNoTrainingState(t *testing.T) {
+	net, err := BuildNetwork(ScaledArch(), rand.New(rand.NewPCG(1, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	noGradients(t, "built", net)
+	c := tinyCampaign(t)
+	v, _, err := Train(c, tinyCombo, dataset.LagCurrent, TrainConfig{Arch: tinyArch(), Epochs: 2, Batch: 8, Seed: 3, LR: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noGradients(t, "trained", v.Net)
+	var buf bytes.Buffer
+	if err := v.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadModel(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noGradients(t, "loaded", loaded.Net)
+	noGradients(t, "cloned", v.Clone().Net)
+}
+
+// TestLayerBackwardOnBuiltNetwork drives every layer's Forward and
+// Backward by hand on a freshly built ScaledArch network, as the layer
+// benchmarks do: the first Backward grows the gradient buffers.
+func TestLayerBackwardOnBuiltNetwork(t *testing.T) {
+	net, err := BuildNetwork(ScaledArch(), rand.New(rand.NewPCG(1, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, net.In.Size())
+	for i := range x {
+		x[i] = float64(i%17) / 17
+	}
+	out := x
+	for _, l := range net.Layers {
+		out = l.Forward(out)
+	}
+	g := make([]float64, len(out))
+	for i := range g {
+		g[i] = 0.01
+	}
+	for i := len(net.Layers) - 1; i >= 0; i-- {
+		g = net.Layers[i].Backward(g)
+	}
+	if len(g) != net.In.Size() {
+		t.Fatalf("input gradient of %d elements, want %d", len(g), net.In.Size())
+	}
+	for i, p := range net.Params() {
+		if len(p.G) != len(p.W) {
+			t.Fatalf("parameter %d: %d-element gradient for %d weights", i, len(p.G), len(p.W))
+		}
+	}
+	nn.NewNadam().Step(net.Params(), 16)
+}

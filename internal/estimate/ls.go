@@ -205,14 +205,45 @@ func ZF(h []complex128, l int) (c []complex128, delay int, err error) {
 // Equalize applies equalizer c to rx and returns n samples aligned with the
 // transmitted waveform: out[i] = (c*rx)[i+delay].
 func Equalize(rx, c []complex128, delay, n int) []complex128 {
-	full := dsp.Convolve(rx, c)
-	out := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		if idx := i + delay; idx < len(full) {
-			out[i] = full[idx]
+	return equalizeInto(make([]complex128, n), rx, c, delay)
+}
+
+// equalizeInto is Equalize writing its len(dst) samples into dst, which
+// must not alias rx. Only the kept window of the convolution is computed,
+// taps in the outer loop (ascending, zero taps skipped) as dsp.Convolve's
+// direct path runs them, so every sample sums the same products in the
+// same order and matches Equalize bit for bit. Equalizers long enough for
+// the FFT path, and receptions no longer than the equalizer (where the
+// direct path swaps its loops), take dsp.Convolve itself.
+func equalizeInto(dst, rx, c []complex128, delay int) []complex128 {
+	if len(c) >= dsp.FFTMinOverlap || len(rx) <= len(c) {
+		full := dsp.Convolve(rx, c)
+		for i := range dst {
+			dst[i] = 0
+			if idx := i + delay; idx < len(full) {
+				dst[i] = full[idx]
+			}
+		}
+		return dst
+	}
+	clear(dst)
+	for t, cv := range c {
+		if cv == 0 {
+			continue
+		}
+		// Output i reads rx[i+delay-t]; keep that read inside rx.
+		lo, hi := max(t-delay, 0), min(len(dst), len(rx)+t-delay)
+		if lo >= hi {
+			continue
+		}
+		in := rx[lo+delay-t : hi+delay-t]
+		out := dst[lo:hi]
+		out = out[:len(in)] // proves the equal lengths to the compiler
+		for i, v := range in {
+			out[i] += cv * v
 		}
 	}
-	return out
+	return dst
 }
 
 // MeanPhaseShift implements Eq. 8: the phase of the correlation between two

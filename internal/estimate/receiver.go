@@ -2,6 +2,7 @@ package estimate
 
 import (
 	"errors"
+	"math/cmplx"
 	"sync"
 
 	"vvd/internal/dsp"
@@ -168,14 +169,39 @@ func (res *Result) CER() float64 {
 // ErrNoEstimate signals a decode that required an estimate but got none.
 var ErrNoEstimate = errors.New("estimate: nil channel estimate")
 
+// decodeWork is Decode's scratch, pooled so that decoding packet after
+// packet allocates no waveform- or chip-sized buffer.
+type decodeWork struct {
+	eq    []complex128 // equalized waveform
+	soft  []float64    // matched-rail chip values
+	chips []byte       // hard chip decisions
+	bits  []byte       // despread bits
+	raw   []byte       // packed PPDU bytes
+}
+
+var decodeWorks = sync.Pool{New: func() any { return new(decodeWork) }}
+
+// grow returns s resized to n, reallocating only when its capacity falls
+// short. The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // Decode runs the chain on a CFO-corrected waveform with the given channel
 // estimate. A nil estimate selects Standard Decoding (no equalization; the
 // receiver aligns on the correlation peak only, per paper §5.1).
 // txChips are the true transmitted chips, used to count chip errors.
+// Decode only reads rx, so concurrent decodes may share one reception;
+// its buffers come from a pool.
 func (r *Receiver) Decode(rx []complex128, ppdu *phy.PPDU, txChips []byte, h []complex128) Result {
 	var res Result
 	nchips := len(ppdu.Bits) / phy.BitsPerSymbol * phy.ChipsPerSymbol
 	txLen := phy.WaveformLen(nchips)
+	w := decodeWorks.Get().(*decodeWork)
+	defer decodeWorks.Put(w)
 
 	var aligned []complex128
 	if h == nil {
@@ -195,56 +221,60 @@ func (r *Receiver) Decode(rx []complex128, ppdu *phy.PPDU, txChips []byte, h []c
 		if err != nil {
 			return res // undecodable estimate → packet error
 		}
-		aligned = Equalize(rx, c, delay, txLen)
+		w.eq = grow(w.eq, txLen)
+		aligned = equalizeInto(w.eq, rx, c, delay)
 	}
 
 	// Carrier phase recovery from the known SHR: for equalized techniques
 	// this is the Eq. 8 / footnote 4 mean phase correction reverting the
 	// unknown crystal offset; for standard decoding it is the phase of the
-	// synchronization correlation.
-	if !r.Cfg.SkipPhaseCorrection {
-		n := len(r.shrKnown)
-		if n > len(aligned) {
-			n = len(aligned)
-		}
+	// synchronization correlation. The rotation itself rides the matched
+	// filter.
+	var rot complex128
+	rotate := !r.Cfg.SkipPhaseCorrection
+	if rotate {
+		n := min(len(r.shrKnown), len(aligned))
 		theta := MeanPhaseShift(aligned[:n], r.shrKnown[:n])
 		res.Phase = theta
-		aligned = dsp.Rotate(aligned, -theta)
+		rot = cmplx.Exp(complex(0, -theta))
 	}
 
 	// Matched filtering ahead of the chip decisions (suppresses
-	// out-of-band noise, including ZF-enhanced noise).
-	aligned = phy.MatchedFilter(aligned)
-
-	chips := phy.ChipDecisions(aligned, nchips)
+	// out-of-band noise, including ZF-enhanced noise), evaluated at the
+	// chip instants only.
+	w.soft = grow(w.soft, nchips)
+	phy.MatchedChips(w.soft, aligned, rot, rotate)
+	w.chips = grow(w.chips, nchips)
+	for k, v := range w.soft {
+		w.chips[k] = 0
+		if v > 0 {
+			w.chips[k] = 1
+		}
+	}
 
 	// Chip errors over the PSDU region.
 	headerChips := (len(ppdu.Bits) - ppdu.PSDUBits) / phy.BitsPerSymbol * phy.ChipsPerSymbol
 	res.PSDUChips = nchips - headerChips
 	for i := headerChips; i < nchips && i < len(txChips); i++ {
-		if chips[i] != txChips[i] {
+		if w.chips[i] != txChips[i] {
 			res.ChipErrors++
 		}
 	}
 
 	// Despread and validate.
-	var bits []byte
 	if r.Cfg.SoftDespreading {
-		bits = phy.DespreadSoft(phy.SoftChips(aligned, nchips))
+		w.bits = phy.DespreadSoftInto(w.bits, w.soft)
 	} else {
-		bits = phy.DespreadChips(chips)
+		w.bits = phy.DespreadChipsInto(w.bits, w.chips)
 	}
-	if len(bits)%8 != 0 {
+	if len(w.bits)%8 != 0 {
 		return res
 	}
-	raw := phy.BitsToBytes(bits)
+	w.raw = phy.BitsToBytesInto(w.raw, w.bits)
 	hdr := phy.PreambleBytes + 2 // preamble + SFD + PHR
-	if len(raw) < hdr+ppdu.PSDULen {
+	if len(w.raw) < hdr+ppdu.PSDULen {
 		return res
 	}
-	psdu := raw[hdr : hdr+ppdu.PSDULen]
-	if _, err := phy.ParsePSDU(psdu); err == nil {
-		res.PacketOK = true
-	}
+	res.PacketOK = phy.ValidPSDU(w.raw[hdr : hdr+ppdu.PSDULen])
 	return res
 }

@@ -6,8 +6,9 @@
 // called out in DESIGN.md.
 //
 // The evaluation is organized around a pluggable Estimator registry (see
-// registry.go) and a parallel engine: Evaluate fans out over (combination ×
-// technique) tasks through a bounded worker pool, with model caches shared
+// registry.go) and a packet-major parallel engine: Evaluate walks each
+// combination's test packets in order and fans the technique lanes of each
+// packet out over a bounded worker pool, with model caches shared
 // singleflight-style so one VVD training or Kalman fit serves every
 // goroutine. Parallel output is byte-identical to the sequential run.
 package experiments
@@ -41,9 +42,9 @@ type Params struct {
 	// (the paper skips 200 of ~1500; scale accordingly).
 	SkipPackets int
 	// Workers bounds the evaluation fan-out: Evaluate runs up to Workers
-	// (combination × technique) tasks concurrently. 0 selects
-	// runtime.GOMAXPROCS(0); 1 reproduces the sequential engine exactly
-	// (results are byte-identical at any worker count).
+	// technique lanes concurrently. 0 selects runtime.GOMAXPROCS(0); 1
+	// reproduces the sequential engine exactly (results are byte-identical
+	// at any worker count).
 	Workers int
 	// Clock supplies wall time for the progress timings a cross-scenario
 	// sweep records (ScenarioResult.GenSeconds/EvalSeconds). nil disables
@@ -193,8 +194,9 @@ func (e *Engine) workers() int {
 
 // VVDFor returns (training on demand) the VVD variant for a combination.
 // Concurrent callers of the same key share a single training run. The
-// returned model is the cached instance: callers that run inference
-// concurrently must Clone it (network forward caches are per-instance).
+// returned model is the cached instance: its Estimate is safe for
+// concurrent use, but a caller that drives the float64 Net itself (its
+// forward caches are per-instance) must Clone it.
 func (e *Engine) VVDFor(cb dataset.Combination, lag dataset.ImageLag) (*core.VVD, error) {
 	key := vvdKey{combo: cb.Number, lag: lag, arch: e.P.Train.Arch}
 	e.mu.Lock()
@@ -264,249 +266,245 @@ func (r *ComboResult) Techniques() []string {
 	return out
 }
 
-// comboRun shares per-combination state between the technique tasks of one
-// evaluation: the test packets and the regenerated receptions. Receptions
-// are prepared lazily and exactly once — whichever technique task reaches a
-// packet first pays the regeneration, the rest reuse it.
-type comboRun struct {
-	e    *Engine
-	cb   dataset.Combination
-	test []*dataset.Packet
-	prep []preparedPacket
-	// pending counts this combination's unfinished technique tasks; the
-	// last one to finish releases the prepared waveforms (at paper scale
-	// they are hundreds of MB per combination).
-	pending atomic.Int32
+// lane is one technique's pass over a combination's test packets: its
+// private estimator and its counter.
+type lane struct {
+	est      Estimator
+	observer Observer
+	scoreMSE bool
+	c        metrics.Counter
 }
 
-// preparedPacket is one packet's decode-ready reception.
-type preparedPacket struct {
-	once sync.Once
-	// refs counts the technique tasks that have not yet passed this
-	// packet; the last one to pass releases the waveform. With Workers ≥
-	// technique count, memory is bounded by the pace spread between
-	// tasks; with fewer workers, up to one combination's prepared test
-	// set stays resident (~0.8 GB at paper scale) — the price of
-	// regenerating each reception once instead of once per technique.
-	refs    atomic.Int32
+// newLane builds technique name's estimator for a combination.
+func (e *Engine) newLane(cb dataset.Combination, name string) (*lane, error) {
+	build, err := Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	est, err := build(e, cb)
+	if err != nil {
+		return nil, err
+	}
+	l := &lane{est: est, scoreMSE: true}
+	l.observer, _ = est.(Observer)
+	if ex, ok := est.(MSEExempt); ok && ex.MSEExempt() {
+		l.scoreMSE = false
+	}
+	return l, nil
+}
+
+// reception is one test packet's decode-ready reception. The first lane
+// that decodes the packet regenerates and CFO-corrects it; the others
+// share it read-only, and it is dropped with the packet.
+type reception struct {
+	once    sync.Once
 	ppdu    *phy.PPDU
 	txChips []byte
 	rxc     []complex128 // CFO-corrected received waveform
 	err     error
 }
 
-// newComboRun prepares shared state for `tasks` technique tasks over one
-// combination.
-func newComboRun(e *Engine, cb dataset.Combination, tasks int) *comboRun {
-	test := e.Campaign.TestPackets(cb)
-	run := &comboRun{e: e, cb: cb, test: test, prep: make([]preparedPacket, len(test))}
-	run.pending.Store(int32(tasks))
-	for k := range run.prep {
-		run.prep[k].refs.Store(int32(tasks))
-	}
-	return run
-}
-
-// passed marks one task done with packet k, releasing the reception once
-// every task has moved past it.
-func (r *comboRun) passed(k int) {
-	if r.prep[k].refs.Add(-1) == 0 {
-		p := &r.prep[k]
-		p.ppdu, p.txChips, p.rxc = nil, nil, nil
-	}
-}
-
-// prepared returns packet k's reception, regenerating it on first use.
-func (r *comboRun) prepared(k int) (*preparedPacket, error) {
-	p := &r.prep[k]
-	p.once.Do(func() {
-		ppdu, txChips, rec, err := r.e.Campaign.ReceptionPacket(r.test[k])
+// prepare regenerates pkt's reception into rec on first use.
+func (e *Engine) prepare(rec *reception, pkt *dataset.Packet) error {
+	rec.once.Do(func() {
+		ppdu, txChips, r, err := e.Campaign.ReceptionPacket(pkt)
 		if err != nil {
-			p.err = err
+			rec.err = err
 			return
 		}
-		rxc, _ := r.e.Campaign.Receiver.CorrectCFO(rec.Waveform)
-		p.ppdu, p.txChips, p.rxc = ppdu, txChips, rxc
+		rec.ppdu, rec.txChips = ppdu, txChips
+		rec.rxc, _ = e.Campaign.Receiver.CorrectCFOInPlace(r.Waveform)
 	})
-	return p, p.err
+	return rec.err
 }
 
-// evaluateTechnique runs one technique over the combination's full test
-// sequence and returns its counter. This is the unit of parallelism: the
-// estimator instance is private to the call, all shared inputs are
-// read-only or singleflight-guarded.
-func (e *Engine) evaluateTechnique(run *comboRun, name string) (*metrics.Counter, error) {
-	build, err := Lookup(name)
+// step runs one lane over test packet k: estimate, then decode and score
+// if the packet counts, then observe.
+func (e *Engine) step(l *lane, k int, pkt *dataset.Packet, rec *reception) error {
+	// Estimate on every packet — stateful estimators advance through the
+	// warm-up window exactly as in the paper.
+	h, av, err := l.est.Estimate(k, pkt)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	est, err := build(e, run.cb)
-	if err != nil {
-		return nil, err
-	}
-	observer, _ := est.(Observer)
-	scoreMSE := true
-	if ex, ok := est.(MSEExempt); ok && ex.MSEExempt() {
-		scoreMSE = false
-	}
-	rx := e.Campaign.Receiver
-	c := &metrics.Counter{}
-	for k, pkt := range run.test {
-		// Estimate on every packet — stateful estimators advance through
-		// the warm-up window exactly as in the paper.
-		h, av, err := est.Estimate(k, pkt)
-		if err != nil {
-			return nil, err
-		}
-		if k >= e.P.SkipPackets {
-			switch av {
-			case Unavailable:
-				// Technique unavailable (e.g. preamble missed): the packet
-				// is assumed erroneous; no chips or MSE counted.
-				c.AddUnavailable()
-			case Available:
-				pp, err := run.prepared(k)
-				if err != nil {
-					return nil, err
-				}
-				dec := rx.Decode(pp.rxc, pp.ppdu, pp.txChips, h)
-				c.AddPacket(dec.PacketOK, dec.ChipErrors, dec.PSDUChips)
-				if h != nil && scoreMSE {
-					aligned := estimate.AlignPhase(h, pkt.Perfect)
-					c.AddMSE(metrics.SqError(aligned, pkt.Perfect), len(pkt.Perfect))
-				}
+	if k >= e.P.SkipPackets {
+		switch av {
+		case Unavailable:
+			// Technique unavailable (e.g. preamble missed): the packet is
+			// assumed erroneous; no chips or MSE counted.
+			l.c.AddUnavailable()
+		case Available:
+			if err := e.prepare(rec, pkt); err != nil {
+				return err
+			}
+			dec := e.Campaign.Receiver.Decode(rec.rxc, rec.ppdu, rec.txChips, h)
+			l.c.AddPacket(dec.PacketOK, dec.ChipErrors, dec.PSDUChips)
+			if h != nil && l.scoreMSE {
+				aligned := estimate.AlignPhase(h, pkt.Perfect)
+				l.c.AddMSE(metrics.SqError(aligned, pkt.Perfect), len(pkt.Perfect))
 			}
 		}
-		// Filters absorb the perfect estimate of this packet before
-		// predicting the next one (paper appendix).
-		if observer != nil {
-			if err := observer.Observe(k, pkt); err != nil {
-				return nil, err
-			}
-		}
-		run.passed(k)
 	}
-	return c, nil
+	// Filters absorb the perfect estimate of this packet before predicting
+	// the next one (paper appendix).
+	if l.observer != nil {
+		return l.observer.Observe(k, pkt)
+	}
+	return nil
 }
 
-// EvaluateCombo runs the full decode comparison on one combination's test
-// set for the requested techniques (nil = core.AllTechniques). Every
-// technique resolves through the registry; the techniques run sequentially
-// within this call — use Evaluate for the parallel fan-out.
-func (e *Engine) EvaluateCombo(cb dataset.Combination, techniques []string) (*ComboResult, error) {
-	if techniques == nil {
-		techniques = core.AllTechniques
+// workPool runs batches of calls on a fixed set of goroutines.
+type workPool chan func()
+
+// startWorkPool starts the pool's goroutines; stop closes the pool and
+// waits for them to exit.
+func startWorkPool(workers int) (p workPool, stop func()) {
+	p = make(workPool)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for f := range p {
+				f()
+			}
+		}()
 	}
-	// Catch typos before any training or decoding starts (same pre-pass
-	// as Evaluate).
-	for _, name := range techniques {
-		if _, err := Lookup(name); err != nil {
+	return p, func() {
+		close(p)
+		wg.Wait()
+	}
+}
+
+// each runs f(0), …, f(n-1) on the pool and waits for all of them.
+func (p workPool) each(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		p <- func() {
+			defer wg.Done()
+			f(i)
+		}
+	}
+	wg.Wait()
+}
+
+// evaluateCombo is the packet-major evaluation loop of one combination.
+// It builds one lane per technique, then walks the test packets in order:
+// at each packet every lane estimates, decodes and observes, the lanes
+// fanning out over the pool, and the packet's reception — regenerated
+// only if some lane decodes it — is dropped before the next packet. At
+// most one reception per combination is resident. Each lane sees its
+// packets in order whatever the pool width, so results do not depend on
+// it. It gives up between packets once stop reports true, and sets it on
+// an error.
+func (e *Engine) evaluateCombo(pool workPool, cb dataset.Combination, techniques []string, stop *atomic.Bool) (*ComboResult, error) {
+	lanes := make([]*lane, len(techniques))
+	errs := make([]error, len(techniques))
+	firstErr := func() error {
+		for _, err := range errs {
+			if err != nil {
+				stop.Store(true)
+				return err
+			}
+		}
+		return nil
+	}
+	pool.each(len(techniques), func(i int) {
+		lanes[i], errs[i] = e.newLane(cb, techniques[i])
+	})
+	if err := firstErr(); err != nil {
+		return nil, err
+	}
+	for k, pkt := range e.Campaign.TestPackets(cb) {
+		if stop.Load() {
+			return nil, nil
+		}
+		rec := &reception{}
+		pool.each(len(lanes), func(i int) {
+			errs[i] = e.step(lanes[i], k, pkt, rec)
+		})
+		if err := firstErr(); err != nil {
 			return nil, err
 		}
 	}
-	if err := cb.Validate(e.Campaign); err != nil {
-		return nil, err
-	}
-	run := newComboRun(e, cb, len(techniques))
 	res := &ComboResult{Combo: cb, Counters: map[string]*metrics.Counter{}}
-	for _, name := range techniques {
-		c, err := e.evaluateTechnique(run, name)
-		if err != nil {
-			return nil, err
-		}
-		// As in the original engine, a technique that never produced a
-		// countable packet (e.g. Skip on every recorded packet) is omitted
-		// rather than reported as a zero-error counter.
-		if c.Packets > 0 {
+	for i, name := range techniques {
+		// A technique that never produced a countable packet (e.g. Skip on
+		// every recorded packet) is omitted rather than reported as a
+		// zero-error counter.
+		if c := &lanes[i].c; c.Packets > 0 {
 			res.Counters[name] = c
 		}
 	}
 	return res, nil
 }
 
-// Evaluate runs the decode comparison over every selected combination,
-// fanning (combination × technique) tasks through a bounded worker pool of
-// Params.Workers goroutines. Result ordering follows Combos() regardless of
-// scheduling, and the counters are byte-identical to a Workers=1 run: each
-// task owns its estimator instance, receptions are shared per combination,
-// and model caches are singleflight-guarded.
-func (e *Engine) Evaluate(techniques []string) ([]*ComboResult, error) {
+// checkTechniques resolves nil to core.AllTechniques and catches typos
+// before any training or decoding starts.
+func checkTechniques(techniques []string) ([]string, error) {
 	if techniques == nil {
 		techniques = core.AllTechniques
 	}
-	// Catch typos before any training or decoding starts.
 	for _, name := range techniques {
 		if _, err := Lookup(name); err != nil {
 			return nil, err
 		}
 	}
-	combos := e.Combos()
+	return techniques, nil
+}
+
+// EvaluateCombo runs the full decode comparison on one combination's test
+// set for the requested techniques (nil = core.AllTechniques). Every
+// technique resolves through the registry; the techniques fan out over
+// Params.Workers goroutines packet by packet, exactly as in Evaluate.
+func (e *Engine) EvaluateCombo(cb dataset.Combination, techniques []string) (*ComboResult, error) {
+	res, err := e.evaluate([]dataset.Combination{cb}, techniques)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// Evaluate runs the decode comparison over every selected combination.
+// The combinations run concurrently, each walking its test packets in
+// order, and the technique lanes of each packet share a pool of
+// Params.Workers goroutines. Result ordering follows Combos(), and the
+// counters are byte-identical to a Workers=1 run: each lane owns its
+// estimator and sees its packets in order, receptions are shared
+// read-only, and model caches are singleflight-guarded.
+func (e *Engine) Evaluate(techniques []string) ([]*ComboResult, error) {
+	return e.evaluate(e.Combos(), techniques)
+}
+
+func (e *Engine) evaluate(combos []dataset.Combination, techniques []string) ([]*ComboResult, error) {
+	techniques, err := checkTechniques(techniques)
+	if err != nil {
+		return nil, err
+	}
 	for _, cb := range combos {
 		if err := cb.Validate(e.Campaign); err != nil {
 			return nil, err
 		}
 	}
-	runs := make([]*comboRun, len(combos))
-	counters := make([][]*metrics.Counter, len(combos))
-	errs := make([][]error, len(combos))
-	for i, cb := range combos {
-		runs[i] = newComboRun(e, cb, len(techniques))
-		counters[i] = make([]*metrics.Counter, len(techniques))
-		errs[i] = make([]error, len(techniques))
-	}
-
-	type task struct{ ci, ti int }
-	tasks := make(chan task)
+	pool, stopPool := startWorkPool(e.workers())
+	defer stopPool()
+	out := make([]*ComboResult, len(combos))
+	errs := make([]error, len(combos))
+	var stop atomic.Bool
 	var wg sync.WaitGroup
-	var failed atomic.Bool
-	for w := 0; w < e.workers(); w++ {
+	for i, cb := range combos {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for t := range tasks {
-				run := runs[t.ci]
-				// Fail fast: once any task errors, drain the remaining
-				// tasks without evaluating them.
-				if !failed.Load() {
-					counters[t.ci][t.ti], errs[t.ci][t.ti] = e.evaluateTechnique(run, techniques[t.ti])
-					if errs[t.ci][t.ti] != nil {
-						failed.Store(true)
-					}
-				}
-				if run.pending.Add(-1) == 0 {
-					run.prep = nil // last task of this combo: release waveforms
-				}
-			}
+			out[i], errs[i] = e.evaluateCombo(pool, cb, techniques, &stop)
 		}()
 	}
-	for ci := range combos {
-		for ti := range techniques {
-			tasks <- task{ci, ti}
-		}
-	}
-	close(tasks)
 	wg.Wait()
-	if failed.Load() {
-		for _, errCombo := range errs {
-			for _, err := range errCombo {
-				if err != nil {
-					return nil, err
-				}
-			}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-	}
-
-	out := make([]*ComboResult, len(combos))
-	for ci, cb := range combos {
-		res := &ComboResult{Combo: cb, Counters: map[string]*metrics.Counter{}}
-		for ti, name := range techniques {
-			// Omit techniques that never produced a countable packet,
-			// mirroring EvaluateCombo.
-			if c := counters[ci][ti]; c.Packets > 0 {
-				res.Counters[name] = c
-			}
-		}
-		out[ci] = res
 	}
 	return out, nil
 }

@@ -46,7 +46,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return &combinedVVDEstimator{v: v.Clone()}, nil
+		return &combinedVVDEstimator{v: v}, nil
 	})
 	Register(core.TechCombinedKalman, func(e *Engine, cb dataset.Combination) (Estimator, error) {
 		k, err := e.KalmanFor(cb, 20)
@@ -156,14 +156,15 @@ type vvdEstimator struct {
 
 // VVDBuilder returns a Builder for a VVD variant at the given image lag.
 // The trained model comes from the engine's cache (one training run shared
-// across goroutines); the instance estimates on a private clone.
+// across goroutines), and every instance estimates on it directly: VVD
+// inference is safe for concurrent use.
 func VVDBuilder(name string, lag dataset.ImageLag) Builder {
 	return func(e *Engine, cb dataset.Combination) (Estimator, error) {
 		v, err := e.VVDFor(cb, lag)
 		if err != nil {
 			return nil, err
 		}
-		return &vvdEstimator{name: name, lag: lag, v: v.Clone()}, nil
+		return &vvdEstimator{name: name, lag: lag, v: v}, nil
 	}
 }
 
@@ -183,9 +184,9 @@ func (ve *vvdEstimator) Estimate(k int, pkt *dataset.Packet) ([]complex128, Avai
 // Combined techniques recompute their base model's per-packet work (a
 // second VVD inference here, a second Kalman predict/update chain below)
 // instead of sharing the base technique's output. That duplication is the
-// price of task isolation: it is what lets every (combination × technique)
-// pair run on its own goroutine with bit-reproducible results, and the
-// extra work parallelizes away at Workers > 1.
+// price of lane isolation: it is what lets every technique lane run on
+// its own goroutine with bit-reproducible results, and the extra work
+// parallelizes away at Workers > 1.
 type combinedVVDEstimator struct {
 	v *core.VVD
 }

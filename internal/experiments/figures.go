@@ -351,36 +351,44 @@ func RunAging(e *Engine, agesPackets []int) (*AgingResult, error) {
 		return nil, fmt.Errorf("experiments: max age %d ≥ test set size %d", maxAge, len(test))
 	}
 	rx := e.Campaign.Receiver
-	res := &AgingResult{}
-	for _, age := range agesPackets {
-		var genie, vvdC metrics.Counter
-		for k := maxAge; k < len(test); k++ {
-			pkt := test[k]
+	// Packets run in the outer loop, so each reception is regenerated once
+	// and each packet's VVD estimate is computed once for every age that
+	// reads it; each age's counters still accumulate in packet order.
+	genie := make([]metrics.Counter, len(agesPackets))
+	vvdC := make([]metrics.Counter, len(agesPackets))
+	vvdEst := make([][]complex128, len(test))
+	for k := maxAge; k < len(test); k++ {
+		pkt := test[k]
+		ppdu, txChips, rec, err := e.Campaign.ReceptionPacket(pkt)
+		if err != nil {
+			return nil, err
+		}
+		rxc, _ := rx.CorrectCFOInPlace(rec.Waveform)
+		for ai, age := range agesPackets {
 			old := test[k-age]
-			ppdu, txChips, rec, err := e.Campaign.ReceptionPacket(pkt)
-			if err != nil {
-				return nil, err
-			}
-			rxc, _ := rx.CorrectCFO(rec.Waveform)
-
 			gEst := old.PreambleEst
 			dec := rx.Decode(rxc, ppdu, txChips, gEst)
-			genie.AddPacket(dec.PacketOK, dec.ChipErrors, dec.PSDUChips)
-			genie.AddMSE(metrics.SqError(estimate.AlignPhase(gEst, pkt.Perfect), pkt.Perfect), len(pkt.Perfect))
+			genie[ai].AddPacket(dec.PacketOK, dec.ChipErrors, dec.PSDUChips)
+			genie[ai].AddMSE(metrics.SqError(estimate.AlignPhase(gEst, pkt.Perfect), pkt.Perfect), len(pkt.Perfect))
 
-			vEst, err := vvd.Estimate(old.Images[dataset.LagCurrent])
-			if err != nil {
-				return nil, err
+			if vvdEst[k-age] == nil {
+				if vvdEst[k-age], err = vvd.Estimate(old.Images[dataset.LagCurrent]); err != nil {
+					return nil, err
+				}
 			}
+			vEst := vvdEst[k-age]
 			dec = rx.Decode(rxc, ppdu, txChips, vEst)
-			vvdC.AddPacket(dec.PacketOK, dec.ChipErrors, dec.PSDUChips)
-			vvdC.AddMSE(metrics.SqError(estimate.AlignPhase(vEst, pkt.Perfect), pkt.Perfect), len(pkt.Perfect))
+			vvdC[ai].AddPacket(dec.PacketOK, dec.ChipErrors, dec.PSDUChips)
+			vvdC[ai].AddMSE(metrics.SqError(estimate.AlignPhase(vEst, pkt.Perfect), pkt.Perfect), len(pkt.Perfect))
 		}
+	}
+	res := &AgingResult{}
+	for ai, age := range agesPackets {
 		res.AgesSeconds = append(res.AgesSeconds, float64(age)*dataset.PacketInterval)
-		res.GenieMSE = append(res.GenieMSE, genie.MSE())
-		res.VVDMSE = append(res.VVDMSE, vvdC.MSE())
-		res.GeniePER = append(res.GeniePER, genie.PER())
-		res.VVDPER = append(res.VVDPER, vvdC.PER())
+		res.GenieMSE = append(res.GenieMSE, genie[ai].MSE())
+		res.VVDMSE = append(res.VVDMSE, vvdC[ai].MSE())
+		res.GeniePER = append(res.GeniePER, genie[ai].PER())
+		res.VVDPER = append(res.VVDPER, vvdC[ai].PER())
 	}
 	return res, nil
 }

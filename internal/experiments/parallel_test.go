@@ -55,26 +55,41 @@ func assertSameResults(t *testing.T, want, got []*ComboResult) {
 }
 
 // TestEvaluateParallelMatchesSequential is the determinism contract of the
-// worker pool: Workers=1 and Workers=8 must produce identical ComboResults
-// over all 14 techniques. Run under -race this also exercises the
-// singleflight model caches, shared reception preparation and per-task
-// estimator clones.
+// packet-major engine: at one and at two combinations, Workers 3 and 8
+// must produce the Workers=1 ComboResults over all 14 techniques, and a
+// combination's result must not depend on which others run beside it.
+// Run under -race this also exercises the singleflight model caches, the
+// shared per-packet receptions and the concurrent combination loops.
 func TestEvaluateParallelMatchesSequential(t *testing.T) {
 	e := sharedEngine(t)
-	origWorkers := e.P.Workers
-	defer func() { e.P.Workers = origWorkers }()
+	origWorkers, origCombos := e.P.Workers, e.P.Combos
+	defer func() { e.P.Workers, e.P.Combos = origWorkers, origCombos }()
 
-	e.P.Workers = 1
-	seq, err := e.Evaluate(nil) // nil = all 14 techniques
-	if err != nil {
-		t.Fatal(err)
+	var seqOne []*ComboResult
+	for _, combos := range []int{1, 2} {
+		e.P.Combos = combos
+		var seq []*ComboResult
+		for _, workers := range []int{1, 3, 8} {
+			e.P.Workers = workers
+			res, err := e.Evaluate(nil) // nil = all 14 techniques
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) != combos {
+				t.Fatalf("Combos=%d Workers=%d: %d results", combos, workers, len(res))
+			}
+			if seq == nil {
+				seq = res
+				continue
+			}
+			assertSameResults(t, seq, res)
+		}
+		if seqOne == nil {
+			seqOne = seq
+		} else {
+			assertSameResults(t, seqOne, seq[:1])
+		}
 	}
-	e.P.Workers = 8
-	par, err := e.Evaluate(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResults(t, seq, par)
 }
 
 // TestEvaluateComboMatchesParallel pins the single-combo sequential API to

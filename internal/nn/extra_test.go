@@ -72,7 +72,7 @@ func TestNadamConvergesOnQuadratic(t *testing.T) {
 	o := NewNadam()
 	o.LR = 0.05
 	for i := 0; i < 2000; i++ {
-		p.G[0] = 2 * (p.W[0] - 3)
+		p.grad()[0] = 2 * (p.W[0] - 3)
 		o.Step([]*Param{p}, 1)
 	}
 	if math.Abs(p.W[0]-3) > 0.05 {

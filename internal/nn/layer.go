@@ -7,6 +7,11 @@
 // Tensors are flat []float64 in row-major [H][W][C] layout; layers carry
 // their own forward caches, so one network instance must not be used from
 // multiple goroutines concurrently (the trainer clones per worker).
+//
+// Parameters carry no optimizer state: a built, loaded or cloned network
+// holds its weights only. Gradient buffers appear on the first Backward,
+// the Nadam moments live in the optimizer, and Fit hands the network back
+// weights-only.
 package nn
 
 import (
@@ -24,17 +29,22 @@ func (s Shape) Size() int { return s.H * s.W * s.C }
 
 func (s Shape) String() string { return fmt.Sprintf("%dx%dx%d", s.H, s.W, s.C) }
 
-// Param is a learnable parameter tensor with its gradient and Nadam
-// moments. Workers share W but keep private G.
+// Param is a learnable parameter tensor and, while it trains, its
+// gradient. Workers share W but keep private G. G is nil until the first
+// Backward through the parameter; the optimizer keeps its moments itself.
 type Param struct {
 	W []float64 // values (shared across clones)
-	G []float64 // gradient accumulator (per clone)
-	M []float64 // first moment (owned by the optimizer)
-	V []float64 // second moment
+	G []float64 // gradient accumulator (per clone; nil until trained)
 }
 
-func newParam(n int) *Param {
-	return &Param{W: make([]float64, n), G: make([]float64, n), M: make([]float64, n), V: make([]float64, n)}
+func newParam(n int) *Param { return &Param{W: make([]float64, n)} }
+
+// grad returns the gradient accumulator, allocating it on first use.
+func (p *Param) grad() []float64 {
+	if p.G == nil {
+		p.G = make([]float64, len(p.W))
+	}
+	return p.G
 }
 
 // Layer is one differentiable stage of the network.
@@ -44,7 +54,7 @@ type Layer interface {
 	// Forward computes the layer output, caching whatever Backward needs.
 	Forward(in []float64) []float64
 	// Backward consumes ∂L/∂out and returns ∂L/∂in, accumulating parameter
-	// gradients into Params().
+	// gradients into Params() (allocating them on first use).
 	Backward(gradOut []float64) []float64
 	// Params returns learnable parameters (empty for stateless layers).
 	Params() []*Param
@@ -141,12 +151,13 @@ func (c *Conv2D) Backward(gradOut []float64) []float64 {
 	iw := c.in.W
 	gradIn := make([]float64, c.in.Size())
 	in := c.inCache
+	wG, bG := c.w.grad(), c.b.grad()
 	for y := 0; y < oh; y++ {
 		for x := 0; x < ow; x++ {
 			base := (y*ow + x) * oc
 			gRow := gradOut[base : base+oc]
 			for f, gv := range gRow {
-				c.b.G[f] += gv
+				bG[f] += gv
 			}
 			for ky := 0; ky < c.KH; ky++ {
 				for kx := 0; kx < c.KW; kx++ {
@@ -155,7 +166,7 @@ func (c *Conv2D) Backward(gradOut []float64) []float64 {
 					for ci := 0; ci < ic; ci++ {
 						iv := in[inBase+ci]
 						wRow := c.w.W[wBase+ci*oc : wBase+(ci+1)*oc]
-						gwRow := c.w.G[wBase+ci*oc : wBase+(ci+1)*oc]
+						gwRow := wG[wBase+ci*oc : wBase+(ci+1)*oc]
 						var acc float64
 						for f, gv := range gRow {
 							gwRow[f] += iv * gv
@@ -175,10 +186,9 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} }
 func (c *Conv2D) clone() Layer {
 	cp := *c
 	cp.inCache = nil
-	// Share W (and M/V via the same Param struct is wrong for gradients:
-	// clones need private G). Build shadow params sharing W/M/V slices.
-	cp.w = &Param{W: c.w.W, G: make([]float64, len(c.w.G)), M: c.w.M, V: c.w.V}
-	cp.b = &Param{W: c.b.W, G: make([]float64, len(c.b.G)), M: c.b.M, V: c.b.V}
+	// Shadow params share W; each clone grows its own G when it trains.
+	cp.w = &Param{W: c.w.W}
+	cp.b = &Param{W: c.b.W}
 	return &cp
 }
 
@@ -417,12 +427,13 @@ func (d *Dense) Forward(in []float64) []float64 {
 
 func (d *Dense) Backward(gradOut []float64) []float64 {
 	gradIn := make([]float64, len(d.inCache))
+	wG, bG := d.w.grad(), d.b.grad()
 	for j, g := range gradOut {
-		d.b.G[j] += g
+		bG[j] += g
 	}
 	for i, iv := range d.inCache {
 		row := d.w.W[i*d.Units : (i+1)*d.Units]
-		gRow := d.w.G[i*d.Units : (i+1)*d.Units]
+		gRow := wG[i*d.Units : (i+1)*d.Units]
 		var acc float64
 		for j, g := range gradOut {
 			gRow[j] += iv * g
@@ -438,8 +449,8 @@ func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
 func (d *Dense) clone() Layer {
 	cp := *d
 	cp.inCache = nil
-	cp.w = &Param{W: d.w.W, G: make([]float64, len(d.w.G)), M: d.w.M, V: d.w.V}
-	cp.b = &Param{W: d.b.W, G: make([]float64, len(d.b.G)), M: d.b.M, V: d.b.V}
+	cp.w = &Param{W: d.w.W}
+	cp.b = &Param{W: d.b.W}
 	return &cp
 }
 

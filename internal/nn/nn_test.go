@@ -357,8 +357,8 @@ func TestCloneSharesWeights(t *testing.T) {
 		t.Fatal("clone does not share weights")
 	}
 	// Gradients must be private.
-	clone.Params()[0].G[0] = 7
-	if net.Params()[0].G[0] == 7 {
+	clone.Params()[0].grad()[0] = 7
+	if g := net.Params()[0].G; g != nil && g[0] == 7 {
 		t.Fatal("clone shares gradient buffers")
 	}
 }

@@ -24,6 +24,9 @@ type Nadam struct {
 
 	t     int
 	epoch int
+	// m and v are the first and second moments, one slice per parameter
+	// in the order Step receives them, allocated on the first Step.
+	m, v [][]float64
 }
 
 // NewNadam returns the paper's optimizer configuration.
@@ -42,8 +45,21 @@ func (o *Nadam) NextEpoch() { o.epoch++ }
 
 // Step applies one Nadam update to the parameters using their accumulated
 // gradients (scaled by 1/batch), then leaves gradients untouched (caller
-// zeroes them).
+// zeroes them). Every Step of one optimizer must see the same parameters
+// in the same order: the moments are kept by position. A parameter
+// without a gradient yet does not move.
 func (o *Nadam) Step(params []*Param, batch int) {
+	if o.m == nil {
+		o.m = make([][]float64, len(params))
+		o.v = make([][]float64, len(params))
+		for i, p := range params {
+			o.m[i] = make([]float64, len(p.W))
+			o.v[i] = make([]float64, len(p.W))
+		}
+	}
+	if len(params) != len(o.m) {
+		panic("nn: Nadam stepped over a different parameter set")
+	}
 	o.t++
 	lr := o.EffectiveLR()
 	b1, b2 := o.Beta1, o.Beta2
@@ -53,13 +69,14 @@ func (o *Nadam) Step(params []*Param, batch int) {
 	bc1Next := 1 - math.Pow(b1, t+1)
 	bc2 := 1 - math.Pow(b2, t)
 	scale := 1 / float64(batch)
-	for _, p := range params {
+	for pi, p := range params {
+		m, v := o.m[pi], o.v[pi]
 		for i, g := range p.G {
 			g *= scale
-			p.M[i] = b1*p.M[i] + (1-b1)*g
-			p.V[i] = b2*p.V[i] + (1-b2)*g*g
-			mHat := p.M[i]/bc1Next*b1 + (1-b1)*g/bc1
-			vHat := p.V[i] / bc2
+			m[i] = b1*m[i] + (1-b1)*g
+			v[i] = b2*v[i] + (1-b2)*g*g
+			mHat := m[i]/bc1Next*b1 + (1-b1)*g/bc1
+			vHat := v[i] / bc2
 			p.W[i] -= lr * mHat / (math.Sqrt(vHat) + o.Epsilon)
 		}
 	}
@@ -96,7 +113,9 @@ type History struct {
 
 // Fit trains the network with Nadam + MSE, evaluating the validation set
 // each epoch and restoring the best-validation weights at the end (the
-// paper selects the epoch with the best validation performance).
+// paper selects the epoch with the best validation performance). Training
+// runs on clones, so net itself never runs a forward pass, and Fit
+// releases its gradients on return: net comes back weights-only.
 func Fit(net *Network, opt *Nadam, train, val []Sample, cfg TrainConfig) (*History, error) {
 	if len(train) == 0 {
 		return nil, errors.New("nn: Fit needs training samples")
@@ -125,8 +144,17 @@ func Fit(net *Network, opt *Nadam, train, val []Sample, cfg TrainConfig) (*Histo
 	for i := range clones {
 		clones[i] = net.Clone()
 	}
+	valNet := net.Clone()
 	hist := &History{BestVal: math.Inf(1), BestEpoch: -1}
 	masterParams := net.Params()
+	for _, p := range masterParams {
+		p.grad()
+	}
+	defer func() {
+		for _, p := range masterParams {
+			p.G = nil
+		}
+	}()
 	var best [][]float64
 
 	order := make([]int, len(train))
@@ -169,7 +197,7 @@ func Fit(net *Network, opt *Nadam, train, val []Sample, cfg TrainConfig) (*Histo
 		valLoss := trainLoss
 		if len(val) > 0 {
 			var err error
-			valLoss, err = Evaluate(net, val)
+			valLoss, err = Evaluate(valNet, val)
 			if err != nil {
 				return nil, err
 			}

@@ -59,6 +59,12 @@ func ParsePSDU(psdu []byte) (*Frame, error) {
 	return &Frame{SeqNum: psdu[0], Payload: payload}, nil
 }
 
+// ValidPSDU reports whether ParsePSDU would accept psdu — long enough for
+// the header and FCS, with a valid FCS — without decoding the frame.
+func ValidPSDU(psdu []byte) bool {
+	return len(psdu) >= psduOverhead && CheckFCS(psdu)
+}
+
 // DefaultPayload returns the constant measurement payload of the requested
 // PSDU length (so that PSDU = 1 + len(payload) + 2 bytes), a repeating
 // pattern as used by the paper's fixed-payload packets.

@@ -85,26 +85,51 @@ func (m *Modulator) ModulatePPDU(p *PPDU) []complex128 {
 	return m.ModulateBits(p.Bits)
 }
 
-// MatchedFilter correlates the waveform with the half-sine chip pulse,
-// normalized so pulse peaks keep unit amplitude. Sampling the output at the
-// pulse peaks realizes the matched-filter receiver: out-of-band noise (and
-// any noise enhanced by zero-forcing equalization outside the signal band)
-// is suppressed ahead of the chip decisions, while same-rail pulses remain
-// orthogonal at the decision instants.
-func MatchedFilter(x []complex128) []complex128 {
+// MatchedChips fills soft with the per-chip matched-rail values of x,
+// one per chip (len(soft) chips): x is multiplied by rot (when rotate is
+// set) and correlated with the half-sine chip pulse, normalized so pulse
+// peaks keep unit amplitude, and chip k is read at its pulse peak
+// (k+1)·SamplesPerChip — the real part for even chips, the imaginary part
+// for odd ones. This is the matched-filter receiver: out-of-band noise
+// (including noise that zero-forcing equalization enhanced outside the
+// signal band) is suppressed ahead of the chip decisions, while same-rail
+// pulses stay orthogonal at the decision instants.
+//
+// The filter runs only at the chip instants and each sample is rotated
+// where the filter reads it, so nothing waveform-sized is written; every
+// value equals rotating the whole waveform, filtering it at every sample
+// and sampling the result (SoftChips). Chips whose peak lies beyond x read
+// zero.
+func MatchedChips(soft []float64, x []complex128, rot complex128, rotate bool) {
 	pulse, energy := matchedPulse()
-	out := make([]complex128, len(x))
 	half := len(pulse) / 2
-	for i := range x {
+	for k := range soft {
+		idx := (k + 1) * SamplesPerChip
+		if idx >= len(x) {
+			clear(soft[k:])
+			return
+		}
 		var acc complex128
 		for m, pv := range pulse {
-			if idx := i + m - half; idx >= 0 && idx < len(x) {
-				acc += x[idx] * complex(pv, 0)
+			j := idx + m - half
+			if j < 0 || j >= len(x) {
+				continue
 			}
+			s := x[j]
+			if rotate {
+				// The conversion rounds the product, as storing the rotated
+				// waveform would, so no platform fuses it into the filter.
+				s = complex128(s * rot)
+			}
+			acc += s * complex(pv, 0)
 		}
-		out[i] = acc / complex(energy, 0)
+		acc /= complex(energy, 0)
+		if k%2 == 0 {
+			soft[k] = real(acc)
+		} else {
+			soft[k] = imag(acc)
+		}
 	}
-	return out
 }
 
 // matchedPulse returns the cached half-sine matched-filter taps and their

@@ -13,6 +13,7 @@ package phy
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // PHY-rate constants for the 2.45 GHz O-QPSK PHY.
@@ -109,8 +110,15 @@ func packChips(chips []byte) uint32 {
 // are ignored. The returned bits use the same LSB-first nibble ordering as
 // SpreadBits.
 func DespreadChips(chips []byte) []byte {
+	return DespreadChipsInto(nil, chips)
+}
+
+// DespreadChipsInto is DespreadChips writing into dst, which is reused
+// when its capacity covers the bits and reallocated otherwise. It returns
+// the bits.
+func DespreadChipsInto(dst, chips []byte) []byte {
 	nsym := len(chips) / ChipsPerSymbol
-	out := make([]byte, 0, nsym*BitsPerSymbol)
+	out := slices.Grow(dst[:0], nsym*BitsPerSymbol)
 	for s := 0; s < nsym; s++ {
 		block := packChips(chips[s*ChipsPerSymbol : (s+1)*ChipsPerSymbol])
 		best, bestSym := ChipsPerSymbol+1, 0
@@ -132,8 +140,15 @@ func DespreadChips(chips []byte) []byte {
 // roughly 1–2 dB over hard-decision despreading near the decoding
 // threshold. Trailing partial blocks are ignored.
 func DespreadSoft(soft []float64) []byte {
+	return DespreadSoftInto(nil, soft)
+}
+
+// DespreadSoftInto is DespreadSoft writing into dst, which is reused when
+// its capacity covers the bits and reallocated otherwise. It returns the
+// bits.
+func DespreadSoftInto(dst []byte, soft []float64) []byte {
 	nsym := len(soft) / ChipsPerSymbol
-	out := make([]byte, 0, nsym*BitsPerSymbol)
+	out := slices.Grow(dst[:0], nsym*BitsPerSymbol)
 	for s := 0; s < nsym; s++ {
 		block := soft[s*ChipsPerSymbol : (s+1)*ChipsPerSymbol]
 		best, bestSym := math.Inf(-1), 0
@@ -172,10 +187,18 @@ func BytesToBits(data []byte) []byte {
 // BitsToBytes packs LSB-first bits into bytes. len(bits) must be a multiple
 // of 8.
 func BitsToBytes(bits []byte) []byte {
+	return BitsToBytesInto(nil, bits)
+}
+
+// BitsToBytesInto is BitsToBytes writing into dst, which is reused when its
+// capacity covers the bytes and reallocated otherwise. It returns the
+// bytes.
+func BitsToBytesInto(dst, bits []byte) []byte {
 	if len(bits)%8 != 0 {
 		panic("phy: BitsToBytes needs a multiple of 8 bits")
 	}
-	out := make([]byte, len(bits)/8)
+	out := slices.Grow(dst[:0], len(bits)/8)[:len(bits)/8]
+	clear(out)
 	for i, b := range bits {
 		if b != 0 {
 			out[i/8] |= 1 << (i % 8)
