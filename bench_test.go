@@ -371,7 +371,7 @@ func BenchmarkTable1Scalability(b *testing.B) {
 
 // benchEvaluate measures the full 14-technique × all-combination decode
 // comparison at a fixed worker count. The shared engine's models are
-// warmed first, so iterations time the (combination × technique) fan-out
+// warmed first, so iterations time the packet-major technique fan-out
 // itself — compare Workers1 against WorkersMax for the parallel speedup.
 func benchEvaluate(b *testing.B, workers int) {
 	e := sharedEngine(b)

@@ -37,7 +37,7 @@ func main() {
 		epochs    = flag.Int("epochs", 0, "override VVD training epochs")
 		paper     = flag.Bool("paper", false, "full paper-scale parameters (very slow)")
 		seed      = flag.Uint64("seed", 0, "override campaign seed")
-		workers   = flag.Int("workers", 0, "parallel (combination × technique) evaluation tasks (0 = GOMAXPROCS, 1 = sequential)")
+		workers   = flag.Int("workers", 0, "parallel technique lanes per evaluated packet (0 = GOMAXPROCS, 1 = sequential)")
 		sweep     = flag.String("scenarios", "", "run the cross-scenario sweep instead of the figures: comma list of presets or \"all\"")
 		sweepMode = flag.String("sweep", "", "multi-axis sweep mode: \"grid\" evaluates the occupancy × SNR cross product (see -grid-occ/-grid-snr)")
 		gridOcc   = flag.String("grid-occ", "0,1,2,4", "grid sweep occupancy axis: comma list of occupant counts (0 = empty room)")

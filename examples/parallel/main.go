@@ -1,12 +1,12 @@
 // Parallel: the estimator registry and the worker-pool evaluation engine.
 //
 // The paper's evaluation compares 14 channel-estimation techniques over
-// Table 2's set combinations. Each (combination × technique) pair is an
-// independent decode run, so the engine fans them out through a bounded
-// worker pool: model caches are shared singleflight-style (one VVD
-// training, one Kalman fit per combination), receptions are regenerated
-// once per combination, and every task owns private estimator state — so
-// the parallel result is byte-identical to the sequential one.
+// Table 2's set combinations. The engine walks each combination's test
+// packets in order and fans the techniques of each packet out through a
+// bounded worker pool: model caches are shared singleflight-style (one VVD
+// training, one Kalman fit per combination), each reception is regenerated
+// once and shared read-only, and every technique owns private estimator
+// state — so the parallel result is byte-identical to the sequential one.
 //
 // This example also registers a 15th technique — a true-CIR oracle — to
 // show that extending the comparison is one Register call, not an engine

@@ -46,7 +46,9 @@ func (a Availability) String() string {
 // including the warm-up window, so stateful estimators (Kalman) advance
 // exactly as in the paper. Implementations are built per evaluation run and
 // must not share mutable state — the parallel engine runs one Estimator per
-// (combination × technique) goroutine.
+// (combination × technique) lane, and the lanes of one packet run
+// concurrently. Calls on one instance never overlap, though successive
+// packets may reach it on different goroutines.
 type Estimator interface {
 	// Name returns the technique label exactly as the paper uses it.
 	Name() string
