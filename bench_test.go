@@ -708,10 +708,12 @@ func BenchmarkInferenceEngine(b *testing.B) {
 
 // benchServeLinks drives the serving pipeline with a real trained model
 // under nLinks concurrent link sessions: a feeder submits camera frames in
-// bursts (so batched inference engages) while every link waits for each
-// newly published estimate and Fetches it. Reported metrics are sustained
-// inference and serving throughput plus the mean estimate age links
-// observed — the multi-link claim of paper §6.6/Table 1 under load.
+// bursts (so newer frames supersede pending ones) while every link waits
+// for each newly published estimate and Fetches it. Reported metrics are
+// sustained inference and serving throughput plus the mean estimate age
+// links observed — the multi-link claim of paper §6.6/Table 1 under load.
+// frames/s counts inferred (published) frames only; superseded frames are
+// never inferred.
 func benchServeLinks(b *testing.B, nLinks int) {
 	e := sharedEngine(b)
 	cb := e.Combos()[0]
@@ -720,12 +722,7 @@ func benchServeLinks(b *testing.B, nLinks int) {
 		b.Fatal(err)
 	}
 	img := e.Campaign.Sets[cb.Test-1].Packets[0].Images[dataset.LagCurrent]
-	svc, err := serve.New(serve.Config{
-		Estimator:  v.Clone(),
-		InputSize:  len(img),
-		QueueDepth: 16,
-		MaxBatch:   8,
-	})
+	svc, err := serve.New(serve.Config{Estimator: v.Clone(), InputSize: len(img)})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Command vvd-serve runs the multi-link estimation service over HTTP: a
-// trained VVD model behind a batched inference pipeline that serves fresh
-// CIR estimates to any number of link sessions (paper §6.6 — one camera
-// stream serves every link in the room).
+// trained VVD model that infers the newest submitted depth frame and
+// serves the fresh CIR estimate to any number of link sessions (paper
+// §6.6 — one camera stream serves every link in the room).
 //
 // Usage:
 //
@@ -26,9 +26,10 @@
 //
 // With -wire ADDR the same service also listens for the binary wire
 // protocol (internal/wire) — the transport vvd-router and vvd-load
-// speak. With -stub DURATION the server runs serve.StubEstimator at a
-// fixed per-batch cost instead of a model: a benchmark backend of known
-// capacity for cluster measurements.
+// speak; it can close link sessions too, so -maxlinks binds it as it
+// binds HTTP. With -stub DURATION the server runs serve.StubEstimator at
+// a fixed cost per inference instead of a model: a benchmark backend of
+// known inference latency for cluster measurements.
 //
 // Try it:
 //
@@ -61,11 +62,9 @@ func main() {
 		regDir     = flag.String("registry", "", "content-addressed model registry directory (makes -model accept name@version refs)")
 		addr       = flag.String("addr", ":8990", "HTTP listen address")
 		wireAddr   = flag.String("wire", "", "also listen for the binary wire protocol on this address (empty = HTTP only)")
-		queue      = flag.Int("queue", 8, "frame queue depth (drop-oldest beyond)")
-		batch      = flag.Int("batch", 8, "max frames per batched inference")
 		maxLinks   = flag.Int("maxlinks", 10000, "max open link sessions (0 = unlimited)")
 		demo       = flag.Bool("demo", false, "train a tiny model and feed simulated camera frames")
-		stub       = flag.Duration("stub", -1, "serve a stub estimator with this fixed per-batch latency instead of a model (0 for instant; negative disables)")
+		stub       = flag.Duration("stub", -1, "serve a stub estimator with this fixed latency per inference instead of a model (0 for instant; negative disables)")
 		stubPixels = flag.Int("stub-pixels", 4500, "frame size the stub estimator accepts")
 	)
 	flag.Parse()
@@ -74,9 +73,9 @@ func main() {
 	var feed [][]float32
 	switch {
 	case *stub >= 0:
-		// Benchmark backend: deterministic CIRs at a known per-batch
-		// cost, no model required (see serve.StubEstimator).
-		fmt.Printf("stub estimator: %d-pixel frames, %v per batch\n", *stubPixels, *stub)
+		// Benchmark backend: deterministic CIRs at a known cost per
+		// inference, no model required (see serve.StubEstimator).
+		fmt.Printf("stub estimator: %d-pixel frames, %v per inference\n", *stubPixels, *stub)
 	case *demo:
 		var err error
 		if model, feed, err = demoModel(); err != nil {
@@ -109,11 +108,7 @@ func main() {
 		fmt.Printf("loaded %s: VVD lag %d, %d parameters\n", *modelPath, model.Lag, model.Net.NumParams())
 	}
 
-	scfg := serve.Config{
-		QueueDepth: *queue,
-		MaxBatch:   *batch,
-		MaxLinks:   *maxLinks,
-	}
+	scfg := serve.Config{MaxLinks: *maxLinks}
 	if model != nil {
 		scfg.Estimator = model
 		scfg.InputSize = model.Net.In.Size()
@@ -162,8 +157,8 @@ func main() {
 	}
 	_ = svc.Close()
 	m := svc.Metrics()
-	fmt.Printf("served %d estimates over %d links; %d frames inferred in %d batches (mean %.1f/batch, infer mean %v/frame)\n",
-		m.EstimatesServed, m.ActiveLinks, m.FramesInferred, m.Batches, m.MeanBatch, m.InferMeanFrame.Round(10*time.Microsecond))
+	fmt.Printf("served %d estimates over %d links; %d frames inferred, %d superseded (infer mean %v/frame)\n",
+		m.EstimatesServed, m.ActiveLinks, m.FramesInferred, m.FramesDropped, m.InferMean.Round(10*time.Microsecond))
 }
 
 // demoModel simulates a campaign, trains a small VVD-Current on it and

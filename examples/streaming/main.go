@@ -4,10 +4,11 @@
 // inside the channel's coherence time (~50 ms indoors): they measured
 // ≈0.9 ms on a GPU and ≈9.8 ms on a 2013 CPU. This example wires the
 // actual deployment pipeline using internal/serve: a camera goroutine
-// submits depth frames at 30 fps into the service's bounded drop-oldest
-// queue, the service's estimator goroutine runs (batched) CNN inference
-// and publishes the latest CIR freshest-wins, and a receiver fetches that
-// freshest estimate through its link session as each packet arrives. It
+// submits depth frames at 30 fps into the service's pending-frame slot
+// (a newer frame supersedes one still waiting), the service's estimator
+// goroutine runs one CNN inference on the pending frame and publishes its
+// CIR freshest-wins, and a receiver fetches that freshest estimate
+// through its link session as each packet arrives. It
 // reports the measured inference latency, the estimate age at each
 // decode, and how both compare to the coherence time.
 //
@@ -59,12 +60,7 @@ func main() {
 	test := campaign.TestPackets(combo)
 	frameTick := time.Duration(camera.FrameInterval / speedup * float64(time.Second))
 
-	svc, err := serve.New(serve.Config{
-		Estimator:  vvd,
-		InputSize:  vvd.Net.In.Size(),
-		QueueDepth: 4,
-		MaxBatch:   4,
-	})
+	svc, err := serve.New(serve.Config{Estimator: vvd, InputSize: vvd.Net.In.Size()})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -119,19 +115,19 @@ func main() {
 	m := svc.Metrics()
 	st := svc.Links()[0] // the receiver's session, opened by its first Fetch
 	fmt.Printf("\nonline phase (replayed %.0f× real time):\n", speedup)
-	fmt.Printf("  frames inferred:         %d in %d batches (mean %.1f frames/batch, %d dropped)\n",
-		m.FramesInferred, m.Batches, m.MeanBatch, m.FramesDropped)
-	fmt.Printf("  mean CNN inference:      %v per frame (batched; paper: ≈0.9 ms GPU, ≈9.8 ms CPU)\n", m.InferMeanFrame.Round(10*time.Microsecond))
+	fmt.Printf("  frames inferred:         %d (%d superseded before inference)\n",
+		m.FramesInferred, m.FramesDropped)
+	fmt.Printf("  mean CNN inference:      %v per frame (paper: ≈0.9 ms GPU, ≈9.8 ms CPU)\n", m.InferMean.Round(10*time.Microsecond))
 	fmt.Printf("  packets decoded blind:   %d  (PER %.3f, CER %.4f)\n", decoded, counter.PER(), counter.CER())
 	if st.Served > 0 {
 		fmt.Printf("  estimate age at decode:  mean %v, max %v (wall clock, %.0fx compressed)\n",
 			st.MeanAge.Round(10*time.Microsecond), st.MaxAge.Round(10*time.Microsecond), speedup)
 	}
-	if m.InferMeanFrame < coherence {
+	if m.InferMean < coherence {
 		fmt.Printf("\ninference (%v per frame) fits within the %v coherence time — real-time capable, as the paper projects.\n",
-			m.InferMeanFrame.Round(10*time.Microsecond), coherence)
+			m.InferMean.Round(10*time.Microsecond), coherence)
 	} else {
 		fmt.Printf("\ninference (%v per frame) exceeds the %v coherence time — a faster CNN or hardware is needed.\n",
-			m.InferMeanFrame.Round(10*time.Microsecond), coherence)
+			m.InferMean.Round(10*time.Microsecond), coherence)
 	}
 }

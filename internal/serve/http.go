@@ -112,10 +112,9 @@ func NewHandler(s *Service) http.Handler {
 		m := s.Metrics()
 		writeJSON(w, metricsJSON{
 			FramesSubmitted: m.FramesSubmitted, FramesDropped: m.FramesDropped,
-			FramesInferred: m.FramesInferred, Batches: m.Batches, MeanBatch: m.MeanBatch,
-			InferMeanMS: ms(m.InferMean), InferFrameMeanMS: ms(m.InferMeanFrame),
-			InferMaxMS: ms(m.InferMax), LastSeq: m.LastSeq,
-			QueueLen: m.QueueLen, QueueCap: m.QueueCap, ActiveLinks: m.ActiveLinks,
+			FramesInferred: m.FramesInferred, Batches: m.Batches,
+			InferMeanMS: ms(m.InferMean), InferMaxMS: ms(m.InferMax), LastSeq: m.LastSeq,
+			QueueLen: m.QueueLen, ActiveLinks: m.ActiveLinks,
 			EstimatesServed: m.EstimatesServed,
 			AgeP50MS:        ms(m.AgeP50), AgeP99MS: ms(m.AgeP99),
 			InferMode: m.InferMode, Err: m.Err,
@@ -164,7 +163,6 @@ type estimateResponse struct {
 	CIR           [][2]float64 `json:"cir"`
 	AgeMS         float64      `json:"age_ms"`
 	InferenceMS   float64      `json:"inference_ms"`
-	Batch         int          `json:"batch"`
 }
 
 type submitResponse struct {
@@ -183,23 +181,20 @@ type linkJSON struct {
 }
 
 type metricsJSON struct {
-	FramesSubmitted  uint64  `json:"frames_submitted"`
-	FramesDropped    uint64  `json:"frames_dropped"`
-	FramesInferred   uint64  `json:"frames_inferred"`
-	Batches          uint64  `json:"batches"`
-	MeanBatch        float64 `json:"mean_batch"`
-	InferMeanMS      float64 `json:"infer_mean_ms"`       // per EstimateBatch call
-	InferFrameMeanMS float64 `json:"infer_frame_mean_ms"` // per inferred frame
-	InferMaxMS       float64 `json:"infer_max_ms"`
-	LastSeq          uint64  `json:"last_seq"`
-	QueueLen         int     `json:"queue_len"`
-	QueueCap         int     `json:"queue_cap"`
-	ActiveLinks      int     `json:"active_links"`
-	EstimatesServed  uint64  `json:"estimates_served"`
-	AgeP50MS         float64 `json:"age_p50_ms"`               // served-age percentiles over the
-	AgeP99MS         float64 `json:"age_p99_ms"`               // recent window — the tail signal
-	InferMode        string  `json:"inference_mode,omitempty"` // float32, or untrained
-	Err              string  `json:"err,omitempty"`
+	FramesSubmitted uint64  `json:"frames_submitted"`
+	FramesDropped   uint64  `json:"frames_dropped"` // superseded before inference
+	FramesInferred  uint64  `json:"frames_inferred"`
+	Batches         uint64  `json:"batches"`
+	InferMeanMS     float64 `json:"infer_mean_ms"` // per inference
+	InferMaxMS      float64 `json:"infer_max_ms"`
+	LastSeq         uint64  `json:"last_seq"`
+	QueueLen        int     `json:"queue_len"` // 1 while a frame waits for inference
+	ActiveLinks     int     `json:"active_links"`
+	EstimatesServed uint64  `json:"estimates_served"`
+	AgeP50MS        float64 `json:"age_p50_ms"`               // served-age percentiles over the
+	AgeP99MS        float64 `json:"age_p99_ms"`               // recent window — the tail signal
+	InferMode       string  `json:"inference_mode,omitempty"` // float32, or untrained
+	Err             string  `json:"err,omitempty"`
 }
 
 func serveFetch(w http.ResponseWriter, s *Service, linkID string) {
@@ -214,7 +209,7 @@ func serveFetch(w http.ResponseWriter, s *Service, linkID string) {
 // Per-request scratch, pooled: the POST body buffer above, and below the
 // response encode buffer plus the [[re,im],...] CIR pair slice. The hot
 // /estimate path allocates only what it must hand off (the decoded image
-// travels into the frame queue, so its buffer cannot be reused) — pinned
+// becomes the pending frame, so its buffer cannot be reused) — pinned
 // by BenchmarkHTTPEstimate{Post,Get} with -benchmem.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
@@ -231,7 +226,7 @@ func writeEstimate(w http.ResponseWriter, s *Service, linkID string, e Estimate,
 	rs.pairs = appendCIRPairs(rs.pairs[:0], e.CIR)
 	encodeJSON(&rs.buf, estimateResponse{
 		Link: linkID, FrameSeq: e.FrameSeq, SubmittedSeq: submitted, DroppedOldest: dropped,
-		CIR: rs.pairs, AgeMS: ms(e.AgeAt(s.clock())), InferenceMS: ms(e.Inference), Batch: e.Batch,
+		CIR: rs.pairs, AgeMS: ms(e.AgeAt(s.clock())), InferenceMS: ms(e.Inference),
 	})
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(rs.buf.Bytes())

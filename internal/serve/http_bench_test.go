@@ -21,7 +21,7 @@ const benchPixels = 4500
 
 func benchHTTPFixture(b *testing.B) (*httptest.Server, []byte) {
 	b.Helper()
-	s, err := New(Config{Estimator: &StubEstimator{}, InputSize: benchPixels, QueueDepth: 64})
+	s, err := New(Config{Estimator: &StubEstimator{}, InputSize: benchPixels})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func BenchmarkHTTPEstimateGet(b *testing.B) {
 // protocol's pipelined benchmark: P concurrent link sessions, one
 // keep-alive connection each.
 func BenchmarkHTTPEstimatePostParallel(b *testing.B) {
-	s, err := New(Config{Estimator: &StubEstimator{}, InputSize: benchPixels, QueueDepth: 64})
+	s, err := New(Config{Estimator: &StubEstimator{}, InputSize: benchPixels})
 	if err != nil {
 		b.Fatal(err)
 	}

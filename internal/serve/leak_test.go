@@ -43,7 +43,7 @@ func verifyNoLeaks(t *testing.T) {
 }
 
 // TestCloseReturnsGoroutinesToBaseline drives the full lifecycle — open
-// sessions, blocked waiters, batched inference — and asserts
+// sessions, blocked waiters, inference — and asserts
 // Service.Close unwinds every goroutine it or its readers started.
 func TestCloseReturnsGoroutinesToBaseline(t *testing.T) {
 	verifyNoLeaks(t)

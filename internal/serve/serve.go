@@ -7,18 +7,17 @@
 // it serves* — the estimate describes the environment, not a transmitter.
 // This package is that argument as infrastructure:
 //
-//   - Frames enter a bounded queue via Submit. When the estimator falls
-//     behind, the queue drops its oldest frame (drop-oldest backpressure):
-//     a stale depth frame is worthless once a fresher one exists.
-//   - A single estimator goroutine drains the queue in batches of up to
-//     MaxBatch frames and runs one batched CNN inference per drain
-//     (core.VVD.EstimateBatch), amortizing the layer-weight traversal
-//     across everything that queued up during the previous inference.
-//   - Only the newest frame of each batch is published, freshest-wins:
-//     every read returns the estimate of the newest inferred frame,
-//     stamped with its capture time so consumers can judge its age
-//     against the channel coherence time (~50 ms indoors). Publishing is
-//     O(1) in the number of links.
+//   - Frames enter a single pending slot via Submit. A frame that arrives
+//     while another is still waiting supersedes it: a stale depth frame is
+//     worthless once a fresher one exists, so it is never inferred.
+//   - A single estimator goroutine takes the pending frame, runs one CNN
+//     inference on it (core.VVD.EstimateBatch with a one-frame batch) and
+//     publishes the result, freshest-wins: every read returns the estimate
+//     of the newest inferred frame, stamped with its capture time so
+//     consumers can judge its age against the channel coherence time
+//     (~50 ms indoors). Publishing is O(1) in the number of links, and an
+//     estimator that falls behind still infers one frame per cycle, so
+//     estimate age does not grow with the backlog.
 //   - Reads go through Fetch (or SubmitAndWait), which names a link
 //     session. Sessions open on first use and are pure bookkeeping: each
 //     records how many estimates it was served and how old they were
@@ -41,8 +40,9 @@ import (
 // explicitly via Close, or because the estimator failed (see Err).
 var ErrClosed = errors.New("serve: service closed")
 
-// BatchEstimator is the inference dependency of a Service: one batched
-// image→CIR estimation. *core.VVD implements it; tests substitute stubs.
+// BatchEstimator is the inference dependency of a Service: batched
+// image→CIR estimation, called with one frame per inference.
+// *core.VVD implements it; tests substitute stubs.
 type BatchEstimator interface {
 	EstimateBatch(imgs [][]float32) ([][]complex128, error)
 }
@@ -58,17 +58,11 @@ type ModeReporter interface {
 
 // Config parameterizes a Service.
 type Config struct {
-	// Estimator runs the batched CNN inference. Required.
+	// Estimator runs the CNN inference. Required.
 	Estimator BatchEstimator
 	// InputSize, when non-zero, lets Submit reject frames of the wrong
 	// pixel count up front (use model.Net.In.Size()).
 	InputSize int
-	// QueueDepth bounds the frame queue; a full queue drops its oldest
-	// frame on the next Submit. Default 8.
-	QueueDepth int
-	// MaxBatch caps the frames handed to one EstimateBatch call.
-	// Default 8.
-	MaxBatch int
 	// MaxLinks, when non-zero, caps the number of open link sessions —
 	// the guard that keeps unauthenticated GET /estimate?link=<random>
 	// traffic from growing the session map without bound. 0 = unlimited.
@@ -77,7 +71,7 @@ type Config struct {
 	Clock func() time.Time
 }
 
-// Frame is one queued depth frame.
+// Frame is one submitted depth frame.
 type Frame struct {
 	Seq        uint64 // 1-based submission sequence number
 	Image      []float32
@@ -90,8 +84,7 @@ type Estimate struct {
 	FrameSeq    uint64        // frame the estimate was inferred from
 	CapturedAt  time.Time     // when that frame was captured
 	PublishedAt time.Time     // when the estimate became visible
-	Inference   time.Duration // latency of the batch that produced it
-	Batch       int           // number of frames in that batch
+	Inference   time.Duration // latency of the inference that produced it
 }
 
 // AgeAt returns how old the underlying channel observation is at the
@@ -101,16 +94,13 @@ func (e Estimate) AgeAt(now time.Time) time.Duration { return now.Sub(e.Captured
 // Metrics is a point-in-time snapshot of service counters.
 type Metrics struct {
 	FramesSubmitted uint64
-	FramesDropped   uint64 // evicted by drop-oldest before inference
+	FramesDropped   uint64 // superseded in the pending slot before inference
 	FramesInferred  uint64
-	Batches         uint64
-	MeanBatch       float64       // frames per EstimateBatch call
-	InferMean       time.Duration // mean latency of one EstimateBatch call
-	InferMeanFrame  time.Duration // mean inference cost per frame (batch latency / batch size)
-	InferMax        time.Duration // worst single EstimateBatch latency
+	Batches         uint64        // EstimateBatch calls: one per inferred frame
+	InferMean       time.Duration // mean latency of one inference
+	InferMax        time.Duration // worst single inference latency
 	LastSeq         uint64        // newest published frame sequence (0 = none)
-	QueueLen        int
-	QueueCap        int
+	QueueLen        int           // 1 while a frame waits for inference, else 0
 	ActiveLinks     int
 	EstimatesServed uint64        // Fetch/SubmitAndWait reads across all sessions, ever
 	AgeP50          time.Duration // median served-estimate age (recent window)
@@ -126,23 +116,21 @@ type Service struct {
 	cfg   Config
 	clock func() time.Time
 
-	mu        sync.Mutex // frame queue + submission counters
+	mu        sync.Mutex // pending frame + submission counters
 	cond      *sync.Cond
-	queue     []Frame
+	pending   Frame // the frame awaiting inference; Seq 0 = empty
 	nextSeq   uint64
 	submitted uint64
 	dropped   uint64
 	closed    bool
 
-	state       sync.RWMutex // published estimate, links, inference counters
-	latest      Estimate
-	links       map[string]*session
-	inferred    uint64
-	batches     uint64
-	batchFrames uint64
-	inferTotal  time.Duration
-	inferMax    time.Duration
-	err         error
+	state      sync.RWMutex // published estimate, links, inference counters
+	latest     Estimate
+	links      map[string]*session
+	inferred   uint64
+	inferTotal time.Duration
+	inferMax   time.Duration
+	err        error
 
 	served atomic.Uint64 // Fetch/SubmitAndWait reads across all sessions
 	ages   ageSampler    // recent served ages for the percentile snapshot
@@ -159,12 +147,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Estimator == nil {
 		return nil, errors.New("serve: Config.Estimator is required")
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 8
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 8
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
@@ -180,15 +162,16 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Submit enqueues a frame captured now. See SubmitAt.
+// Submit submits a frame captured now. See SubmitAt.
 func (s *Service) Submit(img []float32) (seq uint64, droppedOldest bool, err error) {
 	return s.SubmitAt(img, s.clock())
 }
 
-// SubmitAt enqueues a frame with an explicit capture time and returns its
-// sequence number. If the queue is full the oldest queued frame is
-// evicted (droppedOldest reports that) — the newest observation always
-// gets in. Submitting to a closed service returns an error.
+// SubmitAt makes a frame with an explicit capture time the pending frame
+// and returns its sequence number. A frame still waiting for inference is
+// superseded and never inferred (droppedOldest reports that) — the newest
+// observation always gets in. Submitting to a closed service returns an
+// error.
 func (s *Service) SubmitAt(img []float32, capturedAt time.Time) (seq uint64, droppedOldest bool, err error) {
 	if s.cfg.InputSize > 0 && len(img) != s.cfg.InputSize {
 		return 0, false, fmt.Errorf("serve: frame has %d pixels, want %d", len(img), s.cfg.InputSize)
@@ -200,12 +183,11 @@ func (s *Service) SubmitAt(img []float32, capturedAt time.Time) (seq uint64, dro
 	}
 	s.nextSeq++
 	seq = s.nextSeq
-	if len(s.queue) >= s.cfg.QueueDepth {
-		s.queue = append(s.queue[:0], s.queue[1:]...)
+	if s.pending.Seq != 0 {
 		s.dropped++
 		droppedOldest = true
 	}
-	s.queue = append(s.queue, Frame{Seq: seq, Image: img, CapturedAt: capturedAt})
+	s.pending = Frame{Seq: seq, Image: img, CapturedAt: capturedAt}
 	s.submitted++
 	s.cond.Signal()
 	return seq, droppedOldest, nil
@@ -222,8 +204,9 @@ func (s *Service) Latest() (Estimate, bool) {
 
 // WaitFor blocks until an estimate for frame sequence seq or newer has
 // been published, then returns the freshest estimate. ok=false on
-// timeout or when the service stops before reaching seq (a frame evicted
-// by drop-oldest is never inferred, but a later frame satisfies the wait).
+// timeout or when the service stops before reaching seq (a superseded
+// frame is never inferred, but the frame that superseded it satisfies the
+// wait).
 func (s *Service) WaitFor(seq uint64, timeout time.Duration) (Estimate, bool) {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
@@ -263,7 +246,7 @@ func (s *Service) Err() error {
 }
 
 // Metrics returns a consistent snapshot of the service counters: both
-// counter groups are read under their locks simultaneously (queue lock,
+// counter groups are read under their locks simultaneously (frame lock,
 // then state lock — no other path holds both), so the snapshot can never
 // show more frames inferred than were submitted.
 func (s *Service) Metrics() Metrics {
@@ -272,18 +255,15 @@ func (s *Service) Metrics() Metrics {
 	m := Metrics{
 		FramesSubmitted: s.submitted,
 		FramesDropped:   s.dropped,
-		QueueLen:        len(s.queue),
-		QueueCap:        s.cfg.QueueDepth,
+	}
+	if s.pending.Seq != 0 {
+		m.QueueLen = 1
 	}
 	s.state.RLock()
 	m.FramesInferred = s.inferred
-	m.Batches = s.batches
-	if s.batches > 0 {
-		m.MeanBatch = float64(s.batchFrames) / float64(s.batches)
-		m.InferMean = s.inferTotal / time.Duration(s.batches)
-	}
+	m.Batches = s.inferred
 	if s.inferred > 0 {
-		m.InferMeanFrame = s.inferTotal / time.Duration(s.inferred)
+		m.InferMean = s.inferTotal / time.Duration(s.inferred)
 	}
 	m.InferMax = s.inferMax
 	m.LastSeq = s.latest.FrameSeq
@@ -300,8 +280,8 @@ func (s *Service) Metrics() Metrics {
 	return m
 }
 
-// Close stops accepting frames, lets the estimator drain what is already
-// queued, waits for it to exit and returns the first estimator error.
+// Close stops accepting frames, lets the estimator infer the pending
+// frame, waits for it to exit and returns the first estimator error.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	if !s.closed {
@@ -313,23 +293,20 @@ func (s *Service) Close() error {
 	return s.Err()
 }
 
-// run is the estimator goroutine: drain a batch, infer, publish, repeat.
+// run is the estimator goroutine: take the pending frame, infer, publish,
+// repeat.
 func (s *Service) run() {
 	defer close(s.done)
 	for {
-		frames := s.take()
-		if frames == nil {
+		f, ok := s.take()
+		if !ok {
 			return
 		}
-		imgs := make([][]float32, len(frames))
-		for i := range frames {
-			imgs[i] = frames[i].Image
-		}
 		t0 := s.clock()
-		cirs, err := s.cfg.Estimator.EstimateBatch(imgs)
+		cirs, err := s.cfg.Estimator.EstimateBatch([][]float32{f.Image})
 		lat := s.clock().Sub(t0)
-		if err == nil && len(cirs) != len(frames) {
-			err = fmt.Errorf("serve: estimator returned %d estimates for %d frames", len(cirs), len(frames))
+		if err == nil && len(cirs) != 1 {
+			err = fmt.Errorf("serve: estimator returned %d estimates for 1 frame", len(cirs))
 		}
 		if err != nil {
 			s.state.Lock()
@@ -339,52 +316,41 @@ func (s *Service) run() {
 			s.state.Unlock()
 			s.mu.Lock()
 			s.closed = true
-			s.queue = nil
+			s.pending = Frame{}
 			s.mu.Unlock()
 			return
 		}
-		s.publish(frames, cirs, lat)
+		s.publish(f, cirs[0], lat)
 	}
 }
 
-// take blocks until at least one frame is queued (or the service closed
-// and drained) and removes up to MaxBatch oldest frames.
-func (s *Service) take() []Frame {
+// take blocks until a frame is pending (or the service closed with none
+// left) and empties the slot.
+func (s *Service) take() (Frame, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.queue) == 0 && !s.closed {
+	for s.pending.Seq == 0 && !s.closed {
 		s.cond.Wait()
 	}
-	if len(s.queue) == 0 {
-		return nil
-	}
-	n := min(len(s.queue), s.cfg.MaxBatch)
-	frames := make([]Frame, n)
-	copy(frames, s.queue[:n])
-	s.queue = append(s.queue[:0], s.queue[n:]...)
-	return frames
+	f := s.pending
+	s.pending = Frame{}
+	return f, f.Seq != 0
 }
 
-// publish makes the batch's newest estimate visible as Latest and wakes
-// WaitFor callers. Older frames of the batch were inferred but are never
-// served: freshest-wins. Publish order across batches is preserved
-// because run() is the only publisher.
-func (s *Service) publish(frames []Frame, cirs [][]complex128, lat time.Duration) {
-	n := len(frames)
-	last := frames[n-1]
+// publish makes the frame's estimate visible as Latest and wakes WaitFor
+// callers, including those whose frames it superseded. Publish order is
+// submission order because run() is the only publisher.
+func (s *Service) publish(f Frame, cir []complex128, lat time.Duration) {
 	e := Estimate{
-		CIR:         cirs[n-1],
-		FrameSeq:    last.Seq,
-		CapturedAt:  last.CapturedAt,
+		CIR:         cir,
+		FrameSeq:    f.Seq,
+		CapturedAt:  f.CapturedAt,
 		PublishedAt: s.clock(),
 		Inference:   lat,
-		Batch:       n,
 	}
 	s.state.Lock()
 	s.latest = e
-	s.inferred += uint64(n)
-	s.batches++
-	s.batchFrames += uint64(n)
+	s.inferred++
 	s.inferTotal += lat
 	if lat > s.inferMax {
 		s.inferMax = lat
@@ -392,7 +358,7 @@ func (s *Service) publish(frames []Frame, cirs [][]complex128, lat time.Duration
 	s.state.Unlock()
 
 	s.pubMu.Lock()
-	s.lastPub = last.Seq
+	s.lastPub = f.Seq
 	close(s.pubCh)
 	s.pubCh = make(chan struct{})
 	s.pubMu.Unlock()

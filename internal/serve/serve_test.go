@@ -17,10 +17,11 @@ import (
 
 // stubEstimator encodes each frame's first pixel into a 1-tap CIR, so
 // tests can tell which frame an estimate came from. An optional gate makes
-// inference block deterministically; batches records every call's size.
+// inference block deterministically; calls records the frames (by first
+// pixel) handed to every EstimateBatch call.
 type stubEstimator struct {
 	mu      sync.Mutex
-	batches []int
+	calls   [][]int
 	gate    chan struct{} // when non-nil, each call receives once before returning
 	started chan struct{} // when non-nil, signaled as each call begins
 	err     error
@@ -36,20 +37,22 @@ func (e *stubEstimator) EstimateBatch(imgs [][]float32) ([][]complex128, error) 
 	if e.err != nil {
 		return nil, e.err
 	}
-	e.mu.Lock()
-	e.batches = append(e.batches, len(imgs))
-	e.mu.Unlock()
+	frames := make([]int, len(imgs))
 	out := make([][]complex128, len(imgs))
 	for i, img := range imgs {
+		frames[i] = int(img[0])
 		out[i] = []complex128{complex(float64(img[0]), 0)}
 	}
+	e.mu.Lock()
+	e.calls = append(e.calls, frames)
+	e.mu.Unlock()
 	return out, nil
 }
 
-func (e *stubEstimator) batchSizes() []int {
+func (e *stubEstimator) inferred() [][]int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]int(nil), e.batches...)
+	return append([][]int(nil), e.calls...)
 }
 
 // frame builds a 1-pixel image carrying its sequence number.
@@ -94,12 +97,13 @@ func TestFreshestWins(t *testing.T) {
 	}
 }
 
-// TestDropOldestBackpressure pins the queue policy: when the estimator is
-// busy and the queue fills, the oldest queued frame is evicted and the
-// newest always gets in.
-func TestDropOldestBackpressure(t *testing.T) {
-	est := &stubEstimator{gate: make(chan struct{}, 16), started: make(chan struct{}, 16)}
-	s, err := New(Config{Estimator: est, QueueDepth: 3, MaxBatch: 8})
+// TestOnlyNewestFrameInferred pins the pending-slot policy: while the
+// estimator is busy, each new frame supersedes the one waiting, so the
+// next inference runs on the newest frame alone. Superseded frames count
+// as dropped, and their waiters are released by the newer publish.
+func TestOnlyNewestFrameInferred(t *testing.T) {
+	est := &stubEstimator{gate: make(chan struct{}, 2), started: make(chan struct{}, 2)}
+	s, err := New(Config{Estimator: est})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,72 +112,50 @@ func TestDropOldestBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-est.started
-	// Frames 2, 3, 4 fill the queue; frame 5 evicts frame 2.
-	for i := 2; i <= 4; i++ {
-		if _, dropped, err := s.Submit(frame(i)); err != nil || dropped {
-			t.Fatalf("frame %d: dropped=%v err=%v", i, dropped, err)
+	// Frames 2–5 arrive meanwhile; each of 3–5 supersedes its predecessor.
+	seqs := make([]uint64, 6)
+	for i := 2; i <= 5; i++ {
+		seq, dropped, err := s.Submit(frame(i))
+		if err != nil {
+			t.Fatal(err)
 		}
+		if dropped != (i > 2) {
+			t.Fatalf("frame %d: droppedOldest = %v, want %v", i, dropped, i > 2)
+		}
+		seqs[i] = seq
 	}
-	seq5, dropped, err := s.Submit(frame(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dropped {
-		t.Fatal("frame 5 should evict the oldest queued frame")
+	// Waiters for the superseded frames are served frame 5's estimate.
+	var wg sync.WaitGroup
+	got := make([]Estimate, 6)
+	for i := 2; i <= 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = s.WaitFor(seqs[i], 5*time.Second)
+		}()
 	}
 	est.gate <- struct{}{} // release frame 1's inference
-	est.gate <- struct{}{} // release the drained batch {3,4,5}
-	if _, ok := s.WaitFor(seq5, 5*time.Second); !ok {
-		t.Fatal("frame 5 estimate never published")
+	est.gate <- struct{}{} // release the next one
+	wg.Wait()
+	for i := 2; i <= 4; i++ {
+		if got[i].FrameSeq != seqs[5] || real(got[i].CIR[0]) != 5 {
+			t.Fatalf("waiter for frame %d got seq %d (CIR %v), want frame 5's estimate (seq %d)",
+				i, got[i].FrameSeq, got[i].CIR, seqs[5])
+		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m := s.Metrics()
-	if m.FramesDropped != 1 {
-		t.Fatalf("FramesDropped = %d, want 1", m.FramesDropped)
-	}
-	if m.FramesInferred != 4 {
-		t.Fatalf("FramesInferred = %d, want 4 (frame 2 evicted)", m.FramesInferred)
-	}
-	if got := est.batchSizes(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("batch sizes = %v, want [1 3]", got)
-	}
-	e, _ := s.Latest()
-	if e.FrameSeq != seq5 || e.Batch != 3 {
-		t.Fatalf("latest = seq %d batch %d, want seq %d batch 3", e.FrameSeq, e.Batch, seq5)
-	}
-}
-
-// TestBatchAmortization: everything that queues during one inference is
-// drained as a single EstimateBatch call (up to MaxBatch).
-func TestBatchAmortization(t *testing.T) {
-	est := &stubEstimator{gate: make(chan struct{}, 16), started: make(chan struct{}, 16)}
-	s, err := New(Config{Estimator: est, QueueDepth: 16, MaxBatch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Submit(frame(1))
-	<-est.started
-	var last uint64
-	for i := 2; i <= 7; i++ { // 6 frames queue up: batches of 4 then 2
-		last, _, _ = s.Submit(frame(i))
-	}
-	for i := 0; i < 3; i++ {
-		est.gate <- struct{}{}
-	}
-	if _, ok := s.WaitFor(last, 5*time.Second); !ok {
-		t.Fatal("frame 7 estimate never published")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := est.batchSizes(); len(got) != 3 || got[0] != 1 || got[1] != 4 || got[2] != 2 {
-		t.Fatalf("batch sizes = %v, want [1 4 2]", got)
+	calls := est.inferred()
+	if len(calls) != 2 || len(calls[0]) != 1 || calls[0][0] != 1 || len(calls[1]) != 1 || calls[1][0] != 5 {
+		t.Fatalf("EstimateBatch calls = %v, want [[1] [5]]", calls)
 	}
 	m := s.Metrics()
-	if m.Batches != 3 || m.FramesInferred != 7 {
-		t.Fatalf("metrics = %+v, want 3 batches / 7 inferred", m)
+	if m.FramesDropped != 3 || m.FramesInferred != 2 || m.Batches != 2 {
+		t.Fatalf("metrics = %+v, want 3 dropped, 2 inferred, 2 batches", m)
+	}
+	if m.FramesSubmitted != m.FramesInferred+m.FramesDropped {
+		t.Fatalf("FramesSubmitted %d != inferred %d + dropped %d", m.FramesSubmitted, m.FramesInferred, m.FramesDropped)
 	}
 }
 
@@ -230,7 +212,7 @@ func runManyConcurrentLinks(t *testing.T, est BatchEstimator, inputSize int, mkF
 		framePeriod = 33 * time.Millisecond
 	)
 	clk := &fakeClock{}
-	s, err := New(Config{Estimator: est, InputSize: inputSize, QueueDepth: 8, MaxBatch: 8, Clock: clk.now})
+	s, err := New(Config{Estimator: est, InputSize: inputSize, Clock: clk.now})
 	if err != nil {
 		t.Fatal(err)
 	}

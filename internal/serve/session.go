@@ -35,7 +35,7 @@ var (
 type SubmitResult struct {
 	Estimate
 	SubmittedSeq  uint64 // sequence assigned to the submitted frame
-	DroppedOldest bool   // submission evicted the oldest queued frame
+	DroppedOldest bool   // submission superseded a frame still waiting for inference
 }
 
 // SubmitAndWait is the whole "POST a frame" session flow with no

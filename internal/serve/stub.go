@@ -3,15 +3,14 @@ package serve
 import "time"
 
 // StubEstimator is a load-testing BatchEstimator: it produces a
-// deterministic CIR from each frame after an optional fixed per-batch
+// deterministic CIR from each frame after an optional fixed per-inference
 // latency, with no model and (almost) no CPU. It exists so the cluster
 // tier — wire protocol, shard router, load generator — can be measured
 // and tested without re-measuring the inference kernel underneath:
-// Latency is a fixed emulated per-batch cost — the cluster benchmark uses
-// 1.6 ms, the engine's per-batch cost for a batch of 8 on one core as
-// measured when the GEMM engine was introduced, not a figure tracking the
-// current engine — giving a backend of known capacity, or 0 to make the
-// transport itself the bottleneck.
+// Latency is a fixed emulated cost per inference — the cluster benchmark
+// uses 1.6 ms, the engine's cost for a batch of 8 on one core as measured
+// when the GEMM engine was introduced, not a figure tracking the current
+// engine — or 0 to make the transport itself the bottleneck.
 //
 // The CIR is a pure function of the frame bytes and is batch-invariant,
 // so any two backends given the same frame produce byte-identical
@@ -21,7 +20,7 @@ type StubEstimator struct {
 	// channel length) when zero.
 	Taps int
 	// Latency, when positive, is slept once per EstimateBatch call —
-	// a fixed inference cost per batch, like a busy accelerator.
+	// a fixed cost per inference, like a busy accelerator.
 	Latency time.Duration
 }
 

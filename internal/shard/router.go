@@ -329,14 +329,22 @@ func (r *Router) Stats(link string) ([]wire.LinkStats, error) {
 	return merged, nil
 }
 
+// CloseLink implements wire.Handler by forwarding to the link's shard.
+func (r *Router) CloseLink(link string) error {
+	return r.route(link, func(c *wire.Client) error {
+		return c.CloseLink(link)
+	})
+}
+
 // Metrics implements wire.Handler: the cluster-wide counter roll-up.
-// Counters sum; per-batch means weight by batch count; latency maxima
-// and age percentiles take the worst shard (a conservative tail — the
-// true cluster percentile needs the samples, which stay on the shards).
+// Counters sum; the mean inference latency weights by inference count;
+// latency maxima and age percentiles take the worst shard (a
+// conservative tail — the true cluster percentile needs the samples,
+// which stay on the shards).
 func (r *Router) Metrics() (wire.MetricsReply, error) {
 	var mu sync.Mutex
 	var out wire.MetricsReply
-	var batchWeighted, frameWeighted float64
+	var inferWeighted float64
 	modes := map[string]bool{}
 	var errs []string
 	if err := r.fanOut(func(c *wire.Client) error {
@@ -354,8 +362,7 @@ func (r *Router) Metrics() (wire.MetricsReply, error) {
 		if m.LastSeq > out.LastSeq {
 			out.LastSeq = m.LastSeq // per-shard sequences; keep the max as a progress signal
 		}
-		batchWeighted += m.MeanBatch * float64(m.Batches)
-		frameWeighted += float64(m.InferMean) * float64(m.Batches)
+		inferWeighted += float64(m.InferMean) * float64(m.Batches)
 		if m.InferMax > out.InferMax {
 			out.InferMax = m.InferMax
 		}
@@ -365,11 +372,7 @@ func (r *Router) Metrics() (wire.MetricsReply, error) {
 		if m.AgeP99 > out.AgeP99 {
 			out.AgeP99 = m.AgeP99
 		}
-		if m.InferMeanFrame > out.InferMeanFrame {
-			out.InferMeanFrame = m.InferMeanFrame
-		}
 		out.QueueLen += m.QueueLen
-		out.QueueCap += m.QueueCap
 		out.ActiveLinks += m.ActiveLinks
 		modes[m.InferMode] = true
 		if m.Err != "" {
@@ -380,8 +383,7 @@ func (r *Router) Metrics() (wire.MetricsReply, error) {
 		return wire.MetricsReply{}, err
 	}
 	if out.Batches > 0 {
-		out.MeanBatch = batchWeighted / float64(out.Batches)
-		out.InferMean = time.Duration(frameWeighted / float64(out.Batches))
+		out.InferMean = time.Duration(inferWeighted / float64(out.Batches))
 	}
 	modeList := make([]string, 0, len(modes))
 	for m := range modes {

@@ -61,11 +61,15 @@ func (n *node) close() {
 // with a fixed stub latency.
 func startNode(t *testing.T, addr string, latency time.Duration) *node {
 	t.Helper()
-	svc, err := serve.New(serve.Config{
-		Estimator:  &serve.StubEstimator{Latency: latency},
-		InputSize:  testPixels,
-		QueueDepth: 64,
-	})
+	return startNodeWith(t, addr, serve.Config{Estimator: &serve.StubEstimator{Latency: latency}})
+}
+
+// startNodeWith stands up a shard running a service with the given
+// configuration over testPixels-sized frames.
+func startNodeWith(t *testing.T, addr string, scfg serve.Config) *node {
+	t.Helper()
+	scfg.InputSize = testPixels
+	svc, err := serve.New(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +92,17 @@ type cluster struct {
 
 func startCluster(t *testing.T, nodes int, cfg Config, latency time.Duration) *cluster {
 	t.Helper()
+	return startClusterWith(t, nodes, cfg, serve.Config{Estimator: &serve.StubEstimator{Latency: latency}})
+}
+
+// startClusterWith is startCluster with every shard's service built from
+// scfg.
+func startClusterWith(t *testing.T, nodes int, cfg Config, scfg serve.Config) *cluster {
+	t.Helper()
 	verifyNoLeaks(t)
 	c := &cluster{}
 	for i := 0; i < nodes; i++ {
-		n := startNode(t, "127.0.0.1:0", latency)
+		n := startNodeWith(t, "127.0.0.1:0", scfg)
 		c.nodes = append(c.nodes, n)
 		cfg.Backends = append(cfg.Backends, n.addr)
 	}
@@ -479,6 +490,32 @@ func TestHotAddRemove(t *testing.T) {
 	}
 	if got := c.nodes[0].svc.Metrics().FramesSubmitted; got != before+uint64(len(links)) {
 		t.Fatalf("original shard submitted = %d, want %d", got, before+uint64(len(links)))
+	}
+}
+
+// TestCloseLinkFreesSessionBehindRouter: a backend at its session cap
+// frees a slot when a client closes a link through the router, so a new
+// link can open without restarting the backend.
+func TestCloseLinkFreesSessionBehindRouter(t *testing.T) {
+	c := startClusterWith(t, 1, Config{HealthInterval: -1}, serve.Config{Estimator: &serve.StubEstimator{}, MaxLinks: 1})
+	var reply wire.EstimateReply
+	if err := c.client.Submit("first", testImage(1), 0, &reply); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.client.Submit("second", testImage(2), 0, &reply); wire.CodeOf(err) != wire.StatusTooManyLinks {
+		t.Fatalf("second link at the cap: err = %v, want StatusTooManyLinks", err)
+	}
+	if err := c.client.CloseLink("first"); err != nil {
+		t.Fatalf("CloseLink through the router: %v", err)
+	}
+	if err := c.client.CloseLink("first"); wire.CodeOf(err) != wire.StatusNoEstimate {
+		t.Fatalf("closing a closed link: err = %v, want StatusNoEstimate", err)
+	}
+	if err := c.client.Submit("second", testImage(2), 0, &reply); err != nil {
+		t.Fatalf("second link after closing the first: %v", err)
+	}
+	if links := c.nodes[0].svc.Links(); len(links) != 1 || links[0].ID != "second" {
+		t.Fatalf("backend sessions = %+v, want only \"second\"", links)
 	}
 }
 

@@ -57,7 +57,7 @@ func BenchmarkWireDecodeSubmit(b *testing.B) {
 
 func BenchmarkWireEncodeEstimate(b *testing.B) {
 	est := EstimateReply{
-		FrameSeq: 7, SubmittedSeq: 7, Batch: 8,
+		FrameSeq: 7, SubmittedSeq: 7,
 		Age: 3 * time.Millisecond, Inference: 1600 * time.Microsecond,
 		CIR: make([]complex64, 11),
 	}
@@ -71,7 +71,7 @@ func BenchmarkWireEncodeEstimate(b *testing.B) {
 }
 
 func BenchmarkWireDecodeEstimate(b *testing.B) {
-	in := EstimateReply{FrameSeq: 7, SubmittedSeq: 7, Batch: 8, CIR: make([]complex64, 11)}
+	in := EstimateReply{FrameSeq: 7, SubmittedSeq: 7, CIR: make([]complex64, 11)}
 	frame := encodeFrame(TypeEstimate, StatusOK, 1, func(p []byte) []byte {
 		return appendEstimatePayload(p, &in)
 	})
@@ -128,7 +128,7 @@ func BenchmarkWireSubmitRoundTrip(b *testing.B) {
 // concurrent link sessions over one connection — the multiplexing win
 // that a request-per-connection protocol cannot have.
 func BenchmarkWireSubmitPipelined(b *testing.B) {
-	svc, err := serve.New(serve.Config{Estimator: &serve.StubEstimator{}, InputSize: benchPixels, QueueDepth: 64})
+	svc, err := serve.New(serve.Config{Estimator: &serve.StubEstimator{}, InputSize: benchPixels})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -52,13 +52,14 @@ type Client struct {
 }
 
 // call is one in-flight request: exactly one response decode target is
-// non-nil, matching the expected reply type.
+// non-nil (or ack is set), matching the expected reply type.
 type call struct {
 	ch      chan error
 	est     *EstimateReply
 	stats   *[]LinkStats
 	metrics *MetricsReply
 	pong    *PongReply
+	ack     bool // expects an empty TypeCloseLinkReply
 }
 
 // Dial connects to a wire server and performs the preface handshake.
@@ -173,6 +174,14 @@ func (c *Client) decodeReply(hdr frameHeader, payload []byte, cl *call) error {
 			return fmt.Errorf("wire: unexpected pong reply")
 		}
 		return parsePongPayload(payload, cl.pong)
+	case TypeCloseLinkReply:
+		if !cl.ack {
+			return fmt.Errorf("wire: unexpected close-link reply")
+		}
+		if len(payload) != 0 {
+			return fmt.Errorf("wire: close-link reply carries %d payload bytes", len(payload))
+		}
+		return nil
 	}
 	return fmt.Errorf("wire: unknown reply type 0x%02x", hdr.Type)
 }
@@ -266,6 +275,14 @@ func (c *Client) Stats(link string, dst []LinkStats) ([]LinkStats, error) {
 		return appendLinkPayload(b, link)
 	}, cl, c.cfg.CallTimeout)
 	return dst, err
+}
+
+// CloseLink closes a link session on the server, freeing its slot under
+// the session cap. A link that is not open fails with StatusNoEstimate.
+func (c *Client) CloseLink(link string) error {
+	return c.roundTrip(TypeCloseLink, func(b []byte) []byte {
+		return appendLinkPayload(b, link)
+	}, &call{ack: true}, c.cfg.CallTimeout)
 }
 
 // Metrics fetches the service counter snapshot.

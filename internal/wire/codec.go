@@ -247,8 +247,6 @@ func (c *cursor) u64() uint64 {
 	return v
 }
 
-func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
-
 func (c *cursor) str(max int) string {
 	n := int(c.u16())
 	if c.err != nil {

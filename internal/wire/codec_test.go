@@ -181,7 +181,6 @@ func TestEstimatePayloadRoundTrip(t *testing.T) {
 		FrameSeq:      77,
 		SubmittedSeq:  75,
 		DroppedOldest: true,
-		Batch:         8,
 		Age:           13 * time.Millisecond,
 		Inference:     1600 * time.Microsecond,
 		CIR:           []complex64{complex(1.5, -2.25), complex(0, 3), complex(-4.125, 0.5)},
@@ -192,7 +191,7 @@ func TestEstimatePayloadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.FrameSeq != in.FrameSeq || out.SubmittedSeq != in.SubmittedSeq ||
-		out.DroppedOldest != in.DroppedOldest || out.Batch != in.Batch ||
+		out.DroppedOldest != in.DroppedOldest ||
 		out.Age != in.Age || out.Inference != in.Inference {
 		t.Fatalf("out = %+v, want %+v", out, in)
 	}
@@ -249,10 +248,9 @@ func TestMetricsPayloadRoundTrip(t *testing.T) {
 	in := MetricsReply{
 		FramesSubmitted: 100, FramesDropped: 3, FramesInferred: 97,
 		Batches: 13, LastSeq: 100, EstimatesServed: 450,
-		MeanBatch: 7.4615, InferMean: 1600 * time.Microsecond,
-		InferMeanFrame: 200 * time.Microsecond, InferMax: 4 * time.Millisecond,
+		InferMean: 1600 * time.Microsecond, InferMax: 4 * time.Millisecond,
 		AgeP50: 6 * time.Millisecond, AgeP99: 21 * time.Millisecond,
-		QueueLen: 2, QueueCap: 8, ActiveLinks: 5,
+		QueueLen: 1, ActiveLinks: 5,
 		InferMode: "gemm+avx2", Err: "",
 	}
 	p := appendMetricsReplyPayload(nil, &in)

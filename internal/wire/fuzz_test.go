@@ -21,7 +21,7 @@ func seedFrames() map[string][]byte {
 		img[i] = float32(i) * 0.5
 	}
 	est := EstimateReply{
-		FrameSeq: 7, SubmittedSeq: 7, Batch: 8,
+		FrameSeq: 7, SubmittedSeq: 7,
 		Age: 3 * time.Millisecond, Inference: 1600 * time.Microsecond,
 		CIR: []complex64{complex(1, -1), complex(2, -2), complex(3, -3)},
 	}
@@ -32,9 +32,9 @@ func seedFrames() map[string][]byte {
 	}}
 	metrics := MetricsReply{
 		FramesSubmitted: 100, FramesInferred: 97, Batches: 13, LastSeq: 100,
-		EstimatesServed: 450, MeanBatch: 7.46, InferMean: 1600 * time.Microsecond,
+		EstimatesServed: 450, InferMean: 1600 * time.Microsecond,
 		AgeP50: 6 * time.Millisecond, AgeP99: 21 * time.Millisecond,
-		QueueLen: 2, QueueCap: 8, ActiveLinks: 5, InferMode: "stub",
+		QueueLen: 1, ActiveLinks: 5, InferMode: "stub",
 	}
 	pong := PongReply{QueueLen: 1, Inflight: 3, ActiveLinks: 5, EstimatesServed: 450}
 
@@ -43,6 +43,9 @@ func seedFrames() map[string][]byte {
 			return appendSubmitPayload(b, "cam-0", img, 2*time.Second)
 		}),
 		"fetch": encodeFrame(TypeFetch, StatusOK, 2, func(b []byte) []byte {
+			return appendLinkPayload(b, "cam-0")
+		}),
+		"close_link": encodeFrame(TypeCloseLink, StatusOK, 7, func(b []byte) []byte {
 			return appendLinkPayload(b, "cam-0")
 		}),
 		"estimate": encodeFrame(TypeEstimate, StatusOK, 1, func(b []byte) []byte {

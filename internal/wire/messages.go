@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // Typed payload codecs, one append/parse pair per message type. Append
 // functions write into a frame started by beginFrame (reusing the
@@ -48,7 +45,7 @@ func parseSubmitPayload(p []byte, req *SubmitRequest) error {
 	return c.done()
 }
 
-// ---- Fetch / Stats requests (a bare link id) ----
+// ---- Fetch / Stats / CloseLink requests (a bare link id) ----
 
 func appendLinkPayload(b []byte, link string) []byte { return appendString(b, link) }
 
@@ -69,12 +66,7 @@ func appendEstimatePayload(b []byte, e *EstimateReply) []byte {
 	if e.DroppedOldest {
 		flags |= estFlagDropped
 	}
-	batch := e.Batch
-	if batch < 0 || batch > 0xFFFF {
-		batch = 0xFFFF
-	}
-	b = append(b, flags, 0)
-	b = appendU16(b, uint16(batch))
+	b = append(b, flags)
 	b = appendDur(b, e.Age)
 	b = appendDur(b, e.Inference)
 	return appendC64s(b, e.CIR)
@@ -85,9 +77,7 @@ func parseEstimatePayload(p []byte, e *EstimateReply) error {
 	e.FrameSeq = c.u64()
 	e.SubmittedSeq = c.u64()
 	flags := c.u8()
-	c.u8() // pad
 	e.DroppedOldest = flags&estFlagDropped != 0
-	e.Batch = int(c.u16())
 	e.Age = c.dur()
 	e.Inference = c.dur()
 	e.CIR = c.c64s(maxCIRTaps, e.CIR)
@@ -155,14 +145,11 @@ func appendMetricsReplyPayload(b []byte, m *MetricsReply) []byte {
 	b = appendU64(b, m.Batches)
 	b = appendU64(b, m.LastSeq)
 	b = appendU64(b, m.EstimatesServed)
-	b = appendU64(b, math.Float64bits(m.MeanBatch))
 	b = appendDur(b, m.InferMean)
-	b = appendDur(b, m.InferMeanFrame)
 	b = appendDur(b, m.InferMax)
 	b = appendDur(b, m.AgeP50)
 	b = appendDur(b, m.AgeP99)
 	b = appendU32(b, uint32(m.QueueLen))
-	b = appendU32(b, uint32(m.QueueCap))
 	b = appendU32(b, uint32(m.ActiveLinks))
 	b = appendString(b, m.InferMode)
 	return appendString(b, m.Err)
@@ -176,14 +163,11 @@ func parseMetricsReplyPayload(p []byte, m *MetricsReply) error {
 	m.Batches = c.u64()
 	m.LastSeq = c.u64()
 	m.EstimatesServed = c.u64()
-	m.MeanBatch = c.f64()
 	m.InferMean = c.dur()
-	m.InferMeanFrame = c.dur()
 	m.InferMax = c.dur()
 	m.AgeP50 = c.dur()
 	m.AgeP99 = c.dur()
 	m.QueueLen = int(c.u32())
-	m.QueueCap = int(c.u32())
 	m.ActiveLinks = int(c.u32())
 	m.InferMode = c.str(maxErrorMsg)
 	m.Err = c.str(maxErrorMsg)

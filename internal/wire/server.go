@@ -242,6 +242,19 @@ func (s *Server) handleConn(conn net.Conn) {
 					return appendStatsReplyPayload(b, stats)
 				})
 			})
+		case TypeCloseLink:
+			link, perr := parseLinkPayload(payload)
+			if perr != nil {
+				w.sendError(hdr.ReqID, StatusBadRequest, perr.Error())
+				continue
+			}
+			s.dispatchWith(w, &reqWG, hdr.ReqID, func(w *connWriter, reqID uint64) {
+				if err := s.h.CloseLink(link); err != nil {
+					w.sendError(reqID, CodeOf(err), err.Error())
+					return
+				}
+				w.send(TypeCloseLinkReply, StatusOK, reqID, nil)
+			})
 		case TypeMetrics:
 			if len(payload) != 0 {
 				w.sendError(hdr.ReqID, StatusBadRequest, "unexpected metrics payload")

@@ -46,7 +46,6 @@ func statusErr(err error) error {
 // in practice: the inference engine computes float32 (PR 6).
 func fillEstimate(reply *EstimateReply, e serve.Estimate, now time.Time) {
 	reply.FrameSeq = e.FrameSeq
-	reply.Batch = e.Batch
 	reply.Age = e.AgeAt(now)
 	reply.Inference = e.Inference
 	reply.CIR = reply.CIR[:0]
@@ -92,6 +91,14 @@ func (h *ServiceHandler) Stats(link string) ([]LinkStats, error) {
 		}
 	}
 	return nil, Errf(StatusNoEstimate, "link %q not open", link)
+}
+
+// CloseLink implements Handler.
+func (h *ServiceHandler) CloseLink(link string) error {
+	if !h.svc.CloseLink(link) {
+		return Errf(StatusNoEstimate, "link %q not open", link)
+	}
+	return nil
 }
 
 // Metrics implements Handler.

@@ -254,6 +254,10 @@ func TestErrorStatuses(t *testing.T) {
 	if err := fx.client.Submit("other", testImage(4), 0, &reply); CodeOf(err) != StatusTooManyLinks {
 		t.Fatalf("over-cap err = %v, want StatusTooManyLinks", err)
 	}
+	// Closing a link that is not open reports it like Stats does.
+	if err := fx.client.CloseLink("other"); CodeOf(err) != StatusNoEstimate {
+		t.Fatalf("close of an unopened link err = %v, want StatusNoEstimate", err)
+	}
 
 	// Every error is a *StatusError with a usable message.
 	err := fx.client.Fetch("third", &reply)
@@ -264,7 +268,7 @@ func TestErrorStatuses(t *testing.T) {
 }
 
 func TestPipelinedConcurrentLinks(t *testing.T) {
-	fx := newWireFixture(t, serve.Config{QueueDepth: 64}, ServerConfig{})
+	fx := newWireFixture(t, serve.Config{}, ServerConfig{})
 	const links = 8
 	const perLink = 10
 	var wg sync.WaitGroup
@@ -501,7 +505,7 @@ func TestClientFailsPendingOnConnectionLoss(t *testing.T) {
 
 func TestServerCloseUnblocksClients(t *testing.T) {
 	// A Submit parked deep in its wait must return promptly once the
-	// service shuts down — Close drains the queue, so the parked call may
+	// service shuts down — Close infers the pending frame, so the parked call may
 	// come back with its estimate or with ErrClosed mapped to a status,
 	// but it must not ride out its 30 s wait budget.
 	fx := newWireFixture(t,

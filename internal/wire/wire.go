@@ -54,7 +54,7 @@ const Magic = uint32(0x57445656)
 
 // Version is the protocol revision spoken by this build. A peer with a
 // different version is rejected at the preface.
-const Version = uint32(2)
+const Version = uint32(3)
 
 // MaxWait caps the server-side estimate wait a Submit may request; a
 // longer wait is clamped, bounding how long a hostile client can park
@@ -63,16 +63,18 @@ const MaxWait = serve.MaxWait
 
 // Message types. Requests flow client→server, replies server→client.
 const (
-	TypeSubmit       = 0x01 // frame submission (flag bit 0: fire-and-forget)
-	TypeFetch        = 0x02 // freshest estimate for a link
-	TypeEstimate     = 0x03 // reply to Submit/Fetch
-	TypeStats        = 0x04 // link statistics (empty link id = all links)
-	TypeStatsReply   = 0x05
-	TypeMetrics      = 0x06 // service counters
-	TypeMetricsReply = 0x07
-	TypePing         = 0x08 // health probe
-	TypePong         = 0x09 // reply with load signals
-	TypeError        = 0x0A // any request can fail; status + message
+	TypeSubmit         = 0x01 // frame submission (flag bit 0: fire-and-forget)
+	TypeFetch          = 0x02 // freshest estimate for a link
+	TypeEstimate       = 0x03 // reply to Submit/Fetch
+	TypeStats          = 0x04 // link statistics (empty link id = all links)
+	TypeStatsReply     = 0x05
+	TypeMetrics        = 0x06 // service counters
+	TypeMetricsReply   = 0x07
+	TypePing           = 0x08 // health probe
+	TypePong           = 0x09 // reply with load signals
+	TypeError          = 0x0A // any request can fail; status + message
+	TypeCloseLink      = 0x0B // close a link session, freeing its slot
+	TypeCloseLinkReply = 0x0C // empty acknowledgement
 )
 
 // Status is the response status carried in the frame header. StatusOK
@@ -158,6 +160,9 @@ type Handler interface {
 	// Stats returns per-session statistics: one entry for the given
 	// link, or every open session (sorted by id) when link is empty.
 	Stats(link string) ([]LinkStats, error)
+	// CloseLink closes a link session, freeing its slot under the
+	// session cap. A link that is not open fails with StatusNoEstimate.
+	CloseLink(link string) error
 	// Metrics returns the service counter snapshot.
 	Metrics() (MetricsReply, error)
 	// Ping returns load signals for health checks. The wire server
@@ -172,7 +177,6 @@ type EstimateReply struct {
 	FrameSeq      uint64
 	SubmittedSeq  uint64
 	DroppedOldest bool
-	Batch         int
 	Age           time.Duration // age of the served estimate at reply time
 	Inference     time.Duration
 	CIR           []complex64
@@ -187,7 +191,7 @@ type MetricsReply = serve.Metrics
 
 // PongReply carries the load signals a health checker reads (TypePong).
 type PongReply struct {
-	QueueLen        int    // frames waiting for inference
+	QueueLen        int    // 1 while a frame waits for inference
 	Inflight        int    // requests currently being handled
 	ActiveLinks     int    // open sessions
 	EstimatesServed uint64 // monotone progress signal

@@ -5,12 +5,12 @@
 #   scripts/cluster-bench.sh          # full run (~1 min of measurement)
 #   scripts/cluster-bench.sh quick    # CI smoke: short windows, hard asserts
 #
-# Backends run serve.StubEstimator with a fixed emulated inference cost of
-# 1.6 ms per batch (the GEMM engine's cost for a batch of 8 on one core as
+# Backends run serve.StubEstimator with a fixed emulated cost of 1.6 ms per
+# inference (the GEMM engine's cost for a batch of 8 on one core as
 # measured when that engine was introduced; the current engine is faster),
 # so the cluster tier is measured without re-measuring the kernel
-# underneath and a backend's capacity is known: MaxBatch / latency ≈ 5000
-# frames/s.
+# underneath. A backend infers at most ~600 frames/s, but one inference
+# releases every link waiting on it, so served/s is not bounded by that.
 # Phases:
 #   A  protocol cost    — HTTP/JSON vs binary wire, one instant backend
 #   B  router scaling   — 1 backend direct vs 2 backends behind vvd-router
@@ -40,7 +40,7 @@ go build -o "$bin" ./cmd/vvd-serve ./cmd/vvd-router ./cmd/vvd-load
 
 serve() { # serve <wire-port> <http-port> [extra flags...]
   local wire=$1 http=$2; shift 2
-  "$bin/vvd-serve" -stub "$lat" -queue 64 -wire "127.0.0.1:$wire" -addr "127.0.0.1:$http" "$@" \
+  "$bin/vvd-serve" -stub "$lat" -wire "127.0.0.1:$wire" -addr "127.0.0.1:$http" "$@" \
     >"$bin/serve-$wire.log" 2>&1 &
   pids+=($!)
 }
@@ -53,7 +53,7 @@ load() { # load <name> <args...>
 }
 
 # ---- phase A: protocol cost (one backend, instant inference) ---------
-"$bin/vvd-serve" -stub 0 -queue 64 -wire 127.0.0.1:19991 -addr 127.0.0.1:18991 \
+"$bin/vvd-serve" -stub 0 -wire 127.0.0.1:19991 -addr 127.0.0.1:18991 \
   >"$bin/serve-a.log" 2>&1 & pids+=($!)
 sleep 0.5
 load json-single -protocol http -addr 127.0.0.1:18991 -links 16 -fps 0 -assert-served 1 -assert-no-errors
