@@ -159,6 +159,130 @@ func TestOnlyNewestFrameInferred(t *testing.T) {
 	}
 }
 
+// TestDropOldestBackpressure pins the backpressure policy: a stalled
+// estimator never blocks Submit and never holds more than one waiting
+// frame — each arrival evicts the oldest waiting frame, and the newest
+// always gets in.
+func TestDropOldestBackpressure(t *testing.T) {
+	est := &stubEstimator{gate: make(chan struct{}, 2), started: make(chan struct{}, 2)}
+	s, err := New(Config{Estimator: est})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Frame 1 is picked up and blocks inside the estimator.
+	if _, _, err := s.Submit(frame(1)); err != nil {
+		t.Fatal(err)
+	}
+	<-est.started
+	const last = 40
+	submitted := make(chan uint64)
+	go func() {
+		defer close(submitted)
+		for i := 2; i <= last; i++ {
+			seq, dropped, err := s.Submit(frame(i))
+			if err != nil || dropped != (i > 2) {
+				t.Errorf("frame %d: dropped=%v err=%v, want dropped=%v", i, dropped, err, i > 2)
+				return
+			}
+			if m := s.Metrics(); m.QueueLen != 1 || m.FramesDropped != uint64(i-2) {
+				t.Errorf("after frame %d: queue %d, dropped %d; want 1, %d", i, m.QueueLen, m.FramesDropped, i-2)
+				return
+			}
+			if i == last {
+				submitted <- seq
+			}
+		}
+	}()
+	var seqLast uint64
+	select {
+	case seqLast = <-submitted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Submit blocked behind a stalled estimator")
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	est.gate <- struct{}{} // release frame 1's inference
+	est.gate <- struct{}{} // release the newest frame's
+	e, ok := s.WaitFor(seqLast, 5*time.Second)
+	if !ok || e.FrameSeq != seqLast || real(e.CIR[0]) != last {
+		t.Fatalf("WaitFor(%d) = seq %d CIR %v ok=%v, want frame %d", seqLast, e.FrameSeq, e.CIR, ok, last)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m := s.Metrics()
+	if m.FramesDropped != last-2 || m.FramesInferred != 2 || m.QueueLen != 0 {
+		t.Fatalf("metrics = %+v, want %d dropped, 2 inferred, empty slot", m, last-2)
+	}
+}
+
+// TestBatchAmortization pins the paper's scalability claim at the service
+// level: links that submit while the estimator is busy are all released
+// by one inference of the newest frame, so the inference count does not
+// grow with the number of waiting links.
+func TestBatchAmortization(t *testing.T) {
+	est := &stubEstimator{gate: make(chan struct{}, 2), started: make(chan struct{}, 2)}
+	s, err := New(Config{Estimator: est})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Submit(frame(1)); err != nil {
+		t.Fatal(err)
+	}
+	<-est.started
+	const links = 16
+	var wg sync.WaitGroup
+	res := make([]SubmitResult, links)
+	errs := make([]error, links)
+	for i := range links {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], errs[i] = s.SubmitAndWait(fmt.Sprintf("link-%d", i), frame(100+i), 5*time.Second)
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Metrics().FramesSubmitted < links+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d frames submitted", s.Metrics().FramesSubmitted, links+1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	est.gate <- struct{}{} // release frame 1's inference
+	est.gate <- struct{}{} // one inference for every waiting link
+	wg.Wait()
+	var newest uint64
+	superseded := 0
+	for i := range links {
+		if errs[i] != nil {
+			t.Fatalf("link %d: %v", i, errs[i])
+		}
+		newest = max(newest, res[i].SubmittedSeq)
+		if res[i].DroppedOldest {
+			superseded++
+		}
+	}
+	for i := range links {
+		if res[i].FrameSeq != newest {
+			t.Fatalf("link %d served frame seq %d, want the newest %d", i, res[i].FrameSeq, newest)
+		}
+	}
+	if superseded != links-1 {
+		t.Fatalf("%d submissions superseded a waiting frame, want %d", superseded, links-1)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m := s.Metrics()
+	if m.Batches != 2 || m.FramesInferred != 2 || m.FramesDropped != links-1 {
+		t.Fatalf("metrics = %+v, want 2 inferences for %d links, %d dropped", m, links, links-1)
+	}
+	if m.ActiveLinks != links || m.EstimatesServed != links {
+		t.Fatalf("links %d / served %d, want %d / %d", m.ActiveLinks, m.EstimatesServed, links, links)
+	}
+}
+
 // TestManyConcurrentLinks is the serving-scale acceptance test: ≥100 link
 // sessions read estimates through Fetch — the path both transports use —
 // concurrently with the camera feed, and every served estimate's age
