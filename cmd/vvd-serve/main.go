@@ -26,10 +26,12 @@
 //
 // With -wire ADDR the same service also listens for the binary wire
 // protocol (internal/wire) — the transport vvd-router and vvd-load
-// speak; it can close link sessions too, so -maxlinks binds it as it
-// binds HTTP. With -stub DURATION the server runs serve.StubEstimator at
-// a fixed cost per inference instead of a model: a benchmark backend of
-// known inference latency for cluster measurements.
+// speak. Both listeners dispatch to one wire.Handler, so they answer
+// with the same verdicts, and either can close link sessions, so
+// -maxlinks binds both. With -stub DURATION the server runs
+// serve.StubEstimator at a fixed cost per inference instead of a model:
+// a benchmark backend of known inference latency for cluster
+// measurements.
 //
 // Try it:
 //
@@ -126,9 +128,12 @@ func main() {
 		go runCamera(svc, feed, stopFeed)
 	}
 
+	// One dispatcher behind both listeners: HTTP/JSON is a codec over the
+	// same Handler the wire server calls, with the same error→status map.
+	handler := wire.NewServiceHandler(svc)
 	var wireServer *wire.Server
 	if *wireAddr != "" {
-		wireServer = wire.NewServer(wire.NewServiceHandler(svc), wire.ServerConfig{})
+		wireServer = wire.NewServer(handler, wire.ServerConfig{})
 		bound, err := wireServer.Listen(*wireAddr)
 		if err != nil {
 			fatal(err)
@@ -136,7 +141,7 @@ func main() {
 		fmt.Printf("wire protocol on %s\n", bound)
 	}
 
-	server := &http.Server{Addr: *addr, Handler: serve.NewHandler(svc)}
+	server := &http.Server{Addr: *addr, Handler: wire.NewHTTPHandler(handler, scfg.InputSize)}
 	go func() {
 		fmt.Printf("serving on %s  (GET /estimate?link=..., GET /links, GET /metricsz)\n", *addr)
 		if err := server.ListenAndServe(); err != nil && err != http.ErrServerClosed {

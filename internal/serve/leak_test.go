@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"net/http"
 	"runtime"
 	"sync"
 	"testing"
@@ -13,20 +12,16 @@ import (
 // verifyNoLeaks snapshots the running goroutine count and registers a
 // cleanup — running after the test's own cleanups, so after every Close —
 // that polls until the count is back at the snapshot. Goroutines unwind
-// asynchronously after Service.Close and server shutdown, hence the retry
-// loop; if the count never recovers the surviving stacks are reported.
-// Under -race (CI runs the whole suite with it) this pins the contract
-// that no exit path strands an estimator goroutine, a blocked WaitFor
-// reader, or an HTTP worker.
+// asynchronously after Service.Close, hence the retry loop; if the count
+// never recovers the surviving stacks are reported. Under -race (CI runs
+// the whole suite with it) this pins the contract that no exit path
+// strands an estimator goroutine or a blocked WaitFor reader.
 func verifyNoLeaks(t *testing.T) {
 	t.Helper()
 	baseline := runtime.NumGoroutine()
 	t.Cleanup(func() {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			// Keep-alive connections from the test HTTP client hold
-			// goroutines until the idle pool is drained.
-			http.DefaultClient.CloseIdleConnections()
 			if runtime.NumGoroutine() <= baseline {
 				return
 			}
@@ -78,36 +73,4 @@ func TestCloseReturnsGoroutinesToBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-}
-
-// TestHTTPSessionDeleteReturnsGoroutinesToBaseline exercises the HTTP
-// surface: auto-opened session, session DELETE, then server and service
-// shutdown must return the process to its goroutine baseline.
-func TestHTTPSessionDeleteReturnsGoroutinesToBaseline(t *testing.T) {
-	verifyNoLeaks(t)
-	_, ts := httpFixture(t)
-
-	resp, body := postJSON(t, ts.URL+"/estimate", map[string]any{
-		"link": "ephemeral", "image": []float32{7},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /estimate: got %d (%v)", resp.StatusCode, body)
-	}
-
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/links?id=ephemeral", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := decodeBody(t, dresp); dresp.StatusCode != http.StatusOK || got["closed"] != "ephemeral" {
-		t.Fatalf("DELETE /links: got %d (%v)", dresp.StatusCode, got)
-	}
-
-	_, links := getJSON(t, ts.URL+"/links")
-	if ls, ok := links["links"].([]any); !ok || len(ls) != 0 {
-		t.Fatalf("links after DELETE: %v", links)
-	}
 }

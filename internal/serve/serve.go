@@ -23,9 +23,10 @@
 //     records how many estimates it was served and how old they were
 //     (Links). Latest reads the same value without touching any session.
 //
-// NewHandler exposes a Service over HTTP/JSON and internal/wire over the
-// binary protocol; both call the same SubmitAndWait/Fetch flow.
-// examples/streaming drives one from a simulated camera in real time.
+// The package has no transport. internal/wire serves a Service through
+// one dispatcher (wire.ServiceHandler), over its binary protocol and over
+// HTTP/JSON alike; both call the same SubmitAndWait/Fetch flow.
+// `vvd-serve -demo` drives one from a simulated camera in real time.
 package serve
 
 import (

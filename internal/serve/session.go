@@ -15,10 +15,9 @@ const DefaultWait = 2 * time.Second
 // its decoded frame.
 const MaxWait = time.Minute
 
-// Transport-agnostic error taxonomy: every protocol front-end (HTTP/JSON
-// in this package, the binary wire protocol in internal/wire) maps these
-// sentinels onto its own status codes instead of re-implementing the
-// session flow.
+// Transport-agnostic error taxonomy: internal/wire maps these sentinels
+// (and ErrClosed) onto its statuses in one place, and its binary and
+// HTTP/JSON front-ends both answer with those statuses.
 var (
 	// ErrNoEstimate: the service has not published a single estimate yet.
 	ErrNoEstimate = errors.New("serve: no estimate published yet")

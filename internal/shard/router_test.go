@@ -1,7 +1,12 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -516,6 +521,58 @@ func TestCloseLinkFreesSessionBehindRouter(t *testing.T) {
 	}
 	if links := c.nodes[0].svc.Links(); len(links) != 1 || links[0].ID != "second" {
 		t.Fatalf("backend sessions = %+v, want only \"second\"", links)
+	}
+}
+
+// TestHTTPThroughRouter fronts the router with the HTTP/JSON codec: the
+// backend's verdicts cross the wire hop and reach HTTP through the one
+// Status → HTTP map, so the session cap reads 429 and closing an unopened
+// link 404, as they do against a backend directly.
+func TestHTTPThroughRouter(t *testing.T) {
+	c := startClusterWith(t, 1, Config{HealthInterval: -1}, serve.Config{Estimator: &serve.StubEstimator{}, MaxLinks: 1})
+	ts := httptest.NewServer(wire.NewHTTPHandler(c.router, 0))
+	t.Cleanup(ts.Close)
+	do := func(method, target string, body any) int {
+		t.Helper()
+		var rd io.Reader
+		if body != nil {
+			buf, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd = bytes.NewReader(buf)
+		}
+		req, err := http.NewRequest(method, ts.URL+target, rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode
+	}
+	submit := func(link string, seed int) int {
+		return do(http.MethodPost, "/estimate", map[string]any{"link": link, "image": testImage(seed)})
+	}
+	for _, step := range []struct {
+		name string
+		got  func() int
+		want int
+	}{
+		{"first link", func() int { return submit("first", 1) }, http.StatusOK},
+		{"second link at the cap", func() int { return submit("second", 2) }, http.StatusTooManyRequests},
+		{"close the first link", func() int { return do(http.MethodDelete, "/links?id=first", nil) }, http.StatusOK},
+		{"close it again", func() int { return do(http.MethodDelete, "/links?id=first", nil) }, http.StatusNotFound},
+		{"second link after the close", func() int { return submit("second", 2) }, http.StatusOK},
+	} {
+		if got := step.got(); got != step.want {
+			t.Fatalf("%s: HTTP %d, want %d", step.name, got, step.want)
+		}
 	}
 }
 

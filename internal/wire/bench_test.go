@@ -93,7 +93,8 @@ func BenchmarkWireDecodeEstimate(b *testing.B) {
 
 // BenchmarkWireSubmitRoundTrip measures the full stack on loopback —
 // client encode, server decode, stub inference, estimate reply — the
-// number the JSON round-trip benchmark in internal/serve is compared to.
+// number the JSON round-trip benchmark (BenchmarkHTTPEstimatePost) is
+// compared to.
 func BenchmarkWireSubmitRoundTrip(b *testing.B) {
 	svc, err := serve.New(serve.Config{Estimator: &serve.StubEstimator{}, InputSize: benchPixels})
 	if err != nil {

@@ -1,4 +1,4 @@
-package serve
+package wire
 
 import (
 	"bytes"
@@ -10,94 +10,102 @@ import (
 	"time"
 )
 
-// NewHandler exposes a Service over HTTP/JSON (stdlib only):
+// NewHTTPHandler serves a Handler over HTTP/JSON (stdlib only):
 //
 //	POST   /estimate   {"link":"a","image":[...]}  submit a frame, wait for
 //	                   its (or a newer) estimate and return it; wait_ms<0
 //	                   submits without waiting (fire-and-forget feeders),
-//	                   wait_ms above MaxWait is clamped to it
+//	                   wait_ms above MaxWait is clamped to it; no image
+//	                   serves the freshest estimate, like GET
 //	GET    /estimate?link=a                        freshest estimate for a link
 //	GET    /links                                  per-session statistics
 //	DELETE /links?id=a                             close a session
 //	GET    /metricsz                               service counters
 //
-// Link sessions are opened on first use (429 once Config.MaxLinks is
-// reached — set it on Internet-facing services). CIRs travel as
-// [[re,im], ...] pairs and durations as milliseconds.
+// It is a codec only: every request becomes one Handler call — the same
+// Submit/Fetch/Stats/CloseLink/Metrics the binary Server dispatches —
+// and every Handler error reaches its HTTP code through Status.httpCode,
+// so a backend and a router in front of backends answer JSON with the
+// verdicts they give over the wire. CIRs travel as [[re,im], ...] pairs
+// and durations as milliseconds.
 //
-// The session flow itself lives in Service.SubmitAndWait/Fetch — this
-// file only maps the serve error taxonomy onto HTTP status codes and
-// JSON shapes; internal/wire maps the same flow onto the binary
-// protocol.
-func NewHandler(s *Service) http.Handler {
+// maxPixels bounds POST bodies before decoding, so an anonymous POST
+// cannot make the server buffer an arbitrarily long image array: ~32
+// bytes per JSON-encoded pixel, or 4 MiB when maxPixels is 0 (413
+// beyond it).
+func NewHTTPHandler(h Handler, maxPixels int) http.Handler {
+	maxBody := int64(4 << 20)
+	if maxPixels > 0 {
+		maxBody = int64(maxPixels)*32 + 4096
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /estimate", func(w http.ResponseWriter, r *http.Request) {
-		// Bound the body before decoding: an anonymous POST must not be
-		// able to make the server buffer an arbitrarily long image array.
-		// ~32 bytes per JSON-encoded pixel is generous.
-		maxBody := int64(4 << 20)
-		if s.cfg.InputSize > 0 {
-			maxBody = int64(s.cfg.InputSize)*32 + 4096
-		}
 		r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 		body := bodyPool.Get().(*bytes.Buffer)
 		defer func() { body.Reset(); bodyPool.Put(body) }()
 		if _, err := body.ReadFrom(r.Body); err != nil {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
-				httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+				httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
 				return
 			}
-			httpError(w, http.StatusBadRequest, "reading body: %v", err)
+			writeError(w, Errf(StatusBadRequest, "reading body: %v", err))
 			return
 		}
-		var req estimateRequest
+		// Decode the image straight into its final size: it becomes the
+		// pending frame, so it is the one buffer a POST must allocate.
+		req := estimateRequest{Image: make([]float32, 0, maxPixels)}
 		if err := json.Unmarshal(body.Bytes(), &req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+			writeError(w, Errf(StatusBadRequest, "bad JSON: %v", err))
 			return
 		}
 		if req.Link == "" {
-			httpError(w, http.StatusBadRequest, "missing link id")
+			writeError(w, Errf(StatusBadRequest, "missing link id"))
 			return
 		}
 		if len(req.Image) == 0 {
-			serveFetch(w, s, req.Link)
+			serveFetch(w, h, req.Link)
 			return
 		}
+		rs := getScratch()
+		defer rs.put()
 		wait := waitFromMS(req.WaitMS)
-		res, err := s.SubmitAndWait(req.Link, req.Image, wait)
-		if err != nil {
-			httpError(w, statusFor(err), "%v", err)
+		if err := h.Submit(req.Link, req.Image, wait, &rs.reply); err != nil {
+			writeError(w, err)
 			return
 		}
 		if wait < 0 {
-			writeJSON(w, submitResponse{Link: req.Link, SubmittedSeq: res.SubmittedSeq, DroppedOldest: res.DroppedOldest})
+			rs.write(w, submitResponse{Link: req.Link, SubmittedSeq: rs.reply.SubmittedSeq, DroppedOldest: rs.reply.DroppedOldest})
 			return
 		}
-		writeEstimate(w, s, req.Link, res.Estimate, res.SubmittedSeq, res.DroppedOldest)
+		rs.writeEstimate(w, req.Link)
 	})
 	mux.HandleFunc("GET /estimate", func(w http.ResponseWriter, r *http.Request) {
 		id := r.URL.Query().Get("link")
 		if id == "" {
-			httpError(w, http.StatusBadRequest, "missing ?link=")
+			writeError(w, Errf(StatusBadRequest, "missing ?link="))
 			return
 		}
-		serveFetch(w, s, id)
+		serveFetch(w, h, id)
 	})
 	mux.HandleFunc("DELETE /links", func(w http.ResponseWriter, r *http.Request) {
 		id := r.URL.Query().Get("id")
 		if id == "" {
-			httpError(w, http.StatusBadRequest, "missing ?id=")
+			writeError(w, Errf(StatusBadRequest, "missing ?id="))
 			return
 		}
-		if !s.CloseLink(id) {
-			httpError(w, http.StatusNotFound, "link %q not open", id)
+		if err := h.CloseLink(id); err != nil {
+			writeError(w, err)
 			return
 		}
 		writeJSON(w, map[string]string{"closed": id})
 	})
 	mux.HandleFunc("GET /links", func(w http.ResponseWriter, r *http.Request) {
-		stats := s.Links()
+		stats, err := h.Stats("")
+		if err != nil {
+			writeError(w, err)
+			return
+		}
 		out := make([]linkJSON, len(stats))
 		for i, st := range stats {
 			out[i] = linkJSON{
@@ -109,7 +117,11 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, map[string]any{"links": out})
 	})
 	mux.HandleFunc("GET /metricsz", func(w http.ResponseWriter, r *http.Request) {
-		m := s.Metrics()
+		m, err := h.Metrics()
+		if err != nil {
+			writeError(w, err)
+			return
+		}
 		writeJSON(w, metricsJSON{
 			FramesSubmitted: m.FramesSubmitted, FramesDropped: m.FramesDropped,
 			FramesInferred: m.FramesInferred, Batches: m.Batches,
@@ -121,24 +133,6 @@ func NewHandler(s *Service) http.Handler {
 		})
 	})
 	return mux
-}
-
-// statusFor maps the serve error taxonomy onto HTTP status codes.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, ErrLinkLimit):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrClosed):
-		// A closed service is a server-side condition (estimator failure
-		// or shutdown), not a malformed request.
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrNotReady):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, ErrNoEstimate):
-		return http.StatusNotFound
-	default:
-		return http.StatusBadRequest
-	}
 }
 
 type estimateRequest struct {
@@ -197,66 +191,89 @@ type metricsJSON struct {
 	Err             string  `json:"err,omitempty"`
 }
 
-func serveFetch(w http.ResponseWriter, s *Service, linkID string) {
-	e, err := s.Fetch(linkID)
-	if err != nil {
-		httpError(w, statusFor(err), "%v", err)
+func serveFetch(w http.ResponseWriter, h Handler, linkID string) {
+	rs := getScratch()
+	defer rs.put()
+	if err := h.Fetch(linkID, &rs.reply); err != nil {
+		writeError(w, err)
 		return
 	}
-	writeEstimate(w, s, linkID, e, 0, false)
+	rs.writeEstimate(w, linkID)
 }
 
 // Per-request scratch, pooled: the POST body buffer above, and below the
-// response encode buffer plus the [[re,im],...] CIR pair slice. The hot
-// /estimate path allocates only what it must hand off (the decoded image
-// becomes the pending frame, so its buffer cannot be reused) — pinned
-// by BenchmarkHTTPEstimate{Post,Get} with -benchmem.
+// handler's reply (its CIR capacity), the response encode buffer and the
+// [[re,im],...] CIR pair slice. The hot /estimate path allocates only
+// what it must hand off (the decoded image becomes the pending frame, so
+// its buffer cannot be reused) — pinned by
+// BenchmarkHTTPEstimate{Post,Get} with -benchmem.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 type respScratch struct {
+	reply EstimateReply
 	buf   bytes.Buffer
 	pairs [][2]float64
 }
 
 var respPool = sync.Pool{New: func() any { return new(respScratch) }}
 
-func writeEstimate(w http.ResponseWriter, s *Service, linkID string, e Estimate, submitted uint64, dropped bool) {
+// getScratch takes a scratch from the pool with an empty reply that
+// keeps its CIR capacity.
+func getScratch() *respScratch {
 	rs := respPool.Get().(*respScratch)
-	defer func() { rs.buf.Reset(); respPool.Put(rs) }()
-	rs.pairs = appendCIRPairs(rs.pairs[:0], e.CIR)
-	encodeJSON(&rs.buf, estimateResponse{
-		Link: linkID, FrameSeq: e.FrameSeq, SubmittedSeq: submitted, DroppedOldest: dropped,
-		CIR: rs.pairs, AgeMS: ms(e.AgeAt(s.clock())), InferenceMS: ms(e.Inference),
+	rs.reply = EstimateReply{CIR: rs.reply.CIR[:0]}
+	return rs
+}
+
+func (rs *respScratch) put() {
+	rs.buf.Reset()
+	respPool.Put(rs)
+}
+
+// writeEstimate writes rs.reply as the estimate served to linkID. The
+// taps cross the Handler as complex64, so JSON clients get the float32
+// precision binary clients get, the precision the network computes at.
+func (rs *respScratch) writeEstimate(w http.ResponseWriter, linkID string) {
+	rs.pairs = rs.pairs[:0]
+	for _, c := range rs.reply.CIR {
+		rs.pairs = append(rs.pairs, [2]float64{float64(real(c)), float64(imag(c))})
+	}
+	rs.write(w, estimateResponse{
+		Link: linkID, FrameSeq: rs.reply.FrameSeq,
+		SubmittedSeq: rs.reply.SubmittedSeq, DroppedOldest: rs.reply.DroppedOldest,
+		CIR: rs.pairs, AgeMS: ms(rs.reply.Age), InferenceMS: ms(rs.reply.Inference),
 	})
+}
+
+func (rs *respScratch) write(w http.ResponseWriter, v any) {
+	enc := json.NewEncoder(&rs.buf)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(rs.buf.Bytes())
 }
 
-func appendCIRPairs(dst [][2]float64, cir []complex128) [][2]float64 {
-	for _, c := range cir {
-		dst = append(dst, [2]float64{real(c), imag(c)})
-	}
-	return dst
+func writeJSON(w http.ResponseWriter, v any) {
+	rs := getScratch()
+	defer rs.put()
+	rs.write(w, v)
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-func encodeJSON(buf *bytes.Buffer, v any) {
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+// writeError answers a Handler error: a *StatusError with its code's
+// HTTP status and its bare message, anything else with 500.
+func writeError(w http.ResponseWriter, err error) {
+	var se *StatusError
+	if !errors.As(err, &se) {
+		httpError(w, StatusInternal.httpCode(), err.Error())
+		return
+	}
+	httpError(w, se.Code.httpCode(), se.Msg)
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	rs := respPool.Get().(*respScratch)
-	defer func() { rs.buf.Reset(); respPool.Put(rs) }()
-	encodeJSON(&rs.buf, v)
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(rs.buf.Bytes())
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
+func httpError(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }

@@ -1,4 +1,4 @@
-package serve
+package wire
 
 import (
 	"bytes"
@@ -9,36 +9,37 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+
+	"vvd/internal/serve"
 )
 
 // The HTTP/JSON round-trip benchmarks, with -benchmem, pin the pooled
 // encode/decode buffers: steady-state request handling must not grow
 // per-request garbage with the 4500-pixel frame size the model serves.
-// They are also the single-node baseline the wire protocol benchmarks
-// (internal/wire) and EXPERIMENTS.md compare against.
+// They are also the single-node baseline the binary protocol benchmarks
+// and EXPERIMENTS.md compare against.
 
-const benchPixels = 4500
-
-func benchHTTPFixture(b *testing.B) (*httptest.Server, []byte) {
+func benchHTTPServer(b *testing.B) *httptest.Server {
 	b.Helper()
-	s, err := New(Config{Estimator: &StubEstimator{}, InputSize: benchPixels})
+	s, err := serve.New(serve.Config{Estimator: &serve.StubEstimator{}, InputSize: benchPixels})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ts := httptest.NewServer(NewHandler(s))
+	ts := httptest.NewServer(NewHTTPHandler(NewServiceHandler(s), benchPixels))
 	b.Cleanup(func() {
 		ts.Close()
 		s.Close()
 	})
-	img := make([]float32, benchPixels)
-	for i := range img {
-		img[i] = float32(i%97) * 0.03125
-	}
-	body, err := json.Marshal(map[string]any{"link": "bench", "image": img})
+	return ts
+}
+
+func benchHTTPBody(b *testing.B, link string) []byte {
+	b.Helper()
+	body, err := json.Marshal(map[string]any{"link": link, "image": benchImg()})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return ts, body
+	return body
 }
 
 func drainOK(b *testing.B, resp *http.Response, err error) {
@@ -58,7 +59,7 @@ func drainOK(b *testing.B, resp *http.Response, err error) {
 }
 
 func BenchmarkHTTPEstimatePost(b *testing.B) {
-	ts, body := benchHTTPFixture(b)
+	ts, body := benchHTTPServer(b), benchHTTPBody(b, "bench")
 	client := ts.Client()
 	b.ReportAllocs()
 	b.SetBytes(int64(len(body)))
@@ -70,7 +71,7 @@ func BenchmarkHTTPEstimatePost(b *testing.B) {
 }
 
 func BenchmarkHTTPEstimateGet(b *testing.B) {
-	ts, body := benchHTTPFixture(b)
+	ts, body := benchHTTPServer(b), benchHTTPBody(b, "bench")
 	client := ts.Client()
 	// Publish one estimate for GET to serve.
 	resp, err := client.Post(ts.URL+"/estimate", "application/json", bytes.NewReader(body))
@@ -83,32 +84,17 @@ func BenchmarkHTTPEstimateGet(b *testing.B) {
 	}
 }
 
-// BenchmarkHTTPEstimatePostParallel is the HTTP twin of the wire
-// protocol's pipelined benchmark: P concurrent link sessions, one
+// BenchmarkHTTPEstimatePostParallel is the HTTP twin of
+// BenchmarkWireSubmitPipelined: P concurrent link sessions, one
 // keep-alive connection each.
 func BenchmarkHTTPEstimatePostParallel(b *testing.B) {
-	s, err := New(Config{Estimator: &StubEstimator{}, InputSize: benchPixels})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(NewHandler(s))
-	b.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
-	img := make([]float32, benchPixels)
-	for i := range img {
-		img[i] = float32(i%97) * 0.03125
-	}
+	ts := benchHTTPServer(b)
 	client := ts.Client()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var id atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
-		body, err := json.Marshal(map[string]any{"link": fmt.Sprintf("bench-%d", id.Add(1)), "image": img})
-		if err != nil {
-			b.Fatal(err)
-		}
+		body := benchHTTPBody(b, fmt.Sprintf("bench-%d", id.Add(1)))
 		for pb.Next() {
 			resp, err := client.Post(ts.URL+"/estimate", "application/json", bytes.NewReader(body))
 			drainOK(b, resp, err)

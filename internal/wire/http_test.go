@@ -1,22 +1,31 @@
-package serve
+package wire
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
+
+	"vvd/internal/serve"
 )
 
-func httpFixture(t *testing.T) (*Service, *httptest.Server) {
+// httpFixture fronts a service with the HTTP/JSON codec over its
+// ServiceHandler. The 1-tap StubEstimator over 1-pixel frames serves
+// cir[0][0] == the frame's pixel.
+func httpFixture(t *testing.T, scfg serve.Config) (*serve.Service, *httptest.Server) {
 	t.Helper()
-	s, err := New(Config{Estimator: &stubEstimator{}, InputSize: 1})
+	scfg.Estimator = &serve.StubEstimator{Taps: 1}
+	scfg.InputSize = 1
+	s, err := serve.New(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewHandler(s))
+	ts := httptest.NewServer(NewHTTPHandler(NewServiceHandler(s), scfg.InputSize))
 	t.Cleanup(func() {
 		ts.Close()
 		s.Close()
@@ -46,6 +55,19 @@ func getJSON(t *testing.T, url string) (*http.Response, map[string]any) {
 	return resp, decodeBody(t, resp)
 }
 
+func deleteLink(t *testing.T, base, id string) (*http.Response, map[string]any) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, base+"/links?id="+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, decodeBody(t, resp)
+}
+
 func decodeBody(t *testing.T, resp *http.Response) map[string]any {
 	t.Helper()
 	defer resp.Body.Close()
@@ -57,7 +79,7 @@ func decodeBody(t *testing.T, resp *http.Response) map[string]any {
 }
 
 func TestHTTPEstimateRoundTrip(t *testing.T) {
-	_, ts := httpFixture(t)
+	_, ts := httpFixture(t, serve.Config{})
 
 	// No estimate published yet.
 	resp, body := getJSON(t, ts.URL+"/estimate?link=a")
@@ -72,7 +94,7 @@ func TestHTTPEstimateRoundTrip(t *testing.T) {
 	}
 	cir := body["cir"].([]any)
 	if len(cir) != 1 || cir[0].([]any)[0].(float64) != 42 {
-		t.Fatalf("cir = %v, want [[42 0]]", cir)
+		t.Fatalf("cir = %v, want [[42 1]]", cir)
 	}
 	if body["frame_seq"].(float64) != 1 {
 		t.Fatalf("frame_seq = %v, want 1", body["frame_seq"])
@@ -109,7 +131,7 @@ func TestHTTPEstimateRoundTrip(t *testing.T) {
 }
 
 func TestHTTPBadRequests(t *testing.T) {
-	_, ts := httpFixture(t)
+	_, ts := httpFixture(t, serve.Config{})
 	cases := []struct {
 		name string
 		do   func() (*http.Response, map[string]any)
@@ -144,7 +166,7 @@ func TestHTTPBadRequests(t *testing.T) {
 }
 
 func TestHTTPPostWithoutImageServesFreshest(t *testing.T) {
-	s, ts := httpFixture(t)
+	s, ts := httpFixture(t, serve.Config{})
 	seq, _, err := s.Submit([]float32{7})
 	if err != nil {
 		t.Fatal(err)
@@ -162,15 +184,7 @@ func TestHTTPPostWithoutImageServesFreshest(t *testing.T) {
 }
 
 func TestHTTPCloseLinkAndCap(t *testing.T) {
-	s, err := New(Config{Estimator: &stubEstimator{}, InputSize: 1, MaxLinks: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(NewHandler(s))
-	defer func() {
-		ts.Close()
-		s.Close()
-	}()
+	_, ts := httpFixture(t, serve.Config{MaxLinks: 1})
 	// First session fits; the second hits the cap.
 	getJSON(t, ts.URL+"/estimate?link=a")
 	resp, body := getJSON(t, ts.URL+"/estimate?link=b")
@@ -178,23 +192,12 @@ func TestHTTPCloseLinkAndCap(t *testing.T) {
 		t.Fatalf("over-cap session: %d (%v), want 429", resp.StatusCode, body)
 	}
 	// DELETE frees the slot.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/links?id=a", nil)
-	resp2, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	if resp, body := deleteLink(t, ts.URL, "a"); resp.StatusCode != http.StatusOK || body["closed"] != "a" {
+		t.Fatalf("DELETE /links: %d (%v)", resp.StatusCode, body)
 	}
-	if body := decodeBody(t, resp2); resp2.StatusCode != http.StatusOK || body["closed"] != "a" {
-		t.Fatalf("DELETE /links: %d (%v)", resp2.StatusCode, body)
+	if resp, _ := deleteLink(t, ts.URL, "a"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("DELETE of closed link: %d, want 404", resp.StatusCode)
 	}
-	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/links?id=a", nil)
-	resp2, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("DELETE of closed link: %d, want 404", resp2.StatusCode)
-	}
-	resp2.Body.Close()
 	resp, body = getJSON(t, ts.URL+"/estimate?link=b")
 	if resp.StatusCode == http.StatusTooManyRequests {
 		t.Fatalf("capacity not freed after DELETE: %v", body)
@@ -202,7 +205,7 @@ func TestHTTPCloseLinkAndCap(t *testing.T) {
 }
 
 func TestHTTPClosedServiceIs503(t *testing.T) {
-	s, ts := httpFixture(t)
+	s, ts := httpFixture(t, serve.Config{})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +216,7 @@ func TestHTTPClosedServiceIs503(t *testing.T) {
 }
 
 func TestHTTPOversizedBodyIs413(t *testing.T) {
-	_, ts := httpFixture(t) // InputSize 1 → body cap is tiny
+	_, ts := httpFixture(t, serve.Config{}) // maxPixels 1 → body cap is tiny
 	big := make([]byte, 64<<10)
 	for i := range big {
 		big[i] = '1'
@@ -252,5 +255,87 @@ func TestWaitFromMS(t *testing.T) {
 		if got := waitFromMS(tc.ms); got != tc.want {
 			t.Errorf("waitFromMS(%d) = %v, want %v", tc.ms, got, tc.want)
 		}
+	}
+}
+
+// failingHandler answers every call with the same error.
+type failingHandler struct{ err error }
+
+func (f failingHandler) Submit(string, []float32, time.Duration, *EstimateReply) error {
+	return f.err
+}
+func (f failingHandler) Fetch(string, *EstimateReply) error { return f.err }
+func (f failingHandler) Stats(string) ([]LinkStats, error)  { return nil, f.err }
+func (f failingHandler) CloseLink(string) error             { return f.err }
+func (f failingHandler) Metrics() (MetricsReply, error)     { return MetricsReply{}, f.err }
+func (f failingHandler) Ping() (PongReply, error)           { return PongReply{}, f.err }
+
+// TestHTTPStatusTable pins the one Status → HTTP map on every route,
+// including statuses a serve.Service never returns (overloaded comes
+// from an in-flight bound, internal from a failing handler), and a
+// plain error, which is a 500. Each error body is the bare message.
+func TestHTTPStatusTable(t *testing.T) {
+	if got := StatusOK.httpCode(); got != http.StatusOK {
+		t.Fatalf("StatusOK → %d, want 200", got)
+	}
+	routes := []struct{ method, target, body string }{
+		{http.MethodPost, "/estimate", `{"link":"a","image":[1]}`},
+		{http.MethodPost, "/estimate", `{"link":"a"}`},
+		{http.MethodGet, "/estimate?link=a", ""},
+		{http.MethodGet, "/links", ""},
+		{http.MethodDelete, "/links?id=a", ""},
+		{http.MethodGet, "/metricsz", ""},
+	}
+	for _, tc := range []struct {
+		err      error
+		want     int
+		wantBody string
+	}{
+		{Errf(StatusBadRequest, "bad frame"), http.StatusBadRequest, "bad frame"},
+		{Errf(StatusNoEstimate, "nothing yet"), http.StatusNotFound, "nothing yet"},
+		{Errf(StatusNotReady, "too slow"), http.StatusGatewayTimeout, "too slow"},
+		{Errf(StatusOverloaded, "shed"), http.StatusServiceUnavailable, "shed"},
+		{Errf(StatusUnavailable, "closed"), http.StatusServiceUnavailable, "closed"},
+		{Errf(StatusTooManyLinks, "cap"), http.StatusTooManyRequests, "cap"},
+		{Errf(StatusInternal, "broke"), http.StatusInternalServerError, "broke"},
+		{Errf(Status(99), "from the future"), http.StatusInternalServerError, "from the future"},
+		{errors.New("plain failure"), http.StatusInternalServerError, "plain failure"},
+	} {
+		h := NewHTTPHandler(failingHandler{tc.err}, 0)
+		for _, rt := range routes {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(rt.method, rt.target, strings.NewReader(rt.body)))
+			if rec.Code != tc.want {
+				t.Errorf("%v on %s %s: HTTP %d, want %d", tc.err, rt.method, rt.target, rec.Code, tc.want)
+			}
+			var body map[string]string
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || len(body) != 1 || body["error"] != tc.wantBody {
+				t.Errorf("%v on %s %s: body %q, want {\"error\": %q}", tc.err, rt.method, rt.target, rec.Body, tc.wantBody)
+			}
+		}
+	}
+}
+
+// TestHTTPSessionDeleteReturnsGoroutinesToBaseline exercises the HTTP
+// surface: auto-opened session, session DELETE, then server and service
+// shutdown must return the process to its goroutine baseline.
+func TestHTTPSessionDeleteReturnsGoroutinesToBaseline(t *testing.T) {
+	verifyNoLeaks(t)
+	_, ts := httpFixture(t, serve.Config{})
+
+	resp, body := postJSON(t, ts.URL+"/estimate", map[string]any{
+		"link": "ephemeral", "image": []float32{7},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /estimate: got %d (%v)", resp.StatusCode, body)
+	}
+
+	if dresp, got := deleteLink(t, ts.URL, "ephemeral"); dresp.StatusCode != http.StatusOK || got["closed"] != "ephemeral" {
+		t.Fatalf("DELETE /links: got %d (%v)", dresp.StatusCode, got)
+	}
+
+	_, links := getJSON(t, ts.URL+"/links")
+	if ls, ok := links["links"].([]any); !ok || len(ls) != 0 {
+		t.Fatalf("links after DELETE: %v", links)
 	}
 }

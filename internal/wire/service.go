@@ -7,10 +7,10 @@ import (
 	"vvd/internal/serve"
 )
 
-// ServiceHandler adapts a serve.Service to the wire Handler interface:
-// the same transport-agnostic session flow the HTTP layer uses
-// (Service.SubmitAndWait / Fetch), with the serve error taxonomy mapped
-// onto wire status codes instead of HTTP ones.
+// ServiceHandler adapts a serve.Service to the Handler interface that
+// both the binary Server and the HTTP/JSON codec (NewHTTPHandler)
+// dispatch to: the service's session flow (Service.SubmitAndWait /
+// Fetch), with the serve error taxonomy mapped onto wire statuses.
 type ServiceHandler struct {
 	svc *serve.Service
 }
@@ -20,8 +20,8 @@ func NewServiceHandler(svc *serve.Service) *ServiceHandler {
 	return &ServiceHandler{svc: svc}
 }
 
-// statusErr maps the serve error taxonomy onto wire statuses — the
-// binary twin of the HTTP layer's statusFor.
+// statusErr maps the serve error taxonomy onto wire statuses. It is the
+// only such map: HTTP reaches its codes from these statuses.
 func statusErr(err error) error {
 	var se *StatusError
 	if errors.As(err, &se) {
@@ -42,8 +42,10 @@ func statusErr(err error) error {
 }
 
 // fillEstimate converts a served estimate into the wire reply, reusing
-// the reply's CIR capacity. The float64→float32 narrowing is lossless
-// in practice: the inference engine computes float32 (PR 6).
+// the reply's CIR capacity. The float64→float32 narrowing drops only
+// digits below the network's own precision: the inference engine
+// computes float32, and VVD's float64 denormalization (scale and mean)
+// adds no information to it.
 func fillEstimate(reply *EstimateReply, e serve.Estimate, now time.Time) {
 	reply.FrameSeq = e.FrameSeq
 	reply.Age = e.AgeAt(now)

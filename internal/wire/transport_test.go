@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
 	"runtime"
 	"sync"
 	"testing"
@@ -16,13 +17,16 @@ import (
 // verifyNoLeaks mirrors the serve package's leak check: snapshot the
 // goroutine count, poll back to it after every cleanup ran. Server.Close
 // and Client.Close must unwind every accept loop, per-connection reader
-// and per-request handler they started.
+// and per-request handler they started, and an HTTP server every worker.
 func verifyNoLeaks(t *testing.T) {
 	t.Helper()
 	baseline := runtime.NumGoroutine()
 	t.Cleanup(func() {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
+			// Keep-alive connections from the test HTTP client hold
+			// goroutines until the idle pool is drained.
+			http.DefaultClient.CloseIdleConnections()
 			if runtime.NumGoroutine() <= baseline {
 				return
 			}

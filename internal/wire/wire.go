@@ -8,7 +8,9 @@
 // 4 bytes a pixel, decoded by one bounds check and one memcpy. At
 // cluster rates the JSON codec *is* the workload (EXPERIMENTS.md pins
 // the gap), so the binary layer is what makes a multi-backend tier
-// worth building.
+// worth building. HTTP/JSON stays for curl and camera gateways as a
+// codec over the same Handler (NewHTTPHandler), so both transports
+// share one dispatcher and one error→status map.
 //
 // Connection model. One TCP connection carries any number of link
 // sessions concurrently: every request frame has a caller-chosen
@@ -43,6 +45,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"time"
 
 	"vvd/internal/serve"
@@ -79,7 +82,8 @@ const (
 
 // Status is the response status carried in the frame header. StatusOK
 // on success; on failure the response is a TypeError frame whose status
-// says why, mirroring the HTTP layer's code mapping.
+// says why. The HTTP/JSON surface (NewHTTPHandler) answers with the code
+// in parentheses, through httpCodes.
 type Status uint8
 
 const (
@@ -87,11 +91,32 @@ const (
 	StatusBadRequest   Status = 1 // malformed frame or request (HTTP 400)
 	StatusNoEstimate   Status = 2 // nothing published yet (HTTP 404)
 	StatusNotReady     Status = 3 // estimate missed the wait budget (HTTP 504)
-	StatusOverloaded   Status = 4 // shed by an in-flight bound (HTTP 503 + Retry-After)
+	StatusOverloaded   Status = 4 // shed by an in-flight bound (HTTP 503)
 	StatusUnavailable  Status = 5 // service closed / backend unreachable (HTTP 503)
 	StatusTooManyLinks Status = 6 // session cap reached (HTTP 429)
 	StatusInternal     Status = 7 // handler failure (HTTP 500)
 )
+
+// httpCodes is the one Status → HTTP status map.
+var httpCodes = [...]int{
+	StatusOK:           http.StatusOK,
+	StatusBadRequest:   http.StatusBadRequest,
+	StatusNoEstimate:   http.StatusNotFound,
+	StatusNotReady:     http.StatusGatewayTimeout,
+	StatusOverloaded:   http.StatusServiceUnavailable,
+	StatusUnavailable:  http.StatusServiceUnavailable,
+	StatusTooManyLinks: http.StatusTooManyRequests,
+	StatusInternal:     http.StatusInternalServerError,
+}
+
+// httpCode returns the HTTP status s answers with; a status this build
+// does not know is a 500.
+func (s Status) httpCode() int {
+	if int(s) < len(httpCodes) {
+		return httpCodes[s]
+	}
+	return http.StatusInternalServerError
+}
 
 func (s Status) String() string {
 	switch s {
