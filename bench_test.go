@@ -1,15 +1,15 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (§6) plus the design ablations and micro-benchmarks of the
-// hot paths. Expensive artifacts (campaign, trained CNNs, evaluation runs)
-// are built once and shared; each benchmark's measured loop exercises a
-// representative unit of its experiment and prints the regenerated
-// table/series on first use (run with -v or read the bench log).
+// Benchmarks of the hot paths that CI or EXPERIMENTS.md cite, or that
+// nothing else measures: the parallel evaluation and generation engines,
+// sync detection, FFT convolution, modulation, a training step, the
+// batched inference engine and multi-link serving. The paper's tables and
+// figures are printed by cmd/vvd-eval (`vvd-eval -figures all`), and
+// perfbench times each layer. Expensive artifacts (campaign, trained
+// CNNs) are built once and shared.
 //
-//	go test -bench=. -benchmem
+//	go test -bench=. -benchmem -run '^$' .
 //
 // Scale: benchmarks run the laptop-scale parameters recorded in
-// EXPERIMENTS.md; pass the same campaign knobs to cmd/vvd-eval for bigger
-// runs.
+// EXPERIMENTS.md.
 package vvd_test
 
 import (
@@ -20,15 +20,12 @@ import (
 	"testing"
 	"time"
 
-	"vvd/internal/channel"
 	"vvd/internal/core"
 	"vvd/internal/dataset"
 	"vvd/internal/dsp"
-	"vvd/internal/estimate"
 	"vvd/internal/experiments"
 	"vvd/internal/nn"
 	"vvd/internal/phy"
-	"vvd/internal/room"
 	"vvd/internal/serve"
 )
 
@@ -60,311 +57,6 @@ func sharedEngine(b *testing.B) *experiments.Engine {
 		b.Fatal(engineErr)
 	}
 	return engine
-}
-
-var printOnce sync.Map
-
-// printFirst prints a rendered experiment result exactly once per key.
-func printFirst(key, rendered string) {
-	if _, loaded := printOnce.LoadOrStore(key, true); !loaded {
-		fmt.Printf("\n=== %s ===\n%s\n", key, rendered)
-	}
-}
-
-// ---------- Tables ----------
-
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := experiments.Table1()
-		if i == 0 {
-			printFirst("Table 1", out)
-		}
-	}
-}
-
-func BenchmarkTable2Combinations(b *testing.B) {
-	e := sharedEngine(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := experiments.Table2(e.Campaign, 0)
-		if i == 0 {
-			printFirst("Table 2", out)
-		}
-	}
-}
-
-// ---------- Fig. 5: hypothesis testing ----------
-
-func BenchmarkFig5Hypotheses(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig5(42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printFirst("Fig. 5", res.Render())
-			b.ReportMetric(res.DistControlH1/res.DistControlH2, "h1/h2-dist-ratio")
-		}
-	}
-}
-
-// ---------- Fig. 11: estimator variants ----------
-
-var (
-	fig11Once sync.Once
-	fig11Res  *experiments.Fig11Result
-	fig11Err  error
-)
-
-func BenchmarkFig11Variants(b *testing.B) {
-	e := sharedEngine(b)
-	fig11Once.Do(func() {
-		fig11Res, fig11Err = experiments.RunFig11(e)
-	})
-	if fig11Err != nil {
-		b.Fatal(fig11Err)
-	}
-	printFirst("Fig. 11", fig11Res.Render())
-	// Measured unit: one VVD inference + one Kalman predict, the per-packet
-	// work the variants add to the receiver.
-	cb := e.Combos()[0]
-	v, err := e.VVDFor(cb, dataset.LagCurrent)
-	if err != nil {
-		b.Fatal(err)
-	}
-	k, err := e.KalmanFor(cb, 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	img := e.Campaign.Sets[cb.Test-1].Packets[0].Images[dataset.LagCurrent]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := v.Estimate(img); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := k.Predict(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---------- Figs. 12–14: overall comparison ----------
-
-var (
-	overallOnce sync.Once
-	overallRes  *experiments.OverallResult
-	overallErr  error
-)
-
-func overall(b *testing.B) *experiments.OverallResult {
-	b.Helper()
-	e := sharedEngine(b)
-	overallOnce.Do(func() {
-		overallRes, overallErr = experiments.RunFig12to14(e)
-	})
-	if overallErr != nil {
-		b.Fatal(overallErr)
-	}
-	return overallRes
-}
-
-// decodeUnit decodes one test packet with a given estimate source — the
-// representative per-packet unit of Figs. 12–14.
-func decodeUnit(b *testing.B, est []complex128) {
-	b.Helper()
-	e := sharedEngine(b)
-	cb := e.Combos()[0]
-	pkt := e.Campaign.Sets[cb.Test-1].Packets[3]
-	ppdu, _, txChips, rec, err := e.Campaign.Reception(cb.Test, pkt.Index)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rx := e.Campaign.Receiver
-	rxc, _ := rx.CorrectCFO(rec.Waveform)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rx.Decode(rxc, ppdu, txChips, est)
-	}
-}
-
-func BenchmarkFig12PER(b *testing.B) {
-	res := overall(b)
-	printFirst("Figs. 12-14", res.Render())
-	if s, ok := res.PER[core.TechGroundTruth]; ok {
-		b.ReportMetric(s.Median, "gt-median-PER")
-	}
-	if s, ok := res.PER[core.TechStandard]; ok {
-		b.ReportMetric(s.Median, "std-median-PER")
-	}
-	e := sharedEngine(b)
-	cb := e.Combos()[0]
-	decodeUnit(b, e.Campaign.Sets[cb.Test-1].Packets[3].Perfect)
-}
-
-func BenchmarkFig13CER(b *testing.B) {
-	res := overall(b)
-	printFirst("Figs. 12-14", res.Render())
-	if s, ok := res.CER[core.TechVVDCurrent]; ok {
-		b.ReportMetric(s.Median, "vvd-median-CER")
-	}
-	decodeUnit(b, nil) // standard decoding unit
-}
-
-func BenchmarkFig14MSE(b *testing.B) {
-	res := overall(b)
-	printFirst("Figs. 12-14", res.Render())
-	if s, ok := res.MSE[core.TechVVDCurrent]; ok {
-		b.ReportMetric(s.Median, "vvd-median-MSE")
-	}
-	// Measured unit: one LS ground-truth estimation (the Eq. 9 reference).
-	e := sharedEngine(b)
-	cb := e.Combos()[0]
-	pkt := e.Campaign.Sets[cb.Test-1].Packets[3]
-	_, txWave, _, rec, err := e.Campaign.Reception(cb.Test, pkt.Index)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rx := e.Campaign.Receiver
-	rxc, _ := rx.CorrectCFO(rec.Waveform)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rx.EstimateGroundTruth(rxc, txWave); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---------- Fig. 15: burst timeline ----------
-
-var (
-	fig15Once sync.Once
-	fig15Pts  []experiments.Fig15Point
-	fig15Err  error
-)
-
-func BenchmarkFig15Timeline(b *testing.B) {
-	fig15Once.Do(func() {
-		p := benchParams()
-		p.Campaign.Scripted = true
-		p.Campaign.Sets = 3
-		p.Campaign.Seed = 77
-		e, err := experiments.NewEngine(p)
-		if err != nil {
-			fig15Err = err
-			return
-		}
-		fig15Pts, fig15Err = experiments.RunFig15(e, 60)
-	})
-	if fig15Err != nil {
-		b.Fatal(fig15Err)
-	}
-	printFirst("Fig. 15", experiments.RenderFig15(fig15Pts))
-	for i := 0; i < b.N; i++ {
-		_ = experiments.RenderFig15(fig15Pts)
-	}
-}
-
-// ---------- Figs. 16–17: aging ----------
-
-var (
-	agingOnce sync.Once
-	agingRes  *experiments.AgingResult
-	agingErr  error
-)
-
-func aging(b *testing.B) *experiments.AgingResult {
-	b.Helper()
-	e := sharedEngine(b)
-	agingOnce.Do(func() {
-		agingRes, agingErr = experiments.RunAging(e, []int{0, 1, 5, 10, 20, 50})
-	})
-	if agingErr != nil {
-		b.Fatal(agingErr)
-	}
-	return agingRes
-}
-
-func BenchmarkFig16AgingMSE(b *testing.B) {
-	res := aging(b)
-	printFirst("Figs. 16-17", res.Render())
-	b.ReportMetric(res.GenieMSE[len(res.GenieMSE)-1]/res.GenieMSE[0], "genie-MSE-growth")
-	e := sharedEngine(b)
-	cb := e.Combos()[0]
-	pkt := e.Campaign.Sets[cb.Test-1].Packets[9]
-	old := e.Campaign.Sets[cb.Test-1].Packets[4]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = estimate.AlignPhase(old.PreambleEst, pkt.Perfect)
-	}
-}
-
-func BenchmarkFig17AgingPER(b *testing.B) {
-	res := aging(b)
-	printFirst("Figs. 16-17", res.Render())
-	if len(res.GeniePER) > 1 && res.GeniePER[0] > 0 {
-		b.ReportMetric(res.GeniePER[1]/res.GeniePER[0], "genie-PER-jump")
-	}
-	decodeUnit(b, sharedEngine(b).Campaign.Sets[1].Packets[3].PreambleEst)
-}
-
-// ---------- Ablations (DESIGN.md) ----------
-
-func benchAblation(b *testing.B, key string, run func(*experiments.Engine) (*experiments.AblationResult, error)) {
-	e := sharedEngine(b)
-	res, err := run(e)
-	if err != nil {
-		b.Fatal(err)
-	}
-	printFirst(key, res.Render())
-	for i := 0; i < b.N; i++ {
-		_ = res.Render()
-	}
-}
-
-func BenchmarkAblationPooling(b *testing.B) {
-	benchAblation(b, "Ablation pooling", experiments.RunAblationPooling)
-}
-
-func BenchmarkAblationDense(b *testing.B) {
-	benchAblation(b, "Ablation dense", experiments.RunAblationDense)
-}
-
-func BenchmarkAblationNormalization(b *testing.B) {
-	benchAblation(b, "Ablation normalization", experiments.RunAblationNormalization)
-}
-
-func BenchmarkAblationTapCount(b *testing.B) {
-	benchAblation(b, "Ablation CIR taps", func(e *experiments.Engine) (*experiments.AblationResult, error) {
-		return experiments.RunAblationCIRTaps(e, []int{3, 7, 11, 15})
-	})
-}
-
-func BenchmarkAblationEqualizerTaps(b *testing.B) {
-	benchAblation(b, "Ablation equalizer taps", func(e *experiments.Engine) (*experiments.AblationResult, error) {
-		return experiments.RunAblationEqualizerTaps(e, []int{7, 11, 21, 31})
-	})
-}
-
-func BenchmarkAblationPhaseCorrection(b *testing.B) {
-	benchAblation(b, "Ablation phase correction", experiments.RunAblationPhaseCorrection)
-}
-
-func BenchmarkAblationDespreading(b *testing.B) {
-	benchAblation(b, "Ablation despreading", experiments.RunAblationDespreading)
-}
-
-func BenchmarkAblationPrivacy(b *testing.B) {
-	benchAblation(b, "Ablation privacy", func(e *experiments.Engine) (*experiments.AblationResult, error) {
-		return experiments.RunAblationPrivacy(e, []int{1, 5})
-	})
-}
-
-func BenchmarkTable1Scalability(b *testing.B) {
-	rows := experiments.RunScalability(0.05, 256)
-	printFirst("Scalability", experiments.RenderScalability(rows))
-	for i := 0; i < b.N; i++ {
-		_ = experiments.RunScalability(0.05, 256)
-	}
 }
 
 // ---------- Parallel evaluation engine ----------
@@ -511,24 +203,6 @@ func BenchmarkConvolveFFT(b *testing.B) {
 
 // ---------- Micro-benchmarks of the hot paths ----------
 
-// BenchmarkVVDInference measures one image→CIR estimation (the paper
-// reports ≈0.9 ms on GPU, ≈9.8 ms on a 2013 laptop CPU in MATLAB).
-func BenchmarkVVDInference(b *testing.B) {
-	e := sharedEngine(b)
-	cb := e.Combos()[0]
-	v, err := e.VVDFor(cb, dataset.LagCurrent)
-	if err != nil {
-		b.Fatal(err)
-	}
-	img := e.Campaign.Sets[cb.Test-1].Packets[0].Images[dataset.LagCurrent]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := v.Estimate(img); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkVVDInferencePaperArch measures the full Fig. 8 network forward.
 func BenchmarkVVDInferencePaperArch(b *testing.B) {
 	net, err := core.BuildNetwork(core.PaperArch(), rand.New(rand.NewPCG(1, 2)))
@@ -542,46 +216,6 @@ func BenchmarkVVDInferencePaperArch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := net.Forward(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDepthRender measures one camera frame render.
-func BenchmarkDepthRender(b *testing.B) {
-	e := sharedEngine(b)
-	h := room.DefaultHuman(room.Vec3{X: 4, Y: 3})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = e.Campaign.Camera.RenderPreprocessed(h)
-	}
-}
-
-// BenchmarkChannelCIR measures one multipath CIR projection.
-func BenchmarkChannelCIR(b *testing.B) {
-	g := channel.NewGeometry(room.DefaultLab(), phy.Wavelength)
-	m := channel.NewModel(g, phy.SampleRate)
-	h := room.DefaultHuman(room.Vec3{X: 4, Y: 3})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.CIR(h)
-	}
-}
-
-// BenchmarkLSEstimatePreamble measures the SHR-window LS estimation.
-func BenchmarkLSEstimatePreamble(b *testing.B) {
-	e := sharedEngine(b)
-	cb := e.Combos()[0]
-	pkt := e.Campaign.Sets[cb.Test-1].Packets[0]
-	_, _, _, rec, err := e.Campaign.Reception(cb.Test, pkt.Index)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rx := e.Campaign.Receiver
-	rxc, _ := rx.CorrectCFO(rec.Waveform)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rx.EstimatePreamble(rxc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -612,19 +246,6 @@ func BenchmarkModulateChipsInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		wave = mod.ModulateChipsInto(wave, chips)
-	}
-}
-
-// BenchmarkDespread measures chip→bit despreading of a 127-byte PSDU.
-func BenchmarkDespread(b *testing.B) {
-	mod := phy.NewModulator()
-	_, _, chips, err := dataset.BuildTx(mod, 1, 127)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = phy.DespreadChips(chips)
 	}
 }
 

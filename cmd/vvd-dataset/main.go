@@ -1,6 +1,6 @@
 // Command vvd-dataset generates a simulated measurement campaign (the
 // repository's equivalent of the paper's published wireless trace + depth
-// images) and writes it to disk in the versioned v2 campaign store, or
+// images) and writes it to disk in the versioned campaign store, or
 // inspects an existing campaign file without decoding its packets.
 //
 // Usage:
@@ -157,8 +157,8 @@ func listScenarios() {
 }
 
 // inspectCampaign prints a campaign file's header, configuration and
-// per-set checksum status. For v2 files no packet is decoded: set payloads
-// are only streamed through the CRC.
+// per-set checksum status. No packet is decoded: set payloads are only
+// streamed through the CRC.
 func inspectCampaign(path string) error {
 	f, err := os.Open(path)
 	if err != nil {

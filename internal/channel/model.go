@@ -235,15 +235,10 @@ func (l *Link) TransmitBufPow(tx []complex128, txPower float64, h room.Human, bu
 	return l.TransmitMultiBufPow(tx, txPower, []room.Human{h}, buf)
 }
 
-// TransmitMulti is Transmit for any number of occupants: the block-fading
-// CIR reflects every body's blockage, scatter and tail stirring. One
-// occupant reproduces Transmit bit-exactly over the same RNG stream; zero
-// occupants transmits through the empty room.
-func (l *Link) TransmitMulti(tx []complex128, hs []room.Human) *Reception {
-	return l.TransmitMultiBufPow(tx, dsp.Power(tx), hs, nil)
-}
-
-// TransmitMultiBufPow is the multi-occupant TransmitBufPow.
+// TransmitMultiBufPow is TransmitBufPow for any number of occupants: the
+// block-fading CIR reflects every body's blockage, scatter and tail
+// stirring. One occupant reproduces TransmitBufPow bit-exactly over the
+// same RNG stream; zero occupants transmits through the empty room.
 func (l *Link) TransmitMultiBufPow(tx []complex128, txPower float64, hs []room.Human, buf []complex128) *Reception {
 	cir := l.Model.CIRMulti(hs)
 	n := len(tx) + len(cir) - 1

@@ -302,8 +302,8 @@ func (v *VVD) InferenceMode() string {
 // (de-normalized; phase-aligned to the campaign reference like its
 // training targets). Inference runs on the compiled float32 GEMM engine.
 // The paper reports ≈0.9 ms
-// per estimate on GPU and ≈9.8 ms on CPU; BenchmarkVVDInference measures
-// this implementation.
+// per estimate on GPU and ≈9.8 ms on CPU; perfbench's
+// core.vvd_estimate_us measures this implementation.
 func (v *VVD) Estimate(img []float32) ([]complex128, error) {
 	hs, err := v.EstimateBatch([][]float32{img})
 	if err != nil {

@@ -15,14 +15,13 @@ import (
 // return an error — never panic, and never allocate beyond the decoder's
 // sanity bounds (every length field is checked against its limit and the
 // remaining payload before allocation). The committed seed corpus under
-// testdata/fuzz covers both readable formats (v2, v3) plus a retired v1
-// file that must be rejected; f.Add seeds the readable shapes plus
-// truncations and flips so a fresh checkout fuzzes the interesting region
-// immediately.
+// testdata/fuzz covers the readable v3 layout plus retired v1 and v2 files
+// that must be rejected; f.Add seeds the readable shapes plus truncations
+// and flips so a fresh checkout fuzzes the interesting region immediately.
 func FuzzOpenCampaign(f *testing.F) {
 	for _, p := range []string{
 		"testdata/campaign_v3.bin",
-		"testdata/campaign_v2.bin",
+		"testdata/campaign_v3_single.bin",
 	} {
 		data, err := os.ReadFile(p)
 		if err != nil {
@@ -66,6 +65,9 @@ func FuzzOpenCampaign(f *testing.F) {
 		}
 		if len(data) >= 4 && binary.LittleEndian.Uint32(data) == campaignMagicV1 {
 			t.Fatal("retired v1 campaign accepted")
+		}
+		if len(data) >= 8 && binary.LittleEndian.Uint32(data[4:]) == retiredLayoutVersion {
+			t.Fatal("retired v2 campaign accepted")
 		}
 		// The header parsed: the rest of the stream must decode or error
 		// cleanly too.

@@ -2,8 +2,8 @@
 // a versioned, checksummed, streaming store whose header carries the
 // complete Config.
 //
-// Compatibility policy: Save always writes the newest version; LoadCampaign
-// reads every version of the VVD2 family (v2 and v3). Files in the retired,
+// Compatibility policy: Save writes, and LoadCampaign reads, version 3 of
+// the VVD2 family only. Files in the retired v2 layout and in the retired,
 // unversioned v1 format ("VVDC" magic) are rejected with an error that asks
 // for the campaign to be regenerated.
 
@@ -35,7 +35,7 @@ func (c *Campaign) Save(w io.Writer) error {
 	return sw.Close()
 }
 
-// LoadCampaign reads a v2 or v3 campaign, rebuilding the simulation
+// LoadCampaign reads a v3 campaign, rebuilding the simulation
 // objects from the stored configuration. It materializes every set; use
 // OpenCampaign to stream set-at-a-time instead.
 func LoadCampaign(r io.Reader) (*Campaign, error) {

@@ -1,11 +1,11 @@
-// Campaign store format v2: a versioned, checksummed, streaming container.
+// Campaign store: the VVD2 family, a versioned, checksummed, streaming
+// container.
 //
 // Layout (all integers little-endian):
 //
 //	header:
 //	  u32  magic "VVD2" (0x32445656)
-//	  u32  format version (currently 3; v2 files remain readable — they
-//	       differ only in lacking the per-packet extra-occupant positions)
+//	  u32  format version (3, the only layout this build reads or writes)
 //	  u32  config length N
 //	  N    bytes: the complete Config as JSON (self-describing: every
 //	       field that shapes reception regeneration travels with the file)
@@ -31,9 +31,11 @@
 //
 // Versioning/compat policy: the magic word selects the decoder family
 // (only VVD2 is decoded; the retired v1 magic is refused by name), the
-// version field gates layout changes within this family, and the JSON
-// config tolerates unknown fields so adding a Config field is not a format
-// break. Save always writes the newest version.
+// version field gates layout changes within this family (the retired v2
+// layout, which lacked the per-packet extra-occupant positions, is refused
+// by name too), and the JSON config tolerates unknown fields so adding a
+// Config field is not a format break. Save always writes the newest
+// version.
 
 package dataset
 
@@ -75,16 +77,21 @@ func c128Bytes(v []complex128) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 16*len(v))
 }
 
-// campaignMagicV2 identifies the v2 container family ("VVD2"). Versions 2
-// and 3 share this magic; the header's version field selects the payload
-// layout (v3 added per-packet extra-occupant positions).
+// campaignMagicV2 identifies the VVD2 container family ("VVD2"). The
+// retired version 2 and the current version 3 share this magic; the
+// header's version field tells them apart.
 const campaignMagicV2 = 0x32445656
 
 // campaignVersion is the layout revision written by Save.
 const campaignVersion = 3
 
 // minReadVersion is the oldest VVD2-family layout this build decodes.
-const minReadVersion = 2
+const minReadVersion = 3
+
+// retiredLayoutVersion is the VVD2-family layout without per-packet
+// extra-occupant positions. It is recognised only so OpenCampaign can
+// name it when refusing the file.
+const retiredLayoutVersion = 2
 
 // Decoder sanity limits: corrupt or hostile length fields are rejected
 // before any allocation larger than these bounds.
@@ -100,7 +107,7 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Writer streams a campaign to disk set-at-a-time in format v2. The header
+// Writer streams a campaign to disk set-at-a-time. The header
 // is written on construction; call WriteSet once per measurement set and
 // Close to flush. Peak memory is one encoded set.
 type Writer struct {
@@ -112,7 +119,7 @@ type Writer struct {
 	closed   bool
 }
 
-// NewWriter writes the v2 header for a campaign with the given
+// NewWriter writes the header for a campaign with the given
 // configuration and set count, returning a Writer for the set payloads.
 func NewWriter(w io.Writer, cfg Config, sets int) (*Writer, error) {
 	if sets < 0 || sets > maxSets {
@@ -214,7 +221,7 @@ type Reader struct {
 	buf     []byte
 }
 
-// OpenCampaign reads and validates a v2 or v3 campaign header from r.
+// OpenCampaign reads and validates a v3 campaign header from r.
 func OpenCampaign(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var magic [4]byte
@@ -237,6 +244,9 @@ func OpenCampaign(r io.Reader) (*Reader, error) {
 	hdr = append(hdr, fixed[:]...)
 	version := binary.LittleEndian.Uint32(fixed[0:])
 	cfgLen := binary.LittleEndian.Uint32(fixed[4:])
+	if version == retiredLayoutVersion {
+		return nil, fmt.Errorf("dataset: campaign is in the retired v2 layout, which this build no longer reads; regenerate it with vvd-dataset")
+	}
 	if version < minReadVersion || version > campaignVersion {
 		return nil, fmt.Errorf("dataset: campaign format version %d (this build reads %d-%d) — written by a newer tool?", version, minReadVersion, campaignVersion)
 	}
@@ -268,7 +278,8 @@ func OpenCampaign(r io.Reader) (*Reader, error) {
 	return &Reader{br: br, version: int(version), cfg: cfg, numSets: int(numSets)}, nil
 }
 
-// Version reports the on-disk format version (2 or 3).
+// Version reports the on-disk format version (3: older layouts are
+// refused by OpenCampaign).
 func (r *Reader) Version() int { return r.version }
 
 // Config returns the stored campaign configuration.
@@ -373,7 +384,7 @@ func (r *Reader) decodeBody(hdr setHeader) (*Set, error) {
 	set := &Set{Index: hdr.index, Packets: make([]Packet, hdr.packets)}
 	cur := cursor{data: payload, alias: alias}
 	for k := range set.Packets {
-		if err := decodePacket(&cur, &set.Packets[k], r.version); err != nil {
+		if err := decodePacket(&cur, &set.Packets[k]); err != nil {
 			return nil, fmt.Errorf("dataset: set %d packet %d: %w", hdr.index, k, err)
 		}
 	}
@@ -611,8 +622,8 @@ func appendImage(b []byte, img []float32) ([]byte, error) {
 	return b, nil
 }
 
-// appendOthers encodes the extra-occupant positions introduced by format
-// v3: a count prefix plus three float64 coordinates per occupant.
+// appendOthers encodes the extra-occupant positions: a count prefix plus
+// three float64 coordinates per occupant.
 func appendOthers(b []byte, others []room.Vec3) ([]byte, error) {
 	if len(others) > maxOccupants-1 {
 		return nil, fmt.Errorf("packet records %d extra occupants (max %d)", len(others), maxOccupants-1)
@@ -758,7 +769,7 @@ func (c *cursor) cvec() ([]complex128, error) {
 	return out, nil
 }
 
-// others decodes the extra-occupant positions of a v3 packet. The bound on
+// others decodes a packet's extra-occupant positions. The bound on
 // the count caps the allocation at a few hundred bytes; like every cursor
 // read, the coordinate bytes are length-checked before use, so a corrupt
 // count cannot over-allocate.
@@ -823,9 +834,8 @@ func (c *cursor) image() ([]float32, error) {
 	return out, nil
 }
 
-// decodePacket mirrors appendPacket; version selects the layout (v2
-// payloads predate the extra-occupant positions).
-func decodePacket(c *cursor, p *Packet, version int) error {
+// decodePacket mirrors appendPacket.
+func decodePacket(c *cursor, p *Packet) error {
 	idx, err := c.u32()
 	if err != nil {
 		return err
@@ -851,10 +861,8 @@ func decodePacket(c *cursor, p *Packet, version int) error {
 		}
 	}
 	p.Time, p.Pos.X, p.Pos.Y, p.Pos.Z, p.SyncPeak = f[0], f[1], f[2], f[3], f[4]
-	if version >= 3 {
-		if p.Others, err = c.others(); err != nil {
-			return err
-		}
+	if p.Others, err = c.others(); err != nil {
+		return err
 	}
 	if p.TrueCIR, err = c.cvec(); err != nil {
 		return err

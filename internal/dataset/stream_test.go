@@ -364,11 +364,23 @@ func TestV2VersionGate(t *testing.T) {
 	if _, err := OpenCampaign(bytes.NewReader(hdr)); err == nil || !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("expected version error, got %v", err)
 	}
+	// Version 2, the retired layout without extra-occupant positions, is
+	// refused by name, the way the retired v1 magic is.
+	hdr = appendU32(nil, campaignMagicV2)
+	hdr = appendU32(hdr, 2)
+	hdr = appendU32(hdr, 2)
+	hdr = append(hdr, '{', '}')
+	hdr = appendU32(hdr, 0)
+	hdr = appendU32(hdr, 0xdeadbeef)
+	_, err = OpenCampaign(bytes.NewReader(hdr))
+	if err == nil || !strings.Contains(err.Error(), "retired v2 layout") || !strings.Contains(err.Error(), "vvd-dataset") {
+		t.Fatalf("expected retired-v2 error, got %v", err)
+	}
 }
 
-// goldenV2Config must stay frozen: testdata/campaign_v2.bin was written by
-// the version-2 codec before the v3 (multi-occupant) layout existed, and is
-// never regenerated — it is the proof that v2 files keep decoding.
+// goldenV2Config must stay frozen: testdata/campaign_v3_single.bin holds
+// the packets the version-2 codec wrote before multi-occupant generation
+// existed, decoded and re-saved in the v3 layout, and is never regenerated.
 func goldenV2Config() Config {
 	cfg := DefaultConfig()
 	cfg.Sets = 2
@@ -380,13 +392,13 @@ func goldenV2Config() Config {
 	return cfg
 }
 
-// TestV2GoldenFixture decodes the committed v2 fixture and checks it
-// against a freshly generated campaign of the same configuration: the v2
-// payload layout stays readable, and single-occupant generation reproduces
-// the pre-multi-occupant packets bit for bit (the acceptance bound of the
+// TestSingleOccupantGoldenFixture decodes the committed single-occupant
+// fixture and checks it against a freshly generated campaign of the same
+// configuration: single-occupant generation reproduces the
+// pre-multi-occupant packets bit for bit (the acceptance bound of the
 // occupancy generalization).
-func TestV2GoldenFixture(t *testing.T) {
-	path := filepath.Join("testdata", "campaign_v2.bin")
+func TestSingleOccupantGoldenFixture(t *testing.T) {
+	path := filepath.Join("testdata", "campaign_v3_single.bin")
 	cfg := goldenV2Config()
 	want, err := Generate(cfg)
 	if err != nil {
@@ -400,8 +412,8 @@ func TestV2GoldenFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Version() != 2 {
-		t.Fatalf("fixture version = %d, want 2", r.Version())
+	if r.Version() != 3 {
+		t.Fatalf("fixture version = %d, want 3", r.Version())
 	}
 	loaded, err := r.ReadSets(nil)
 	if err != nil {

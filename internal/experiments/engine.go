@@ -16,7 +16,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -253,17 +252,6 @@ func (e *Engine) KalmanFor(cb dataset.Combination, order int) (*kalman.Estimator
 type ComboResult struct {
 	Combo    dataset.Combination
 	Counters map[string]*metrics.Counter
-}
-
-// Techniques returns the evaluated technique names in stable (sorted)
-// order for reports.
-func (r *ComboResult) Techniques() []string {
-	out := make([]string, 0, len(r.Counters))
-	for name := range r.Counters {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // lane is one technique's pass over a combination's test packets: its

@@ -157,9 +157,6 @@ func f32s(w []float64) []float32 {
 	return out
 }
 
-// InShape returns the expected input shape.
-func (e *InferenceEngine) InShape() Shape { return e.in }
-
 // OutShape returns the produced output shape.
 func (e *InferenceEngine) OutShape() Shape { return e.out }
 

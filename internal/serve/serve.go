@@ -174,8 +174,8 @@ func (s *Service) Submit(img []float32) (seq uint64, droppedOldest bool, err err
 // observation always gets in. Submitting to a closed service returns an
 // error.
 func (s *Service) SubmitAt(img []float32, capturedAt time.Time) (seq uint64, droppedOldest bool, err error) {
-	if s.cfg.InputSize > 0 && len(img) != s.cfg.InputSize {
-		return 0, false, fmt.Errorf("serve: frame has %d pixels, want %d", len(img), s.cfg.InputSize)
+	if err := s.checkPixels(img); err != nil {
+		return 0, false, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -192,6 +192,15 @@ func (s *Service) SubmitAt(img []float32, capturedAt time.Time) (seq uint64, dro
 	s.submitted++
 	s.cond.Signal()
 	return seq, droppedOldest, nil
+}
+
+// checkPixels refuses a frame whose pixel count differs from
+// Config.InputSize, when that is set.
+func (s *Service) checkPixels(img []float32) error {
+	if s.cfg.InputSize > 0 && len(img) != s.cfg.InputSize {
+		return fmt.Errorf("serve: frame has %d pixels, want %d", len(img), s.cfg.InputSize)
+	}
+	return nil
 }
 
 // Latest returns the freshest published estimate (ok=false before the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -513,6 +514,35 @@ func TestLinkCapAndInvalidID(t *testing.T) {
 	}
 	if _, err := s.sessionFor("c"); err != nil {
 		t.Fatalf("closing a session must free capacity: %v", err)
+	}
+}
+
+// TestMalformedFrameHoldsNoLinkSlot: a frame refused for its pixel count
+// opens no session, so malformed frames for new link ids cannot use up
+// MaxLinks and lock out a valid link.
+func TestMalformedFrameHoldsNoLinkSlot(t *testing.T) {
+	s, err := New(Config{Estimator: &stubEstimator{}, MaxLinks: 2, InputSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, id := range []string{"x", "y"} {
+		if _, err := s.SubmitAndWait(id, []float32{1, 2, 3}, 0); err == nil || !strings.Contains(err.Error(), "3 pixels") {
+			t.Fatalf("3-pixel frame for %q = %v, want the pixel-count error", id, err)
+		}
+	}
+	if _, err := s.SubmitAndWait("x", nil, 0); err == nil {
+		t.Fatal("empty frame accepted")
+	}
+	if links := s.Links(); len(links) != 0 {
+		t.Fatalf("Links() = %+v after refused frames, want none", links)
+	}
+	res, err := s.SubmitAndWait("z", []float32{1, 2}, time.Second)
+	if err != nil {
+		t.Fatalf("valid frame for z = %v", err)
+	}
+	if res.Estimate.FrameSeq != res.SubmittedSeq {
+		t.Fatalf("z served frame %d, want %d", res.Estimate.FrameSeq, res.SubmittedSeq)
 	}
 }
 

@@ -51,8 +51,13 @@ type SubmitResult struct {
 // ErrClosed, ErrNotReady, ErrNoEstimate; anything else is a malformed
 // frame (wrong pixel count, empty image).
 func (s *Service) SubmitAndWait(linkID string, img []float32, wait time.Duration) (SubmitResult, error) {
+	// The frame is checked before the session opens, so a malformed frame
+	// for a new link id holds no MaxLinks slot.
 	if len(img) == 0 {
 		return SubmitResult{}, fmt.Errorf("serve: empty frame")
+	}
+	if err := s.checkPixels(img); err != nil {
+		return SubmitResult{}, err
 	}
 	l, err := s.sessionFor(linkID)
 	if err != nil {

@@ -256,17 +256,22 @@ func isTransport(err error) bool {
 // call against it under that shard's in-flight bound. Unhealthy backends
 // are skipped; a transport failure marks the backend down immediately
 // and tries the next one; a protocol verdict — success, overload shed,
-// no-estimate — is final.
+// no-estimate — is final. When every backend tried failed in transport,
+// the last transport error is returned; when none was healthy,
+// StatusUnavailable. That error is built only then, so a routed request
+// formats nothing.
 func (r *Router) route(link string, fn func(*wire.Client) error) error {
 	rg := r.ring.Load()
 	if rg == nil || len(rg.entries) == 0 {
 		return wire.Errf(wire.StatusUnavailable, "no backends configured")
 	}
-	err := wire.Errf(wire.StatusUnavailable, "no healthy backend for link %q", link)
+	var err error
+	tried := false
 	rg.walk(link, func(b *backend) bool {
 		if !b.healthy.Load() {
 			return false
 		}
+		tried = true
 		err = b.do(fn)
 		if err != nil && isTransport(err) {
 			// The shard vanished under us: out of rotation now, next
@@ -276,6 +281,9 @@ func (r *Router) route(link string, fn func(*wire.Client) error) error {
 		}
 		return true
 	})
+	if !tried {
+		return wire.Errf(wire.StatusUnavailable, "no healthy backend for link %q", link)
+	}
 	return err
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -589,6 +590,34 @@ func TestRouterNoBackends(t *testing.T) {
 	}
 	if _, err := r.Ping(); wire.CodeOf(err) != wire.StatusUnavailable {
 		t.Fatalf("ping err = %v, want StatusUnavailable", err)
+	}
+}
+
+// TestRouterAllBackendsDown: when every backend fails in transport, the
+// call returns the last transport error and the walk marks them all down;
+// with no health loop to rejoin them, the next call tries no backend and
+// gets StatusUnavailable naming the link.
+func TestRouterAllBackendsDown(t *testing.T) {
+	verifyNoLeaks(t)
+	var addrs []string
+	for range 2 {
+		n := startNode(t, "127.0.0.1:0", 0)
+		addrs = append(addrs, n.addr)
+		n.close()
+	}
+	r, err := NewRouter(Config{Backends: addrs, HealthInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	var reply wire.EstimateReply
+	err = r.Submit("l", testImage(0), 0, &reply)
+	if err == nil || !isTransport(err) || strings.Contains(err.Error(), "no healthy backend") {
+		t.Fatalf("first call err = %v, want the last transport error", err)
+	}
+	err = r.Submit("l", testImage(0), 0, &reply)
+	if wire.CodeOf(err) != wire.StatusUnavailable || !strings.Contains(err.Error(), `no healthy backend for link "l"`) {
+		t.Fatalf("second call err = %v, want StatusUnavailable with no healthy backend", err)
 	}
 }
 

@@ -27,9 +27,6 @@ func NewFileStore(dir string) (*FileStore, error) {
 	return &FileStore{root: dir}, nil
 }
 
-// Root returns the backing directory.
-func (s *FileStore) Root() string { return s.root }
-
 func (s *FileStore) path(key string) (string, error) {
 	if err := ValidateKey(key); err != nil {
 		return "", err
