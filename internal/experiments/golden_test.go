@@ -61,8 +61,9 @@ func counterGolden(c *metrics.Counter) map[string]string {
 	return g
 }
 
-// evaluationGolden runs the golden evaluation and the aging study and
-// flattens both into "section/row" → metric → exact value.
+// evaluationGolden runs the golden evaluation, the aging study and the
+// ablations that decode through the engine and flattens them into
+// "section/row" → metric → exact value.
 func evaluationGolden(t *testing.T) map[string]map[string]string {
 	t.Helper()
 	e, err := NewEngine(goldenParams())
@@ -92,13 +93,33 @@ func evaluationGolden(t *testing.T) map[string]map[string]string {
 			"vvd_per":   exactFloat(ag.VVDPER[i]),
 		}
 	}
+	ablations := []func() (*AblationResult, error){
+		func() (*AblationResult, error) { return RunAblationEqualizerTaps(e, []int{7, 21}) },
+		func() (*AblationResult, error) { return RunAblationPhaseCorrection(e) },
+		func() (*AblationResult, error) { return RunAblationDespreading(e) },
+		func() (*AblationResult, error) { return RunAblationDense(e) },
+	}
+	for _, run := range ablations {
+		ab, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range ab.Rows {
+			out[fmt.Sprintf("ablation/%s/%s", ab.Title, r.Name)] = map[string]string{
+				"mse": exactFloat(r.MSE),
+				"per": exactFloat(r.PER),
+				"cer": exactFloat(r.CER),
+			}
+		}
+	}
 	return out
 }
 
 // TestEvaluationGolden pins the decode comparison bit for bit: every
 // technique's packet, packet-error, chip and chip-error counts and its MSE
 // as an exact float64, over two combinations, plus the aging study
-// (Figs. 16–17). Estimation MSEs alone (the scenario conformance goldens)
+// (Figs. 16–17) and the equalizer-taps, phase-correction, despreading and
+// dense-layer ablation rows. Estimation MSEs alone (the scenario conformance goldens)
 // would not see a change in the equalizer, the matched filter or the
 // despreader; these counters do. The values are those of an amd64 build
 // (the compiler fuses no multiply-adds there). After an *intended*
