@@ -43,50 +43,42 @@ func (e *Engine) evalVVDConfig(name string, cfg core.TrainConfig) (AblationRow, 
 	if err != nil {
 		return AblationRow{}, fmt.Errorf("experiments: ablation %q: %w", name, err)
 	}
-	return e.measureEstimator(name, cb, func(pkt *dataset.Packet) ([]complex128, error) {
-		return v.Estimate(pkt.Images[dataset.LagCurrent])
-	})
+	return e.measure(cb, &vvdEstimator{name: name, lag: dataset.LagCurrent, v: v})
 }
 
-// measureEstimator decodes the combination's test set with a per-packet
-// estimate source.
-func (e *Engine) measureEstimator(name string, cb dataset.Combination, est func(*dataset.Packet) ([]complex128, error)) (AblationRow, error) {
-	rx := e.Campaign.Receiver
-	var c metrics.Counter
-	test := e.Campaign.TestPackets(cb)
-	for k, pkt := range test {
-		if k < e.P.SkipPackets {
-			continue
-		}
-		h, err := est(pkt)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		ppdu, txChips, rec, err := e.Campaign.ReceptionPacket(pkt)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		rxc, _ := rx.CorrectCFO(rec.Waveform)
-		dec := rx.Decode(rxc, ppdu, txChips, h)
-		c.AddPacket(dec.PacketOK, dec.ChipErrors, dec.PSDUChips)
-		if h != nil {
-			c.AddMSE(metrics.SqError(estimate.AlignPhase(h, pkt.Perfect), pkt.Perfect), len(pkt.Perfect))
-		}
+// measure scores one estimator on a combination's test set as a one-lane
+// run of the engine loop; the row is named after the estimator.
+func (e *Engine) measure(cb dataset.Combination, est Estimator) (AblationRow, error) {
+	res, err := e.score(cb, est)
+	if err != nil {
+		return AblationRow{}, err
 	}
-	return AblationRow{Name: name, MSE: c.MSE(), PER: c.PER(), CER: c.CER()}, nil
+	c := res.Counters[est.Name()]
+	if c == nil {
+		c = &metrics.Counter{} // no packet counted
+	}
+	return AblationRow{Name: est.Name(), MSE: c.MSE(), PER: c.PER(), CER: c.CER()}, nil
 }
 
-// RunAblationPooling compares average against max pooling (paper §4: avg
-// pooling was slightly better).
-func RunAblationPooling(e *Engine) (*AblationResult, error) {
-	res := &AblationResult{Title: "Ablation: pooling kind (paper §4)"}
-	for _, kind := range []struct {
-		name string
-		k    nn.PoolKind
-	}{{"average pooling", nn.AvgPool}, {"max pooling", nn.MaxPool}} {
-		cfg := e.P.Train
-		cfg.Arch.Pool = kind.k
-		row, err := e.evalVVDConfig(kind.name, cfg)
+// perfectEstimator decodes with the whole-packet LS estimate, like Ground
+// Truth, but scores its MSE: the receiver ablations report it.
+func perfectEstimator(name string) Estimator {
+	return staticEstimator{name: name, est: func(pkt *dataset.Packet) ([]complex128, Availability) {
+		return pkt.Perfect, Available
+	}}
+}
+
+// vvdConfig is one row of a training-configuration ablation.
+type vvdConfig struct {
+	name string
+	cfg  core.TrainConfig
+}
+
+// runVVDConfigs trains and measures one VVD per configuration.
+func (e *Engine) runVVDConfigs(title string, configs []vvdConfig) (*AblationResult, error) {
+	res := &AblationResult{Title: title}
+	for _, c := range configs {
+		row, err := e.evalVVDConfig(c.name, c.cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -95,44 +87,31 @@ func RunAblationPooling(e *Engine) (*AblationResult, error) {
 	return res, nil
 }
 
+// RunAblationPooling compares average against max pooling (paper §4: avg
+// pooling was slightly better).
+func RunAblationPooling(e *Engine) (*AblationResult, error) {
+	avgPool, maxPool := e.P.Train, e.P.Train
+	avgPool.Arch.Pool, maxPool.Arch.Pool = nn.AvgPool, nn.MaxPool
+	return e.runVVDConfigs("Ablation: pooling kind (paper §4)",
+		[]vvdConfig{{"average pooling", avgPool}, {"max pooling", maxPool}})
+}
+
 // RunAblationDense compares the Fig. 8 hidden dense layer against removing
 // it (paper §4: removing it was slightly worse).
 func RunAblationDense(e *Engine) (*AblationResult, error) {
-	res := &AblationResult{Title: "Ablation: hidden dense layer (paper §4)"}
-	with := e.P.Train
-	row, err := e.evalVVDConfig("with dense layer", with)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, row)
 	without := e.P.Train
 	without.Arch.SkipDense = true
-	row, err = e.evalVVDConfig("without dense layer", without)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, row)
-	return res, nil
+	return e.runVVDConfigs("Ablation: hidden dense layer (paper §4)",
+		[]vvdConfig{{"with dense layer", e.P.Train}, {"without dense layer", without}})
 }
 
 // RunAblationNormalization compares the paper's CIR normalization against
 // training on raw (tiny-magnitude) targets.
 func RunAblationNormalization(e *Engine) (*AblationResult, error) {
-	res := &AblationResult{Title: "Ablation: CIR normalization of training targets (paper §4)"}
-	norm := e.P.Train
-	row, err := e.evalVVDConfig("normalized targets", norm)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, row)
 	raw := e.P.Train
 	raw.NormOverride = 1
-	row, err = e.evalVVDConfig("raw targets (no normalization)", raw)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, row)
-	return res, nil
+	return e.runVVDConfigs("Ablation: CIR normalization of training targets (paper §4)",
+		[]vvdConfig{{"normalized targets", e.P.Train}, {"raw targets (no normalization)", raw}})
 }
 
 // RunAblationEqualizerTaps sweeps the ZF equalizer length L (Eq. 6-7)
@@ -144,9 +123,7 @@ func RunAblationEqualizerTaps(e *Engine, taps []int) (*AblationResult, error) {
 	defer func() { e.Campaign.Receiver.Cfg.EqTaps = orig }()
 	for _, l := range taps {
 		e.Campaign.Receiver.Cfg.EqTaps = l
-		row, err := e.measureEstimator(fmt.Sprintf("L = %d", l), cb, func(pkt *dataset.Packet) ([]complex128, error) {
-			return pkt.Perfect, nil
-		})
+		row, err := e.measure(cb, perfectEstimator(fmt.Sprintf("L = %d", l)))
 		if err != nil {
 			return nil, err
 		}
@@ -164,17 +141,14 @@ func RunAblationPhaseCorrection(e *Engine) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := func(pkt *dataset.Packet) ([]complex128, error) {
-		return v.Estimate(pkt.Images[dataset.LagCurrent])
-	}
-	row, err := e.measureEstimator("with phase correction", cb, src)
+	row, err := e.measure(cb, &vvdEstimator{name: "with phase correction", lag: dataset.LagCurrent, v: v})
 	if err != nil {
 		return nil, err
 	}
 	res.Rows = append(res.Rows, row)
 	e.Campaign.Receiver.Cfg.SkipPhaseCorrection = true
 	defer func() { e.Campaign.Receiver.Cfg.SkipPhaseCorrection = false }()
-	row, err = e.measureEstimator("without phase correction", cb, src)
+	row, err = e.measure(cb, &vvdEstimator{name: "without phase correction", lag: dataset.LagCurrent, v: v})
 	if err != nil {
 		return nil, err
 	}

@@ -5,12 +5,13 @@
 // (Figs. 16–17) and the static tables (Tables 1–2), plus the ablations
 // called out in DESIGN.md.
 //
-// The evaluation is organized around a pluggable Estimator registry (see
-// registry.go) and a packet-major parallel engine: Evaluate walks each
-// combination's test packets in order and fans the technique lanes of each
-// packet out over a bounded worker pool, with model caches shared
-// singleflight-style so one VVD training or Kalman fit serves every
-// goroutine. Parallel output is byte-identical to the sequential run.
+// The evaluation is organized around a fixed table of the 14 techniques'
+// Estimator builders (see estimators.go) and a packet-major parallel
+// engine: Evaluate walks each combination's test packets in order and fans
+// the technique lanes of each packet out over a bounded worker pool, with
+// model caches shared singleflight-style so one VVD training or Kalman fit
+// serves every goroutine. The ablations score their estimators through the
+// same lane loop. Parallel output is byte-identical to the sequential run.
 package experiments
 
 import (
@@ -89,10 +90,9 @@ func PaperParams() Params {
 
 // Engine owns a generated campaign and caches trained models so multiple
 // figures can share one (expensive) campaign and VVD training run. All
-// methods that resolve models (VVDFor, KalmanFor) and the evaluation entry
-// points (Evaluate, EvaluateCombo) are safe for concurrent use; the
-// ablation helpers that mutate receiver configuration are not and must run
-// sequentially.
+// methods that resolve models (VVDFor, KalmanFor) and Evaluate are safe
+// for concurrent use; the ablation helpers that mutate receiver
+// configuration are not and must run sequentially.
 type Engine struct {
 	P        Params
 	Campaign *dataset.Campaign
@@ -263,22 +263,14 @@ type lane struct {
 	c        metrics.Counter
 }
 
-// newLane builds technique name's estimator for a combination.
-func (e *Engine) newLane(cb dataset.Combination, name string) (*lane, error) {
-	build, err := Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	est, err := build(e, cb)
-	if err != nil {
-		return nil, err
-	}
+// newLane wraps an estimator in a lane with an empty counter.
+func newLane(est Estimator) *lane {
 	l := &lane{est: est, scoreMSE: true}
 	l.observer, _ = est.(Observer)
 	if ex, ok := est.(MSEExempt); ok && ex.MSEExempt() {
 		l.scoreMSE = false
 	}
-	return l, nil
+	return l
 }
 
 // reception is one test packet's decode-ready reception. The first lane
@@ -377,33 +369,31 @@ func (p workPool) each(n int, f func(i int)) {
 	wg.Wait()
 }
 
-// evaluateCombo is the packet-major evaluation loop of one combination.
-// It builds one lane per technique, then walks the test packets in order:
-// at each packet every lane estimates, decodes and observes, the lanes
-// fanning out over the pool, and the packet's reception — regenerated
-// only if some lane decodes it — is dropped before the next packet. At
-// most one reception per combination is resident. Each lane sees its
-// packets in order whatever the pool width, so results do not depend on
-// it. It gives up between packets once stop reports true, and sets it on
-// an error.
-func (e *Engine) evaluateCombo(pool workPool, cb dataset.Combination, techniques []string, stop *atomic.Bool) (*ComboResult, error) {
-	lanes := make([]*lane, len(techniques))
-	errs := make([]error, len(techniques))
-	firstErr := func() error {
-		for _, err := range errs {
-			if err != nil {
-				stop.Store(true)
-				return err
-			}
+// firstError returns the first non-nil error in errs.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		return nil
 	}
-	pool.each(len(techniques), func(i int) {
-		lanes[i], errs[i] = e.newLane(cb, techniques[i])
-	})
-	if err := firstErr(); err != nil {
-		return nil, err
+	return nil
+}
+
+// scoreCombo is the packet-major evaluation loop of one combination, with
+// one lane per estimator. It walks the test packets in order: at each
+// packet every lane estimates, decodes and observes, the lanes fanning out
+// over the pool, and the packet's reception — regenerated only if some
+// lane decodes it — is dropped before the next packet. At most one
+// reception per combination is resident. Each lane sees its packets in
+// order whatever the pool width, so results do not depend on it. The
+// counters are keyed by estimator name. It gives up between packets once
+// stop reports true.
+func (e *Engine) scoreCombo(pool workPool, cb dataset.Combination, ests []Estimator, stop *atomic.Bool) (*ComboResult, error) {
+	lanes := make([]*lane, len(ests))
+	for i, est := range ests {
+		lanes[i] = newLane(est)
 	}
+	errs := make([]error, len(lanes))
 	for k, pkt := range e.Campaign.TestPackets(cb) {
 		if stop.Load() {
 			return nil, nil
@@ -412,18 +402,48 @@ func (e *Engine) evaluateCombo(pool workPool, cb dataset.Combination, techniques
 		pool.each(len(lanes), func(i int) {
 			errs[i] = e.step(lanes[i], k, pkt, rec)
 		})
-		if err := firstErr(); err != nil {
+		if err := firstError(errs); err != nil {
 			return nil, err
 		}
 	}
 	res := &ComboResult{Combo: cb, Counters: map[string]*metrics.Counter{}}
-	for i, name := range techniques {
+	for _, l := range lanes {
 		// A technique that never produced a countable packet (e.g. Skip on
 		// every recorded packet) is omitted rather than reported as a
 		// zero-error counter.
-		if c := &lanes[i].c; c.Packets > 0 {
-			res.Counters[name] = c
+		if l.c.Packets > 0 {
+			res.Counters[l.est.Name()] = &l.c
 		}
+	}
+	return res, nil
+}
+
+// score runs estimators through the lane loop over one combination's test
+// set on a pool of Params.Workers goroutines. Ablations and tests score
+// estimators outside the technique table this way.
+func (e *Engine) score(cb dataset.Combination, ests ...Estimator) (*ComboResult, error) {
+	pool, stopPool := startWorkPool(e.workers())
+	defer stopPool()
+	return e.scoreCombo(pool, cb, ests, new(atomic.Bool))
+}
+
+// evaluateCombo builds the named techniques' estimators for a combination
+// from the builders table, the builds (which may train models) fanning out
+// over the pool, and scores them with scoreCombo. On an error it sets stop.
+func (e *Engine) evaluateCombo(pool workPool, cb dataset.Combination, techniques []string, stop *atomic.Bool) (*ComboResult, error) {
+	ests := make([]Estimator, len(techniques))
+	errs := make([]error, len(techniques))
+	pool.each(len(techniques), func(i int) {
+		ests[i], errs[i] = builders[techniques[i]](e, cb)
+	})
+	err := firstError(errs)
+	var res *ComboResult
+	if err == nil {
+		res, err = e.scoreCombo(pool, cb, ests, stop)
+	}
+	if err != nil {
+		stop.Store(true)
+		return nil, err
 	}
 	return res, nil
 }
@@ -435,23 +455,11 @@ func checkTechniques(techniques []string) ([]string, error) {
 		techniques = core.AllTechniques
 	}
 	for _, name := range techniques {
-		if _, err := Lookup(name); err != nil {
-			return nil, err
+		if _, ok := builders[name]; !ok {
+			return nil, fmt.Errorf("experiments: unknown technique %q (known: %v)", name, core.AllTechniques)
 		}
 	}
 	return techniques, nil
-}
-
-// EvaluateCombo runs the full decode comparison on one combination's test
-// set for the requested techniques (nil = core.AllTechniques). Every
-// technique resolves through the registry; the techniques fan out over
-// Params.Workers goroutines packet by packet, exactly as in Evaluate.
-func (e *Engine) EvaluateCombo(cb dataset.Combination, techniques []string) (*ComboResult, error) {
-	res, err := e.evaluate([]dataset.Combination{cb}, techniques)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
 }
 
 // Evaluate runs the decode comparison over every selected combination.

@@ -1,25 +1,101 @@
 package experiments
 
 import (
+	"fmt"
+
 	"vvd/internal/core"
 	"vvd/internal/dataset"
 	"vvd/internal/kalman"
 )
 
-// This file implements the 14 techniques of the paper's evaluation (§5) as
-// registry entries. Each implementation is a small, self-contained
-// Estimator; the engine never special-cases a technique.
+// This file implements the 14 techniques of the paper's evaluation (§5).
+// Each is a small, self-contained Estimator, built per combination by its
+// entry in the fixed builders table; the engine never special-cases a
+// technique.
 
-func init() {
-	Register(core.TechStandard, func(e *Engine, cb dataset.Combination) (Estimator, error) {
+// Availability describes whether a technique can produce an estimate for a
+// given test packet, mirroring the three outcomes of the paper's decode
+// comparison (§5–6). It is the second return of [Estimator.Estimate] and
+// decides how the engine scores the packet: decode it, count it as lost,
+// or leave it out entirely.
+type Availability int
+
+const (
+	// Available: the technique produced an estimate (nil means standard
+	// decoding, i.e. no equalization).
+	Available Availability = iota
+	// Unavailable: the technique exists but cannot estimate this packet
+	// (e.g. the preamble was missed); the packet counts as erroneous.
+	Unavailable
+	// Skip: the technique is not applicable yet (e.g. no previous packet,
+	// Kalman filter not warmed up); the packet is not counted at all.
+	Skip
+)
+
+// String returns the outcome name.
+func (a Availability) String() string {
+	switch a {
+	case Available:
+		return "Available"
+	case Unavailable:
+		return "Unavailable"
+	case Skip:
+		return "Skip"
+	default:
+		return fmt.Sprintf("Availability(%d)", int(a))
+	}
+}
+
+// Estimator is one channel-estimation technique evaluated over a
+// combination's test set. Estimate is called for every packet in order,
+// including the warm-up window, so stateful estimators (Kalman) advance
+// exactly as in the paper. Implementations are built per evaluation run and
+// must not share mutable state — the parallel engine runs one Estimator per
+// (combination × technique) lane, and the lanes of one packet run
+// concurrently. Calls on one instance never overlap, though successive
+// packets may reach it on different goroutines.
+type Estimator interface {
+	// Name returns the technique label exactly as the paper uses it.
+	Name() string
+	// Estimate returns the channel estimate for test packet k.
+	Estimate(k int, pkt *dataset.Packet) ([]complex128, Availability, error)
+}
+
+// Observer is an optional refinement of [Estimator]: implementations
+// absorb per-packet feedback after the packet has been decoded — the
+// Kalman filters update on the perfect estimate of the just-received
+// packet (paper appendix). The engine calls Observe exactly once per test
+// packet, after Estimate, in packet order.
+type Observer interface {
+	Observe(k int, pkt *dataset.Packet) error
+}
+
+// MSEExempt is an optional refinement of [Estimator]: implementations
+// returning true are excluded from MSE scoring against the ground truth.
+// The ground-truth technique itself is the canonical case (its error
+// against itself is zero by construction and would distort Fig. 14).
+type MSEExempt interface {
+	MSEExempt() bool
+}
+
+// builder constructs a fresh Estimator bound to an engine and combination.
+// Builders run under the engine's model caches, so expensive artifacts (VVD
+// training, Kalman fits) are shared across concurrent builds.
+type builder func(e *Engine, cb dataset.Combination) (Estimator, error)
+
+// builders maps each name in core.AllTechniques to its builder. The table
+// is fixed: Evaluate resolves technique names here, while ablations and
+// tests that score other estimators hand them to the lane loop directly.
+var builders = map[string]builder{
+	core.TechStandard: func(e *Engine, cb dataset.Combination) (Estimator, error) {
 		return staticEstimator{name: core.TechStandard, est: func(pkt *dataset.Packet) ([]complex128, Availability) {
 			return nil, Available // nil estimate = standard decoding
 		}}, nil
-	})
-	Register(core.TechGroundTruth, func(e *Engine, cb dataset.Combination) (Estimator, error) {
+	},
+	core.TechGroundTruth: func(e *Engine, cb dataset.Combination) (Estimator, error) {
 		return groundTruthEstimator{}, nil
-	})
-	Register(core.TechPreamble, func(e *Engine, cb dataset.Combination) (Estimator, error) {
+	},
+	core.TechPreamble: func(e *Engine, cb dataset.Combination) (Estimator, error) {
 		return staticEstimator{name: core.TechPreamble, est: func(pkt *dataset.Packet) ([]complex128, Availability) {
 			if !pkt.PreambleDetected {
 				// Missed preamble: the packet is assumed erroneous.
@@ -27,34 +103,34 @@ func init() {
 			}
 			return pkt.PreambleEst, Available
 		}}, nil
-	})
-	Register(core.TechPreambleGenie, func(e *Engine, cb dataset.Combination) (Estimator, error) {
+	},
+	core.TechPreambleGenie: func(e *Engine, cb dataset.Combination) (Estimator, error) {
 		return staticEstimator{name: core.TechPreambleGenie, est: func(pkt *dataset.Packet) ([]complex128, Availability) {
 			return pkt.PreambleEst, Available
 		}}, nil
-	})
-	Register(core.TechPrev100ms, previousBuilder(core.TechPrev100ms, 1))
-	Register(core.TechPrev500ms, previousBuilder(core.TechPrev500ms, 5))
-	Register(core.TechKalmanAR1, KalmanBuilder(core.TechKalmanAR1, 1))
-	Register(core.TechKalmanAR5, KalmanBuilder(core.TechKalmanAR5, 5))
-	Register(core.TechKalmanAR20, KalmanBuilder(core.TechKalmanAR20, 20))
-	Register(core.TechVVDCurrent, VVDBuilder(core.TechVVDCurrent, dataset.LagCurrent))
-	Register(core.TechVVD33msFuture, VVDBuilder(core.TechVVD33msFuture, dataset.Lag33ms))
-	Register(core.TechVVD100msFuture, VVDBuilder(core.TechVVD100msFuture, dataset.Lag100ms))
-	Register(core.TechCombinedVVD, func(e *Engine, cb dataset.Combination) (Estimator, error) {
+	},
+	core.TechPrev100ms:      previousBuilder(core.TechPrev100ms, 1),
+	core.TechPrev500ms:      previousBuilder(core.TechPrev500ms, 5),
+	core.TechKalmanAR1:      kalmanBuilder(core.TechKalmanAR1, 1),
+	core.TechKalmanAR5:      kalmanBuilder(core.TechKalmanAR5, 5),
+	core.TechKalmanAR20:     kalmanBuilder(core.TechKalmanAR20, 20),
+	core.TechVVDCurrent:     vvdBuilder(core.TechVVDCurrent, dataset.LagCurrent),
+	core.TechVVD33msFuture:  vvdBuilder(core.TechVVD33msFuture, dataset.Lag33ms),
+	core.TechVVD100msFuture: vvdBuilder(core.TechVVD100msFuture, dataset.Lag100ms),
+	core.TechCombinedVVD: func(e *Engine, cb dataset.Combination) (Estimator, error) {
 		v, err := e.VVDFor(cb, dataset.LagCurrent)
 		if err != nil {
 			return nil, err
 		}
 		return &combinedVVDEstimator{v: v}, nil
-	})
-	Register(core.TechCombinedKalman, func(e *Engine, cb dataset.Combination) (Estimator, error) {
+	},
+	core.TechCombinedKalman: func(e *Engine, cb dataset.Combination) (Estimator, error) {
 		k, err := e.KalmanFor(cb, 20)
 		if err != nil {
 			return nil, err
 		}
 		return &combinedKalmanEstimator{kal: k}, nil
-	})
+	},
 }
 
 // staticEstimator derives its estimate from the packet record alone.
@@ -90,7 +166,7 @@ type previousEstimator struct {
 	test []*dataset.Packet
 }
 
-func previousBuilder(name string, n int) Builder {
+func previousBuilder(name string, n int) builder {
 	return func(e *Engine, cb dataset.Combination) (Estimator, error) {
 		return &previousEstimator{name: name, n: n, test: e.Campaign.TestPackets(cb)}, nil
 	}
@@ -114,9 +190,8 @@ type kalmanEstimator struct {
 	kal  *kalman.Estimator
 }
 
-// KalmanBuilder returns a Builder for an AR(order) Kalman technique. New
-// orders beyond the paper's 1/5/20 are one Register call away.
-func KalmanBuilder(name string, order int) Builder {
+// kalmanBuilder returns the builder of an AR(order) Kalman technique.
+func kalmanBuilder(name string, order int) builder {
 	return func(e *Engine, cb dataset.Combination) (Estimator, error) {
 		k, err := e.KalmanFor(cb, order)
 		if err != nil {
@@ -154,11 +229,11 @@ type vvdEstimator struct {
 	v    *core.VVD
 }
 
-// VVDBuilder returns a Builder for a VVD variant at the given image lag.
+// vvdBuilder returns the builder of a VVD variant at the given image lag.
 // The trained model comes from the engine's cache (one training run shared
 // across goroutines), and every instance estimates on it directly: VVD
 // inference is safe for concurrent use.
-func VVDBuilder(name string, lag dataset.ImageLag) Builder {
+func vvdBuilder(name string, lag dataset.ImageLag) builder {
 	return func(e *Engine, cb dataset.Combination) (Estimator, error) {
 		v, err := e.VVDFor(cb, lag)
 		if err != nil {

@@ -45,6 +45,17 @@ func sharedEngine(t *testing.T) *Engine {
 	return engineVal
 }
 
+// evaluateFirst runs the named techniques on the engine's first
+// combination alone.
+func evaluateFirst(t *testing.T, e *Engine, techniques []string) *ComboResult {
+	t.Helper()
+	res, err := e.evaluate(e.Combos()[:1], techniques)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0]
+}
+
 func TestEngineCombos(t *testing.T) {
 	e := sharedEngine(t)
 	combos := e.Combos()
@@ -63,10 +74,7 @@ func TestEvaluateComboBasicTechniques(t *testing.T) {
 		core.TechStandard, core.TechGroundTruth, core.TechPreambleGenie,
 		core.TechPrev100ms, core.TechPrev500ms, core.TechKalmanAR1,
 	}
-	res, err := e.EvaluateCombo(cb, techs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := evaluateFirst(t, e, techs)
 	for _, name := range techs {
 		c, ok := res.Counters[name]
 		if !ok {
@@ -101,12 +109,8 @@ func TestEvaluateComboBasicTechniques(t *testing.T) {
 
 func TestEvaluateComboVVDAndCombined(t *testing.T) {
 	e := sharedEngine(t)
-	cb := e.Combos()[0]
 	techs := []string{core.TechVVDCurrent, core.TechCombinedVVD, core.TechCombinedKalman, core.TechPreamble}
-	res, err := e.EvaluateCombo(cb, techs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := evaluateFirst(t, e, techs)
 	for _, name := range techs {
 		if res.Counters[name] == nil || res.Counters[name].Packets == 0 {
 			t.Fatalf("technique %q produced no packets", name)
@@ -158,11 +162,7 @@ func TestKalmanCacheResets(t *testing.T) {
 
 func TestBoxOver(t *testing.T) {
 	e := sharedEngine(t)
-	cb := e.Combos()[0]
-	res, err := e.EvaluateCombo(cb, []string{core.TechStandard, core.TechGroundTruth})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := evaluateFirst(t, e, []string{core.TechStandard, core.TechGroundTruth})
 	box, err := BoxOver([]*ComboResult{res}, "per")
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"vvd/internal/camera"
-	"vvd/internal/core"
 	"vvd/internal/dataset"
 )
 
@@ -21,9 +20,7 @@ func RunAblationDespreading(e *Engine) (*AblationResult, error) {
 		soft bool
 	}{{"hard decisions (paper receiver)", false}, {"soft correlation", true}} {
 		rx.Cfg.SoftDespreading = mode.soft
-		row, err := e.measureEstimator(mode.name, cb, func(pkt *dataset.Packet) ([]complex128, error) {
-			return pkt.Perfect, nil
-		})
+		row, err := e.measure(cb, perfectEstimator(mode.name))
 		if err != nil {
 			return nil, err
 		}
@@ -58,19 +55,14 @@ func DecimateImage(img []float32, k int) []float32 {
 // It reports how much spatial resolution the estimator actually needs.
 func RunAblationPrivacy(e *Engine, factors []int) (*AblationResult, error) {
 	res := &AblationResult{Title: "Ablation: image decimation / privacy (paper §6.6)"}
-	cb := e.Combos()[0]
 	for _, k := range factors {
 		decimated, err := decimatedCampaign(e.Campaign, k)
 		if err != nil {
 			return nil, err
 		}
-		v, _, err := core.Train(decimated, cb, dataset.LagCurrent, e.P.Train)
-		if err != nil {
-			return nil, err
-		}
-		row, err := e.measureEstimator(fmt.Sprintf("decimate %dx", k), cb, func(pkt *dataset.Packet) ([]complex128, error) {
-			return v.Estimate(DecimateImage(pkt.Images[dataset.LagCurrent], k))
-		})
+		// An engine over the decimated campaign trains on, and estimates
+		// from, decimated images; it decodes the same receptions.
+		row, err := NewEngineFromCampaign(decimated, e.P).evalVVDConfig(fmt.Sprintf("decimate %dx", k), e.P.Train)
 		if err != nil {
 			return nil, err
 		}

@@ -7,20 +7,31 @@ import (
 	"vvd/internal/dataset"
 )
 
+// TestRegistryCoversAllTechniques pins the builders table to exactly the
+// paper's 14 techniques.
 func TestRegistryCoversAllTechniques(t *testing.T) {
 	if len(core.AllTechniques) != 14 {
 		t.Fatalf("paper defines 14 techniques, core lists %d", len(core.AllTechniques))
 	}
+	if len(builders) != len(core.AllTechniques) {
+		t.Fatalf("builders table has %d entries, want %d", len(builders), len(core.AllTechniques))
+	}
 	for _, name := range core.AllTechniques {
-		if _, err := Lookup(name); err != nil {
-			t.Fatalf("technique %q not registered: %v", name, err)
+		if builders[name] == nil {
+			t.Fatalf("technique %q has no builder", name)
 		}
 	}
 }
 
+// TestLookupUnknownTechnique checks that a typo fails before any model is
+// trained, even when listed after a technique that needs training.
 func TestLookupUnknownTechnique(t *testing.T) {
-	if _, err := Lookup("Carrier Pigeon"); err == nil {
+	e := NewEngineFromCampaign(sharedEngine(t).Campaign, tinyParams())
+	if _, err := e.Evaluate([]string{core.TechVVDCurrent, core.TechKalmanAR5, "Carrier Pigeon"}); err == nil {
 		t.Fatal("unknown technique resolved")
+	}
+	if len(e.vvdCache) != 0 || len(e.kalmanCache) != 0 {
+		t.Fatalf("models trained before the name check: %d VVD, %d Kalman", len(e.vvdCache), len(e.kalmanCache))
 	}
 }
 
@@ -92,18 +103,15 @@ func TestEvaluateParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestEvaluateComboMatchesParallel pins the single-combo sequential API to
-// the fan-out path.
-func TestEvaluateComboMatchesParallel(t *testing.T) {
+// TestEvaluateOneComboMatchesParallel pins a one-combination sequential
+// evaluation to the first combination of the fan-out path.
+func TestEvaluateOneComboMatchesParallel(t *testing.T) {
 	e := sharedEngine(t)
-	cb := e.Combos()[0]
 	techs := []string{core.TechStandard, core.TechKalmanAR5, core.TechCombinedKalman, core.TechVVDCurrent}
-	single, err := e.EvaluateCombo(cb, techs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	origWorkers := e.P.Workers
 	defer func() { e.P.Workers = origWorkers }()
+	e.P.Workers = 1
+	single := evaluateFirst(t, e, techs)
 	e.P.Workers = 4
 	fan, err := e.Evaluate(techs)
 	if err != nil {
@@ -117,22 +125,30 @@ func TestEvaluateUnknownTechniqueFails(t *testing.T) {
 	if _, err := e.Evaluate([]string{"Carrier Pigeon"}); err == nil {
 		t.Fatal("unknown technique accepted by Evaluate")
 	}
-	if _, err := e.EvaluateCombo(e.Combos()[0], []string{"Carrier Pigeon"}); err == nil {
-		t.Fatal("unknown technique accepted by EvaluateCombo")
+	if _, err := e.Evaluate([]string{core.TechStandard, "Carrier Pigeon"}); err == nil {
+		t.Fatal("unknown technique accepted beside a known one")
 	}
 }
 
-// TestRegisterCustomTechnique shows the registry's extension point: a new
-// technique is one Register call, no engine changes.
+// standardEstimator builds the table's Standard Decoding estimator.
+func standardEstimator(t *testing.T, e *Engine) Estimator {
+	t.Helper()
+	est, err := builders[core.TechStandard](e, e.Combos()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
+}
+
+// TestRegisterCustomTechnique scores an estimator outside the technique
+// table by handing it to the lane loop, beside a built-in one.
 func TestRegisterCustomTechnique(t *testing.T) {
 	const name = "True CIR Oracle (test)"
-	Register(name, func(e *Engine, cb dataset.Combination) (Estimator, error) {
-		return staticEstimator{name: name, est: func(pkt *dataset.Packet) ([]complex128, Availability) {
-			return pkt.TrueCIR, Available
-		}}, nil
-	})
+	oracle := staticEstimator{name: name, est: func(pkt *dataset.Packet) ([]complex128, Availability) {
+		return pkt.TrueCIR, Available
+	}}
 	e := sharedEngine(t)
-	res, err := e.EvaluateCombo(e.Combos()[0], []string{name, core.TechStandard})
+	res, err := e.score(e.Combos()[0], oracle, standardEstimator(t, e))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +166,11 @@ func TestRegisterCustomTechnique(t *testing.T) {
 // result instead of surfacing as a zero-error counter in BoxOver.
 func TestSkipOnlyTechniqueOmitted(t *testing.T) {
 	const name = "Always Skip (test)"
-	Register(name, func(e *Engine, cb dataset.Combination) (Estimator, error) {
-		return staticEstimator{name: name, est: func(pkt *dataset.Packet) ([]complex128, Availability) {
-			return nil, Skip
-		}}, nil
-	})
+	skip := staticEstimator{name: name, est: func(pkt *dataset.Packet) ([]complex128, Availability) {
+		return nil, Skip
+	}}
 	e := sharedEngine(t)
-	res, err := e.EvaluateCombo(e.Combos()[0], []string{name, core.TechStandard})
+	res, err := e.score(e.Combos()[0], skip, standardEstimator(t, e))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +179,6 @@ func TestSkipOnlyTechniqueOmitted(t *testing.T) {
 	}
 	if _, ok := res.Counters[core.TechStandard]; !ok {
 		t.Fatal("standard decoding missing")
-	}
-	fan, err := e.Evaluate([]string{name, core.TechStandard})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := fan[0].Counters[name]; ok {
-		t.Fatal("skip-only technique reported a counter in Evaluate")
 	}
 }
 

@@ -92,7 +92,7 @@ var SweepTechniques = []string{
 // NewSweepEngine returns an engine for cross-scenario sweeps only: it owns
 // no campaign (and no model caches) of its own, because EvaluateScenarios
 // generates a sub-engine per scenario. Calling the single-campaign entry
-// points (Evaluate, EvaluateCombo, the figure runners) on a sweep engine
+// points (Evaluate, the figure runners, the ablations) on a sweep engine
 // is a bug.
 func NewSweepEngine(p Params) *Engine {
 	return &Engine{P: p}
