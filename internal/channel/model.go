@@ -212,33 +212,20 @@ type Reception struct {
 // phase offset, CFO and AWGN to a transmit waveform given the instantaneous
 // human position.
 func (l *Link) Transmit(tx []complex128, h room.Human) *Reception {
-	return l.TransmitBuf(tx, h, nil)
+	return l.TransmitMultiBufPow(tx, dsp.Power(tx), []room.Human{h}, nil)
 }
 
-// TransmitBuf is Transmit with an optional reusable output buffer: when
-// buf has capacity for the received waveform it backs Reception.Waveform,
-// so a caller processing packets in a loop pays one waveform allocation
-// total instead of one per packet (plus one per-pass impairment fusion
-// instead of three full-waveform copies). The impairment chain —
-// phase rotation, CFO, absolute-power AWGN — runs as a single in-place
-// pass with the same RNG draw order as the historical
+// TransmitMultiBufPow is Transmit for any number of occupants, for callers
+// that already know the mean power of tx (txPower must equal
+// dsp.Power(tx)), with an optional reusable output buffer. The
+// block-fading CIR reflects every body's blockage, scatter and tail
+// stirring; zero occupants transmits through the empty room. When buf has
+// capacity for the received waveform it backs Reception.Waveform, so a
+// caller processing packets in a loop pays one waveform allocation total.
+// The impairment chain — phase rotation, CFO, absolute-power AWGN — runs
+// as a single in-place pass with the same RNG draw order as the historical
 // Rotate/ApplyCFO/AddNoise sequence, keeping link realizations seed-
 // reproducible.
-func (l *Link) TransmitBuf(tx []complex128, h room.Human, buf []complex128) *Reception {
-	return l.TransmitBufPow(tx, dsp.Power(tx), h, buf)
-}
-
-// TransmitBufPow is TransmitBuf for callers that already know the mean
-// power of tx (e.g. a cached transmit waveform): it skips the per-call
-// full-waveform power pass. txPower must equal dsp.Power(tx).
-func (l *Link) TransmitBufPow(tx []complex128, txPower float64, h room.Human, buf []complex128) *Reception {
-	return l.TransmitMultiBufPow(tx, txPower, []room.Human{h}, buf)
-}
-
-// TransmitMultiBufPow is TransmitBufPow for any number of occupants: the
-// block-fading CIR reflects every body's blockage, scatter and tail
-// stirring. One occupant reproduces TransmitBufPow bit-exactly over the
-// same RNG stream; zero occupants transmits through the empty room.
 func (l *Link) TransmitMultiBufPow(tx []complex128, txPower float64, hs []room.Human, buf []complex128) *Reception {
 	cir := l.Model.CIRMulti(hs)
 	n := len(tx) + len(cir) - 1
