@@ -173,15 +173,28 @@ func main() {
 		fmt.Println(experiments.RenderFig15(pts))
 	}
 	if all || want["aging"] || want["16"] || want["17"] {
-		ages := []int{0, 1, 5, 10, 20, 50}
-		if n := p.Campaign.PacketsPerSet; n > 220 {
-			ages = append(ages, 100, 200)
-		}
+		ages := agingOffsets(e.P.Campaign.PacketsPerSet)
 		run("Figs. 16-17", func() (renderer, error) { return experiments.RunAging(e, ages) })
 	}
 	if all || want["ablations"] {
 		runAblations(e)
 	}
+}
+
+// agingOffsets returns the estimate ages (in packets) of Figs. 16–17 for
+// test sets of n packets: the ages that fit the set, plus 100 and 200 once
+// sets exceed 220 packets.
+func agingOffsets(n int) []int {
+	var ages []int
+	for _, age := range []int{0, 1, 5, 10, 20, 50} {
+		if age < n {
+			ages = append(ages, age)
+		}
+	}
+	if n > 220 {
+		ages = append(ages, 100, 200)
+	}
+	return ages
 }
 
 // runSweep evaluates the named scenarios (or every registered preset) with
