@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"vvd/internal/core"
@@ -61,12 +62,21 @@ func counterGolden(c *metrics.Counter) map[string]string {
 	return g
 }
 
-// evaluationGolden runs the golden evaluation, the aging study and the
-// ablations that decode through the engine and flattens them into
-// "section/row" → metric → exact value.
-func evaluationGolden(t *testing.T) map[string]map[string]string {
+// goldenLowSNRdB is the clear-channel SNR of the second golden engine,
+// low enough that chips err under the perfect estimate, so the equalizer
+// length moves its counts.
+const goldenLowSNRdB = 7
+
+// evaluationGolden runs the golden evaluation, the aging study, the Fig. 15
+// strip and the ablations that decode through the engine at the given
+// fan-out width, plus the equalizer-taps ablation on a low-SNR copy of the
+// golden campaign, and flattens them into "section/row" → metric → exact
+// value.
+func evaluationGolden(t *testing.T, workers int) map[string]map[string]string {
 	t.Helper()
-	e, err := NewEngine(goldenParams())
+	p := goldenParams()
+	p.Workers = workers
+	e, err := NewEngine(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,44 +103,64 @@ func evaluationGolden(t *testing.T) map[string]map[string]string {
 			"vvd_per":   exactFloat(ag.VVDPER[i]),
 		}
 	}
-	ablations := []func() (*AblationResult, error){
-		func() (*AblationResult, error) { return RunAblationEqualizerTaps(e, []int{7, 21}) },
-		func() (*AblationResult, error) { return RunAblationPhaseCorrection(e) },
-		func() (*AblationResult, error) { return RunAblationDespreading(e) },
-		func() (*AblationResult, error) { return RunAblationDense(e) },
+	pts, err := RunFig15(e, p.Campaign.PacketsPerSet)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, run := range ablations {
-		ab, err := run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range ab.Rows {
-			out[fmt.Sprintf("ablation/%s/%s", ab.Title, r.Name)] = map[string]string{
-				"mse": exactFloat(r.MSE),
-				"per": exactFloat(r.PER),
-				"cer": exactFloat(r.CER),
+	fig15 := strings.Split(RenderFig15(pts), "\n")
+	out[fmt.Sprintf("fig15/%d packets", len(pts))] = map[string]string{"strip": fig15[1], "failed": fig15[2]}
+	addAblations := func(prefix string, runs ...func() (*AblationResult, error)) {
+		for _, run := range runs {
+			ab, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range ab.Rows {
+				out[fmt.Sprintf("%sablation/%s/%s", prefix, ab.Title, r.Name)] = map[string]string{
+					"mse": exactFloat(r.MSE),
+					"per": exactFloat(r.PER),
+					"cer": exactFloat(r.CER),
+				}
 			}
 		}
 	}
+	addAblations("",
+		func() (*AblationResult, error) { return RunAblationEqualizerTaps(e, []int{7, 21}) },
+		func() (*AblationResult, error) { return RunAblationPhaseCorrection(e) },
+		func() (*AblationResult, error) { return RunAblationCIRTaps(e, []int{3, 7, 11, 15}) },
+		func() (*AblationResult, error) { return RunAblationDespreading(e) },
+		func() (*AblationResult, error) { return RunAblationDense(e) },
+	)
+	// The golden campaign decodes every counted packet cleanly under the
+	// perfect estimate; at low SNR the equalizer length shows.
+	p.Campaign.Imp.SNRdB = goldenLowSNRdB
+	low, err := NewEngine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addAblations(fmt.Sprintf("snr %d dB/", goldenLowSNRdB),
+		func() (*AblationResult, error) { return RunAblationEqualizerTaps(low, []int{7, 21}) },
+	)
 	return out
 }
 
 // TestEvaluationGolden pins the decode comparison bit for bit: every
 // technique's packet, packet-error, chip and chip-error counts and its MSE
 // as an exact float64, over two combinations, plus the aging study
-// (Figs. 16–17) and the equalizer-taps, phase-correction, despreading and
-// dense-layer ablation rows. Estimation MSEs alone (the scenario conformance goldens)
-// would not see a change in the equalizer, the matched filter or the
-// despreader; these counters do. The values are those of an amd64 build
-// (the compiler fuses no multiply-adds there). After an *intended*
-// numeric change, regenerate with
+// (Figs. 16–17), the Fig. 15 strip and the equalizer-taps (also at low
+// SNR), phase-correction, CIR-taps, despreading and dense-layer ablation
+// rows. Estimation MSEs alone (the scenario conformance goldens) would not
+// see a change in the equalizer, the matched filter or the despreader;
+// these counters do. Every value must come out the same sequentially and
+// fanned out. The values are those of an amd64 build (the compiler fuses
+// no multiply-adds there). After an *intended* numeric change, regenerate
+// with
 //
 //	go test ./internal/experiments -run TestEvaluationGolden -update-golden
 func TestEvaluationGolden(t *testing.T) {
 	path := filepath.Join("testdata", "evaluation.json")
-	got := evaluationGolden(t)
 	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
+		data, err := json.MarshalIndent(evaluationGolden(t, goldenParams().Workers), "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,21 +180,24 @@ func TestEvaluationGolden(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-	for row, gm := range got {
-		wm, ok := want[row]
-		if !ok {
-			t.Errorf("%s has no committed golden", row)
-			continue
-		}
-		for metric, gv := range gm {
-			if wv := wm[metric]; gv != wv {
-				t.Errorf("%s %s drifted: got %s, golden %s", row, metric, gv, wv)
+	for _, workers := range []int{goldenParams().Workers, 1} {
+		got := evaluationGolden(t, workers)
+		for row, gm := range got {
+			wm, ok := want[row]
+			if !ok {
+				t.Errorf("workers %d: %s has no committed golden", workers, row)
+				continue
+			}
+			for metric, gv := range gm {
+				if wv := wm[metric]; gv != wv {
+					t.Errorf("workers %d: %s %s drifted: got %s, golden %s", workers, row, metric, gv, wv)
+				}
 			}
 		}
-	}
-	for row := range want {
-		if _, ok := got[row]; !ok {
-			t.Errorf("golden row %s was not produced", row)
+		for row := range want {
+			if _, ok := got[row]; !ok {
+				t.Errorf("workers %d: golden row %s was not produced", workers, row)
+			}
 		}
 	}
 }
