@@ -152,8 +152,7 @@ func BenchmarkCampaignGeneratePaperScale(b *testing.B) {
 func BenchmarkSyncDetect(b *testing.B) {
 	e := sharedEngine(b)
 	cb := e.Combos()[0]
-	pkt := e.Campaign.Sets[cb.Test-1].Packets[0]
-	_, _, _, rec, err := e.Campaign.Reception(cb.Test, pkt.Index)
+	_, _, rec, err := e.Campaign.ReceptionPacket(e.Campaign.TestPackets(cb)[0])
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -26,9 +27,12 @@ import (
 	"vvd/internal/store"
 )
 
+// figureNames are the names -figures accepts.
+var figureNames = []string{"all", "table1", "table2", "5", "11", "12", "13", "14", "15", "aging", "16", "17", "ablations"}
+
 func main() {
 	var (
-		figures   = flag.String("figures", "all", "comma list: table1,table2,5,11,12,15,aging,ablations")
+		figures   = flag.String("figures", "all", "comma list of: "+strings.Join(figureNames, ","))
 		campaign  = flag.String("campaign", "", "evaluate a stored campaign file (vvd-dataset) instead of generating one; only the sets the selected combinations need are decoded")
 		sets      = flag.Int("sets", 0, "override campaign sets")
 		packets   = flag.Int("packets", 0, "override packets per set")
@@ -106,9 +110,9 @@ func main() {
 		return
 	}
 
-	want := map[string]bool{}
-	for _, f := range strings.Split(*figures, ",") {
-		want[strings.TrimSpace(strings.ToLower(f))] = true
+	want, err := parseFigures(*figures)
+	if err != nil {
+		fatal(err)
 	}
 	all := want["all"]
 
@@ -121,7 +125,6 @@ func main() {
 		want["aging"] || want["16"] || want["17"] || want["ablations"]
 	if needEngine {
 		start := time.Now()
-		var err error
 		if *campaign != "" {
 			if *sets > 0 || *packets > 0 || *psdu > 0 || *seed > 0 {
 				fmt.Fprintln(os.Stderr, "vvd-eval: note: -sets/-packets/-psdu/-seed describe campaign generation and are ignored with -campaign (the file's stored config wins)")
@@ -179,6 +182,20 @@ func main() {
 	if all || want["ablations"] {
 		runAblations(e)
 	}
+}
+
+// parseFigures returns the set of names in a -figures list, failing on a
+// name outside figureNames so a typo cannot skip a figure silently.
+func parseFigures(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, f := range strings.Split(list, ",") {
+		name := strings.TrimSpace(strings.ToLower(f))
+		if !slices.Contains(figureNames, name) {
+			return nil, fmt.Errorf("unknown -figures name %q (known: %s)", name, strings.Join(figureNames, ","))
+		}
+		want[name] = true
+	}
+	return want, nil
 }
 
 // agingOffsets returns the estimate ages (in packets) of Figs. 16–17 for

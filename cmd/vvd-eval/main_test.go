@@ -1,7 +1,9 @@
 package main
 
 import (
+	"maps"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -18,6 +20,37 @@ func TestAgingOffsets(t *testing.T) {
 	} {
 		if got := agingOffsets(tc.packets); !slices.Equal(got, tc.want) {
 			t.Errorf("agingOffsets(%d) = %v, want %v", tc.packets, got, tc.want)
+		}
+	}
+}
+
+// TestParseFigures holds -figures to the names main handles: an unknown
+// name fails and lists the known ones instead of printing nothing.
+func TestParseFigures(t *testing.T) {
+	for _, tc := range []struct {
+		list string
+		want []string // sorted; nil means an error
+	}{
+		{"all", []string{"all"}},
+		{"12, Aging,16", []string{"12", "16", "aging"}},
+		{strings.Join(figureNames, ","), figureNames},
+		{"nope", nil},
+		{"12,nope", nil},
+		{"", nil},
+	} {
+		got, err := parseFigures(tc.list)
+		if tc.want == nil {
+			if err == nil || !strings.Contains(err.Error(), "ablations") {
+				t.Errorf("parseFigures(%q) = %v, %v; want an error listing the known names", tc.list, got, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("parseFigures(%q): %v", tc.list, err)
+			continue
+		}
+		if names := slices.Sorted(maps.Keys(got)); !slices.Equal(names, slices.Sorted(slices.Values(tc.want))) {
+			t.Errorf("parseFigures(%q) = %v, want %v", tc.list, names, tc.want)
 		}
 	}
 }

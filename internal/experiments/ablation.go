@@ -9,6 +9,7 @@ import (
 	"vvd/internal/estimate"
 	"vvd/internal/metrics"
 	"vvd/internal/nn"
+	"vvd/internal/phy"
 )
 
 // AblationRow is one configuration's outcome in an ablation study.
@@ -36,28 +37,33 @@ func (a *AblationResult) Render() string {
 }
 
 // evalVVDConfig trains a VVD with the given training config on the first
-// combination and measures test-set MSE/PER/CER.
-func (e *Engine) evalVVDConfig(name string, cfg core.TrainConfig) (AblationRow, error) {
+// combination and measures its test-set MSE/PER/CER as one row.
+func (e *Engine) evalVVDConfig(name string, cfg core.TrainConfig) ([]AblationRow, error) {
 	cb := e.Combos()[0]
 	v, _, err := core.Train(e.Campaign, cb, dataset.LagCurrent, cfg)
 	if err != nil {
-		return AblationRow{}, fmt.Errorf("experiments: ablation %q: %w", name, err)
+		return nil, fmt.Errorf("experiments: ablation %q: %w", name, err)
 	}
 	return e.measure(cb, &vvdEstimator{name: name, lag: dataset.LagCurrent, v: v})
 }
 
-// measure scores one estimator on a combination's test set as a one-lane
-// run of the engine loop; the row is named after the estimator.
-func (e *Engine) measure(cb dataset.Combination, est Estimator) (AblationRow, error) {
-	res, err := e.score(cb, est)
+// measure scores estimators on a combination's test set as the lanes of
+// one run of the engine loop, and returns one row per estimator, named
+// after it.
+func (e *Engine) measure(cb dataset.Combination, ests ...Estimator) ([]AblationRow, error) {
+	res, err := e.score(cb, e.P.SkipPackets, ests...)
 	if err != nil {
-		return AblationRow{}, err
+		return nil, err
 	}
-	c := res.Counters[est.Name()]
-	if c == nil {
-		c = &metrics.Counter{} // no packet counted
+	rows := make([]AblationRow, len(ests))
+	for i, est := range ests {
+		c := res.Counters[est.Name()]
+		if c == nil {
+			c = &metrics.Counter{} // no packet counted
+		}
+		rows[i] = AblationRow{Name: est.Name(), MSE: c.MSE(), PER: c.PER(), CER: c.CER()}
 	}
-	return AblationRow{Name: est.Name(), MSE: c.MSE(), PER: c.PER(), CER: c.CER()}, nil
+	return rows, nil
 }
 
 // perfectEstimator decodes with the whole-packet LS estimate, like Ground
@@ -78,11 +84,11 @@ type vvdConfig struct {
 func (e *Engine) runVVDConfigs(title string, configs []vvdConfig) (*AblationResult, error) {
 	res := &AblationResult{Title: title}
 	for _, c := range configs {
-		row, err := e.evalVVDConfig(c.name, c.cfg)
+		rows, err := e.evalVVDConfig(c.name, c.cfg)
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, rows...)
 	}
 	return res, nil
 }
@@ -123,11 +129,11 @@ func RunAblationEqualizerTaps(e *Engine, taps []int) (*AblationResult, error) {
 	defer func() { e.Campaign.Receiver.Cfg.EqTaps = orig }()
 	for _, l := range taps {
 		e.Campaign.Receiver.Cfg.EqTaps = l
-		row, err := e.measure(cb, perfectEstimator(fmt.Sprintf("L = %d", l)))
+		rows, err := e.measure(cb, perfectEstimator(fmt.Sprintf("L = %d", l)))
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, rows...)
 	}
 	return res, nil
 }
@@ -141,67 +147,67 @@ func RunAblationPhaseCorrection(e *Engine) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	row, err := e.measure(cb, &vvdEstimator{name: "with phase correction", lag: dataset.LagCurrent, v: v})
+	rows, err := e.measure(cb, &vvdEstimator{name: "with phase correction", lag: dataset.LagCurrent, v: v})
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = append(res.Rows, row)
+	res.Rows = append(res.Rows, rows...)
 	e.Campaign.Receiver.Cfg.SkipPhaseCorrection = true
 	defer func() { e.Campaign.Receiver.Cfg.SkipPhaseCorrection = false }()
-	row, err = e.measure(cb, &vvdEstimator{name: "without phase correction", lag: dataset.LagCurrent, v: v})
+	rows, err = e.measure(cb, &vvdEstimator{name: "without phase correction", lag: dataset.LagCurrent, v: v})
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = append(res.Rows, row)
+	res.Rows = append(res.Rows, rows...)
 	return res, nil
 }
 
 // RunAblationCIRTaps sweeps the estimated FIR length N (the paper uses 11;
 // the choice depends on the channel's excess delay and sample rate, §2.1).
+// Each N is one lane of a single run of the engine loop.
 func RunAblationCIRTaps(e *Engine, taps []int) (*AblationResult, error) {
-	res := &AblationResult{Title: "Ablation: channel estimate tap count N (Eq. 4-5)"}
-	cb := e.Combos()[0]
-	rx := e.Campaign.Receiver
-	orig := rx.Cfg.CIRTaps
-	defer func() { rx.Cfg.CIRTaps = orig }()
-	for _, n := range taps {
-		rx.Cfg.CIRTaps = n
-		// Recompute the ground-truth estimate at this tap count per packet.
-		row, err := e.measureEstimatorRecomputed(fmt.Sprintf("N = %d", n), cb, n)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
+	mod := phy.NewModulator() // read-only, shared by the lanes
+	ests := make([]Estimator, len(taps))
+	for i, n := range taps {
+		ests[i] = &cirTapsEstimator{name: fmt.Sprintf("N = %d", n), taps: n, skip: e.P.SkipPackets, c: e.Campaign, mod: mod}
 	}
-	return res, nil
+	rows, err := e.measure(e.Combos()[0], ests...)
+	if err != nil {
+		return nil, err
+	}
+	return &AblationResult{Title: "Ablation: channel estimate tap count N (Eq. 4-5)", Rows: rows}, nil
 }
 
-// measureEstimatorRecomputed decodes with an LS estimate recomputed at the
-// given tap count from the regenerated waveform.
-func (e *Engine) measureEstimatorRecomputed(name string, cb dataset.Combination, taps int) (AblationRow, error) {
-	rx := e.Campaign.Receiver
-	var c metrics.Counter
-	test := e.Campaign.TestPackets(cb)
-	for k, pkt := range test {
-		if k < e.P.SkipPackets {
-			continue
-		}
-		ppdu, txWave, txChips, rec, err := e.Campaign.Reception(cb.Test, pkt.Index)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		rxc, _ := rx.CorrectCFO(rec.Waveform)
-		// A longer FIR hypothesis needs a longer observation window than
-		// the true channel produced; pad with zeros (no signal there).
-		if need := len(txWave) + taps - 1; len(rxc) < need {
-			rxc = append(rxc, make([]complex128, need-len(rxc))...)
-		}
-		h, err := estimate.LS(txWave, rxc, taps)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		dec := rx.Decode(rxc, ppdu, txChips, h)
-		c.AddPacket(dec.PacketOK, dec.ChipErrors, dec.PSDUChips)
+// cirTapsEstimator re-estimates each packet's channel by whole-packet LS at
+// its own FIR length from a private regeneration of the packet's
+// reception, so each counted packet costs one extra reception. Its MSE
+// against the N = 11 ground truth is not scored.
+type cirTapsEstimator struct {
+	name string
+	taps int
+	skip int // packets the lane loop does not decode
+	c    *dataset.Campaign
+	mod  *phy.Modulator
+}
+
+func (ce *cirTapsEstimator) Name() string    { return ce.name }
+func (ce *cirTapsEstimator) MSEExempt() bool { return true }
+
+func (ce *cirTapsEstimator) Estimate(k int, pkt *dataset.Packet) ([]complex128, Availability, error) {
+	if k < ce.skip {
+		return nil, Skip, nil
 	}
-	return AblationRow{Name: name, PER: c.PER(), CER: c.CER()}, nil
+	_, txChips, rec, err := ce.c.ReceptionPacket(pkt)
+	if err != nil {
+		return nil, Skip, err
+	}
+	txWave := ce.mod.ModulateChips(txChips)
+	rxc, _ := ce.c.Receiver.CorrectCFOInPlace(rec.Waveform)
+	// A longer FIR hypothesis needs a longer observation window than the
+	// true channel produced; pad with zeros (no signal there).
+	if need := len(txWave) + ce.taps - 1; len(rxc) < need {
+		rxc = append(rxc, make([]complex128, need-len(rxc))...)
+	}
+	h, err := estimate.LS(txWave, rxc, ce.taps)
+	return h, Available, err
 }

@@ -10,8 +10,9 @@
 // engine: Evaluate walks each combination's test packets in order and fans
 // the technique lanes of each packet out over a bounded worker pool, with
 // model caches shared singleflight-style so one VVD training or Kalman fit
-// serves every goroutine. The ablations score their estimators through the
-// same lane loop. Parallel output is byte-identical to the sequential run.
+// serves every goroutine. Figs. 15–17 and the ablations score their
+// estimators through the same lane loop, the only code here that decodes a
+// packet. Parallel output is byte-identical to the sequential run.
 package experiments
 
 import (
@@ -252,20 +253,26 @@ func (e *Engine) KalmanFor(cb dataset.Combination, order int) (*kalman.Estimator
 type ComboResult struct {
 	Combo    dataset.Combination
 	Counters map[string]*metrics.Counter
+	// ok holds, for every lane by name and every test packet k, whether
+	// packet k counted and decoded; packets in the skip window, skipped by
+	// the estimator or unavailable read false.
+	ok map[string][]bool
 }
 
 // lane is one technique's pass over a combination's test packets: its
-// private estimator and its counter.
+// private estimator, its counter and its per-packet decode record.
 type lane struct {
 	est      Estimator
 	observer Observer
 	scoreMSE bool
 	c        metrics.Counter
+	ok       []bool
 }
 
-// newLane wraps an estimator in a lane with an empty counter.
-func newLane(est Estimator) *lane {
-	l := &lane{est: est, scoreMSE: true}
+// newLane wraps an estimator in a lane with an empty counter and an empty
+// record of n packets.
+func newLane(est Estimator, n int) *lane {
+	l := &lane{est: est, scoreMSE: true, ok: make([]bool, n)}
 	l.observer, _ = est.(Observer)
 	if ex, ok := est.(MSEExempt); ok && ex.MSEExempt() {
 		l.scoreMSE = false
@@ -299,15 +306,15 @@ func (e *Engine) prepare(rec *reception, pkt *dataset.Packet) error {
 }
 
 // step runs one lane over test packet k: estimate, then decode and score
-// if the packet counts, then observe.
-func (e *Engine) step(l *lane, k int, pkt *dataset.Packet, rec *reception) error {
+// if the packet is past the skip window, then observe.
+func (e *Engine) step(l *lane, k, skip int, pkt *dataset.Packet, rec *reception) error {
 	// Estimate on every packet — stateful estimators advance through the
 	// warm-up window exactly as in the paper.
 	h, av, err := l.est.Estimate(k, pkt)
 	if err != nil {
 		return err
 	}
-	if k >= e.P.SkipPackets {
+	if k >= skip {
 		switch av {
 		case Unavailable:
 			// Technique unavailable (e.g. preamble missed): the packet is
@@ -319,6 +326,7 @@ func (e *Engine) step(l *lane, k int, pkt *dataset.Packet, rec *reception) error
 			}
 			dec := e.Campaign.Receiver.Decode(rec.rxc, rec.ppdu, rec.txChips, h)
 			l.c.AddPacket(dec.PacketOK, dec.ChipErrors, dec.PSDUChips)
+			l.ok[k] = dec.PacketOK
 			if h != nil && l.scoreMSE {
 				aligned := estimate.AlignPhase(h, pkt.Perfect)
 				l.c.AddMSE(metrics.SqError(aligned, pkt.Perfect), len(pkt.Perfect))
@@ -384,30 +392,33 @@ func firstError(errs []error) error {
 // packet every lane estimates, decodes and observes, the lanes fanning out
 // over the pool, and the packet's reception — regenerated only if some
 // lane decodes it — is dropped before the next packet. At most one
-// reception per combination is resident. Each lane sees its packets in
-// order whatever the pool width, so results do not depend on it. The
-// counters are keyed by estimator name. It gives up between packets once
-// stop reports true.
-func (e *Engine) scoreCombo(pool workPool, cb dataset.Combination, ests []Estimator, stop *atomic.Bool) (*ComboResult, error) {
+// reception per combination is resident. The first skip packets are not
+// decoded. Each lane sees its packets in order whatever the pool width, so
+// results do not depend on it. Counters and records are keyed by estimator
+// name, which must be unique. It gives up between packets once stop
+// reports true.
+func (e *Engine) scoreCombo(pool workPool, cb dataset.Combination, ests []Estimator, skip int, stop *atomic.Bool) (*ComboResult, error) {
+	test := e.Campaign.TestPackets(cb)
 	lanes := make([]*lane, len(ests))
 	for i, est := range ests {
-		lanes[i] = newLane(est)
+		lanes[i] = newLane(est, len(test))
 	}
 	errs := make([]error, len(lanes))
-	for k, pkt := range e.Campaign.TestPackets(cb) {
+	for k, pkt := range test {
 		if stop.Load() {
 			return nil, nil
 		}
 		rec := &reception{}
 		pool.each(len(lanes), func(i int) {
-			errs[i] = e.step(lanes[i], k, pkt, rec)
+			errs[i] = e.step(lanes[i], k, skip, pkt, rec)
 		})
 		if err := firstError(errs); err != nil {
 			return nil, err
 		}
 	}
-	res := &ComboResult{Combo: cb, Counters: map[string]*metrics.Counter{}}
+	res := &ComboResult{Combo: cb, Counters: map[string]*metrics.Counter{}, ok: map[string][]bool{}}
 	for _, l := range lanes {
+		res.ok[l.est.Name()] = l.ok
 		// A technique that never produced a countable packet (e.g. Skip on
 		// every recorded packet) is omitted rather than reported as a
 		// zero-error counter.
@@ -419,12 +430,13 @@ func (e *Engine) scoreCombo(pool workPool, cb dataset.Combination, ests []Estima
 }
 
 // score runs estimators through the lane loop over one combination's test
-// set on a pool of Params.Workers goroutines. Ablations and tests score
-// estimators outside the technique table this way.
-func (e *Engine) score(cb dataset.Combination, ests ...Estimator) (*ComboResult, error) {
+// set, counting packets from skip on, on a pool of Params.Workers
+// goroutines. Figs. 15–17, ablations and tests score estimators outside
+// the technique table this way.
+func (e *Engine) score(cb dataset.Combination, skip int, ests ...Estimator) (*ComboResult, error) {
 	pool, stopPool := startWorkPool(e.workers())
 	defer stopPool()
-	return e.scoreCombo(pool, cb, ests, new(atomic.Bool))
+	return e.scoreCombo(pool, cb, ests, skip, new(atomic.Bool))
 }
 
 // evaluateCombo builds the named techniques' estimators for a combination
@@ -439,7 +451,7 @@ func (e *Engine) evaluateCombo(pool workPool, cb dataset.Combination, techniques
 	err := firstError(errs)
 	var res *ComboResult
 	if err == nil {
-		res, err = e.scoreCombo(pool, cb, ests, stop)
+		res, err = e.scoreCombo(pool, cb, ests, e.P.SkipPackets, stop)
 	}
 	if err != nil {
 		stop.Store(true)

@@ -11,7 +11,8 @@ import (
 // This file implements the 14 techniques of the paper's evaluation (§5).
 // Each is a small, self-contained Estimator, built per combination by its
 // entry in the fixed builders table; the engine never special-cases a
-// technique.
+// technique. Figs. 15–17 and the ablations score these and their own
+// estimators through the same lane loop.
 
 // Availability describes whether a technique can produce an estimate for a
 // given test packet, mirroring the three outcomes of the paper's decode
@@ -158,27 +159,34 @@ func (groundTruthEstimator) Estimate(k int, pkt *dataset.Packet) ([]complex128, 
 	return pkt.Perfect, Available, nil
 }
 
-// previousEstimator reuses the aligned perfect estimate of the packet n
-// intervals earlier ("100ms/500ms Previous", paper §5.2).
-type previousEstimator struct {
+// agedEstimator decodes test packet k with an estimate of the packet age
+// intervals earlier, computed by est: "100ms/500ms Previous" reuse its
+// aligned perfect estimate (paper §5.2), and the aging study (Figs. 16–17)
+// its preamble or VVD-Current estimate. Packets with no such predecessor
+// are skipped.
+type agedEstimator struct {
 	name string
-	n    int
+	age  int
 	test []*dataset.Packet
+	est  func(old *dataset.Packet) ([]complex128, error)
 }
 
-func previousBuilder(name string, n int) builder {
+func previousBuilder(name string, age int) builder {
 	return func(e *Engine, cb dataset.Combination) (Estimator, error) {
-		return &previousEstimator{name: name, n: n, test: e.Campaign.TestPackets(cb)}, nil
+		return &agedEstimator{name: name, age: age, test: e.Campaign.TestPackets(cb), est: func(old *dataset.Packet) ([]complex128, error) {
+			return old.PerfectAligned, nil
+		}}, nil
 	}
 }
 
-func (p *previousEstimator) Name() string { return p.name }
+func (a *agedEstimator) Name() string { return a.name }
 
-func (p *previousEstimator) Estimate(k int, pkt *dataset.Packet) ([]complex128, Availability, error) {
-	if k < p.n {
+func (a *agedEstimator) Estimate(k int, pkt *dataset.Packet) ([]complex128, Availability, error) {
+	if k < a.age {
 		return nil, Skip, nil
 	}
-	return p.test[k-p.n].PerfectAligned, Available, nil
+	h, err := a.est(a.test[k-a.age])
+	return h, Available, err
 }
 
 // kalmanEstimator predicts the upcoming packet's CIR with per-tap AR(p)

@@ -20,11 +20,11 @@ func RunAblationDespreading(e *Engine) (*AblationResult, error) {
 		soft bool
 	}{{"hard decisions (paper receiver)", false}, {"soft correlation", true}} {
 		rx.Cfg.SoftDespreading = mode.soft
-		row, err := e.measure(cb, perfectEstimator(mode.name))
+		rows, err := e.measure(cb, perfectEstimator(mode.name))
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, rows...)
 	}
 	return res, nil
 }
@@ -62,11 +62,11 @@ func RunAblationPrivacy(e *Engine, factors []int) (*AblationResult, error) {
 		}
 		// An engine over the decimated campaign trains on, and estimates
 		// from, decimated images; it decodes the same receptions.
-		row, err := NewEngineFromCampaign(decimated, e.P).evalVVDConfig(fmt.Sprintf("decimate %dx", k), e.P.Train)
+		rows, err := NewEngineFromCampaign(decimated, e.P).evalVVDConfig(fmt.Sprintf("decimate %dx", k), e.P.Train)
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, rows...)
 	}
 	return res, nil
 }

@@ -76,7 +76,7 @@ func RunFig5(seed uint64) (*Fig5Result, error) {
 	repeat := room.DefaultHuman(room.Vec3{X: 4.0, Y: 3.6})  // same displacement, later take
 
 	estimateAt := func(h room.Human, s uint64) ([]complex128, error) {
-		_, txWave, _, err := buildTxForFig(mod)
+		_, txWave, _, err := dataset.BuildTx(mod, 1, 64)
 		if err != nil {
 			return nil, err
 		}
@@ -116,10 +116,6 @@ func RunFig5(seed uint64) (*Fig5Result, error) {
 	res.DistControlH1 = distance(hc, h1a)
 	res.DistControlH2 = distance(hc, h2a)
 	return res, nil
-}
-
-func buildTxForFig(mod *phy.Modulator) (*phy.PPDU, []complex128, []byte, error) {
-	return dataset.BuildTx(mod, 1, 64)
 }
 
 func distance(a, b []complex128) float64 {
@@ -248,44 +244,35 @@ type Fig15Point struct {
 	Blocked bool // whether the LoS was shadowed at transmit time
 }
 
-// RunFig15 decodes a window of packets with VVD-Current on a scripted
-// trajectory that repeatedly crosses the line of sight, reproducing the
-// bursty error pattern of the paper's Fig. 15.
+// RunFig15 decodes a combination's test set with VVD-Current, no packet
+// skipped, on a scripted trajectory that repeatedly crosses the line of
+// sight, and returns the first window packets (all if window ≤ 0),
+// reproducing the bursty error pattern of the paper's Fig. 15.
 func RunFig15(e *Engine, window int) ([]Fig15Point, error) {
 	combos := e.Combos()
 	if len(combos) == 0 {
 		return nil, fmt.Errorf("experiments: campaign too small for any combination")
 	}
 	cb := combos[0]
-	vvd, err := e.VVDFor(cb, dataset.LagCurrent)
+	est, err := builders[core.TechVVDCurrent](e, cb)
 	if err != nil {
 		return nil, err
 	}
+	res, err := e.score(cb, 0, est)
+	if err != nil {
+		return nil, err
+	}
+	ok := res.ok[est.Name()]
 	test := e.Campaign.TestPackets(cb)
 	if window <= 0 || window > len(test) {
 		window = len(test)
 	}
-	rx := e.Campaign.Receiver
 	losA, losB := e.Campaign.Room.TX, e.Campaign.Room.RX
-	var out []Fig15Point
-	for _, pkt := range test[:window] {
-		ppdu, txChips, rec, err := e.Campaign.ReceptionPacket(pkt)
-		if err != nil {
-			return nil, err
-		}
-		rxc, _ := rx.CorrectCFO(rec.Waveform)
-		h, err := vvd.Estimate(pkt.Images[dataset.LagCurrent])
-		if err != nil {
-			return nil, err
-		}
-		dec := rx.Decode(rxc, ppdu, txChips, h)
+	out := make([]Fig15Point, window)
+	for k, pkt := range test[:window] {
 		human := room.DefaultHuman(pkt.Pos)
 		d := room.SegmentDistanceToVertical(losA, losB, human.Pos.X, human.Pos.Y, human.Pos.Z, human.Pos.Z+human.Height)
-		out = append(out, Fig15Point{
-			Time:    pkt.Time,
-			OK:      dec.PacketOK,
-			Blocked: d < human.Radius+0.2,
-		})
+		out[k] = Fig15Point{Time: pkt.Time, OK: ok[k], Blocked: d < human.Radius+0.2}
 	}
 	return out, nil
 }
@@ -329,7 +316,9 @@ type AgingResult struct {
 // RunAging reproduces the aging experiments: a packet is decoded (and its
 // estimation error measured) using an estimate that is `age` packets old —
 // the preamble-genie estimate of the older packet, or the VVD estimate of
-// the older packet's image. agesPackets[0] should be 0 ("Original").
+// the older packet's image. Every age adds a genie and a VVD lane to one
+// run of the lane loop, which skips the largest age's packets.
+// agesPackets[0] should be 0 ("Original").
 func RunAging(e *Engine, agesPackets []int) (*AgingResult, error) {
 	combos := e.Combos()
 	if len(combos) == 0 {
@@ -342,55 +331,32 @@ func RunAging(e *Engine, agesPackets []int) (*AgingResult, error) {
 	}
 	test := e.Campaign.TestPackets(cb)
 	maxAge := 0
-	for _, a := range agesPackets {
-		if a > maxAge {
-			maxAge = a
-		}
+	var ests []Estimator
+	for _, age := range agesPackets {
+		maxAge = max(maxAge, age)
+		ests = append(ests,
+			&agedEstimator{name: fmt.Sprintf("Preamble Genie, %d packets old", age), age: age, test: test,
+				est: func(old *dataset.Packet) ([]complex128, error) { return old.PreambleEst, nil }},
+			&agedEstimator{name: fmt.Sprintf("VVD, %d packets old", age), age: age, test: test,
+				est: func(old *dataset.Packet) ([]complex128, error) { return vvd.Estimate(old.Images[dataset.LagCurrent]) }})
 	}
 	if maxAge >= len(test) {
 		return nil, fmt.Errorf("experiments: max age %d ≥ test set size %d", maxAge, len(test))
 	}
-	rx := e.Campaign.Receiver
-	// Packets run in the outer loop, so each reception is regenerated once
-	// and each packet's VVD estimate is computed once for every age that
-	// reads it; each age's counters still accumulate in packet order.
-	genie := make([]metrics.Counter, len(agesPackets))
-	vvdC := make([]metrics.Counter, len(agesPackets))
-	vvdEst := make([][]complex128, len(test))
-	for k := maxAge; k < len(test); k++ {
-		pkt := test[k]
-		ppdu, txChips, rec, err := e.Campaign.ReceptionPacket(pkt)
-		if err != nil {
-			return nil, err
-		}
-		rxc, _ := rx.CorrectCFOInPlace(rec.Waveform)
-		for ai, age := range agesPackets {
-			old := test[k-age]
-			gEst := old.PreambleEst
-			dec := rx.Decode(rxc, ppdu, txChips, gEst)
-			genie[ai].AddPacket(dec.PacketOK, dec.ChipErrors, dec.PSDUChips)
-			genie[ai].AddMSE(metrics.SqError(estimate.AlignPhase(gEst, pkt.Perfect), pkt.Perfect), len(pkt.Perfect))
-
-			if vvdEst[k-age] == nil {
-				if vvdEst[k-age], err = vvd.Estimate(old.Images[dataset.LagCurrent]); err != nil {
-					return nil, err
-				}
-			}
-			vEst := vvdEst[k-age]
-			dec = rx.Decode(rxc, ppdu, txChips, vEst)
-			vvdC[ai].AddPacket(dec.PacketOK, dec.ChipErrors, dec.PSDUChips)
-			vvdC[ai].AddMSE(metrics.SqError(estimate.AlignPhase(vEst, pkt.Perfect), pkt.Perfect), len(pkt.Perfect))
-		}
+	res, err := e.score(cb, maxAge, ests...)
+	if err != nil {
+		return nil, err
 	}
-	res := &AgingResult{}
-	for ai, age := range agesPackets {
-		res.AgesSeconds = append(res.AgesSeconds, float64(age)*dataset.PacketInterval)
-		res.GenieMSE = append(res.GenieMSE, genie[ai].MSE())
-		res.VVDMSE = append(res.VVDMSE, vvdC[ai].MSE())
-		res.GeniePER = append(res.GeniePER, genie[ai].PER())
-		res.VVDPER = append(res.VVDPER, vvdC[ai].PER())
+	out := &AgingResult{}
+	for i, age := range agesPackets {
+		genie, vvdC := res.Counters[ests[2*i].Name()], res.Counters[ests[2*i+1].Name()]
+		out.AgesSeconds = append(out.AgesSeconds, float64(age)*dataset.PacketInterval)
+		out.GenieMSE = append(out.GenieMSE, genie.MSE())
+		out.VVDMSE = append(out.VVDMSE, vvdC.MSE())
+		out.GeniePER = append(out.GeniePER, genie.PER())
+		out.VVDPER = append(out.VVDPER, vvdC.PER())
 	}
-	return res, nil
+	return out, nil
 }
 
 // Render renders Figs. 16–17 as a text table plus log-scale curves.

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"vvd/internal/core"
@@ -60,6 +62,47 @@ func assertSameResults(t *testing.T, want, got []*ComboResult) {
 			}
 			if g.HasMSE() != w.HasMSE() || g.MSE() != w.MSE() { //vvdlint:bitexact -- parallel evaluation is byte-identical to sequential
 				t.Fatalf("combo %d technique %q MSE differs: %v vs %v", i, name, g.MSE(), w.MSE())
+			}
+		}
+		if !reflect.DeepEqual(want[i].ok, got[i].ok) {
+			t.Fatalf("combo %d per-packet decode records differ", i)
+		}
+	}
+}
+
+// TestDecodeRecordMatchesCounters pins the per-packet decode record to the
+// counters: every technique has one entry per test packet, none inside
+// the skip window is OK, and the OK entries number the counted packets
+// that decoded.
+func TestDecodeRecordMatchesCounters(t *testing.T) {
+	e := sharedEngine(t)
+	res, err := e.Evaluate(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res {
+		if len(r.ok) != len(core.AllTechniques) {
+			t.Fatalf("combo %d: %d records for %d techniques", r.Combo.Number, len(r.ok), len(core.AllTechniques))
+		}
+		for name, ok := range r.ok {
+			if len(ok) != len(e.Campaign.TestPackets(r.Combo)) {
+				t.Fatalf("combo %d %s: %d records", r.Combo.Number, name, len(ok))
+			}
+			if slices.Contains(ok[:e.P.SkipPackets], true) {
+				t.Fatalf("combo %d %s: a skipped packet is recorded OK", r.Combo.Number, name)
+			}
+			want := 0
+			if c := r.Counters[name]; c != nil {
+				want = c.Packets - c.PacketErrs
+			}
+			got := 0
+			for _, v := range ok {
+				if v {
+					got++
+				}
+			}
+			if got != want {
+				t.Fatalf("combo %d %s: %d packets recorded OK, counters say %d", r.Combo.Number, name, got, want)
 			}
 		}
 	}
@@ -148,7 +191,7 @@ func TestRegisterCustomTechnique(t *testing.T) {
 		return pkt.TrueCIR, Available
 	}}
 	e := sharedEngine(t)
-	res, err := e.score(e.Combos()[0], oracle, standardEstimator(t, e))
+	res, err := e.score(e.Combos()[0], e.P.SkipPackets, oracle, standardEstimator(t, e))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +213,7 @@ func TestSkipOnlyTechniqueOmitted(t *testing.T) {
 		return nil, Skip
 	}}
 	e := sharedEngine(t)
-	res, err := e.score(e.Combos()[0], skip, standardEstimator(t, e))
+	res, err := e.score(e.Combos()[0], e.P.SkipPackets, skip, standardEstimator(t, e))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,11 +211,11 @@ func TestScenarioRoundTripsStore(t *testing.T) {
 			}
 		}
 	}
-	_, _, _, recA, err := orig.Reception(2, 3)
+	_, _, recA, err := orig.ReceptionPacket(&orig.Sets[1].Packets[3])
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, recB, err := loaded.Reception(2, 3)
+	_, _, recB, err := loaded.ReceptionPacket(&loaded.Sets[1].Packets[3])
 	if err != nil {
 		t.Fatal(err)
 	}
