@@ -8,7 +8,6 @@
 //	vvd-dataset -out campaign.bin -sets 15 -packets 120 -psdu 127
 //	vvd-dataset -scenario crowded-room-4 -out crowd.bin
 //	vvd-dataset -random-scenario 42 -out world42.bin
-//	vvd-dataset -out campaign.bin -kv ./kvstore          # also commit to the WAL-backed KV store
 //	vvd-dataset -list-scenarios
 //	vvd-dataset -inspect campaign.bin
 package main
@@ -18,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"vvd/internal/dataset"
 	"vvd/internal/scenario"
@@ -41,8 +39,6 @@ func main() {
 		random    = flag.Uint64("random-scenario", 0, "draw a bounded random scenario from this seed instead of -scenario (the same seed always draws the same world; the provenance name records every axis)")
 		list      = flag.Bool("list-scenarios", false, "list the registered scenario presets and exit")
 		workers   = flag.Int("workers", 0, "parallel generation workers (0 = one per core, 1 = sequential; output is identical for any value)")
-		kvDir     = flag.String("kv", "", "also store the campaign in the WAL-backed KV store at this directory (crash-safe, batch-checksummed)")
-		kvKey     = flag.String("kv-key", "", "key for -kv (default campaigns/<out base name>)")
 	)
 	flag.Parse()
 
@@ -105,11 +101,6 @@ func main() {
 	if err := store.WriteAtomic(*out, c.Save); err != nil {
 		fatal(err)
 	}
-	if *kvDir != "" {
-		if err := putKV(*kvDir, *kvKey, *out, c); err != nil {
-			fatal(err)
-		}
-	}
 	info, err := os.Stat(*out)
 	if err != nil {
 		fatal(err)
@@ -125,28 +116,6 @@ func main() {
 	}
 	fmt.Printf("wrote %s (%.1f MiB): %d packets, %.1f%% preambles detected\n",
 		*out, float64(info.Size())/(1<<20), total, 100*float64(detected)/float64(total))
-}
-
-// putKV streams the campaign into the WAL-backed KV store: one
-// checksummed batch, committed atomically (fsynced before the key is
-// visible), recoverable after a crash.
-func putKV(dir, key, outPath string, c *dataset.Campaign) error {
-	if key == "" {
-		key = "campaigns/" + filepath.Base(outPath)
-	}
-	kv, err := store.OpenKV(dir, store.KVOptions{})
-	if err != nil {
-		return err
-	}
-	if err := store.PutCampaign(kv, key, c); err != nil {
-		kv.Close()
-		return err
-	}
-	if err := kv.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("stored %s in KV store %s\n", key, dir)
-	return nil
 }
 
 // listScenarios prints every registered preset with its description.

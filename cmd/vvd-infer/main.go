@@ -116,6 +116,7 @@ func loadModel(regDir, ref string) (*core.VVD, error) {
 		return nil, err
 	}
 	model, m, err := reg.Load(ref)
+	reg.Close() // read-only: nothing to flush
 	if err != nil {
 		return nil, err
 	}

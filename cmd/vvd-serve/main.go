@@ -92,7 +92,9 @@ func main() {
 			fatal(err)
 		}
 		var m registry.Manifest
-		if model, m, err = reg.Load(*modelPath); err != nil {
+		model, m, err = reg.Load(*modelPath)
+		reg.Close() // read-only, and the directory is free for vvd-train again
+		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("loaded %s@%.12s: VVD lag %d, %d parameters (scenario %q, campaign %.12s)\n",

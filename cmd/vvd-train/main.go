@@ -116,6 +116,9 @@ func main() {
 	fmt.Printf("wrote %s (%d parameters, norm %.3e)\n", *out, v.Net.NumParams(), v.Norm)
 
 	if *regDir != "" {
+		if err := os.MkdirAll(*regDir, 0o755); err != nil {
+			fatal(err)
+		}
 		reg, err := registry.OpenDir(*regDir)
 		if err != nil {
 			fatal(err)
@@ -140,6 +143,9 @@ func main() {
 			Seed:         *seed,
 			Parent:       *parent,
 		})
+		if cerr := reg.Close(); err == nil {
+			err = cerr
+		}
 		if err != nil {
 			fatal(err)
 		}

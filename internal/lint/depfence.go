@@ -49,7 +49,7 @@ var depfenceTable = map[string][]string{
 	"vvd/internal/shard":          {"vvd/internal/wire"},
 	"vvd/internal/scenario":       {"vvd/internal/channel", "vvd/internal/core", "vvd/internal/dataset", "vvd/internal/estimate", "vvd/internal/kalman", "vvd/internal/metrics", "vvd/internal/phy", "vvd/internal/room"},
 	"vvd/internal/experiments":    {"vvd/internal/camera", "vvd/internal/channel", "vvd/internal/core", "vvd/internal/dataset", "vvd/internal/estimate", "vvd/internal/kalman", "vvd/internal/metrics", "vvd/internal/nn", "vvd/internal/phy", "vvd/internal/report", "vvd/internal/room", "vvd/internal/scenario"},
-	"vvd/internal/store":          {"vvd/internal/dataset"},
+	"vvd/internal/store":          {},
 	"vvd/internal/store/registry": {"vvd/internal/core", "vvd/internal/dataset", "vvd/internal/store"},
 	"vvd/internal/lint":           {},
 	"vvd/internal/lint/linttest":  {"vvd/internal/lint"},

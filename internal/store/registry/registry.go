@@ -4,11 +4,14 @@
 // campaign (by config hash) and scenario the model was trained on, with
 // what parameters, and which model it was fine-tuned from.
 //
-// Layout on any store.Store backend:
+// Keys in the registry's store.KV:
 //
 //	models/<sha256>     canonical model bytes (core.VVD.Save)
 //	manifests/<sha256>  provenance manifest, JSON
 //	tags/<name>         per-name version pointer: latest hash + history
+//
+// One registration is one KV batch (one WAL record, one fsync), so a
+// crash leaves either the whole registration or none of it.
 //
 // Consumers address models as "<name>@latest", "<name>@<hash-prefix>" or
 // "@<hash-prefix>" instead of loose file paths; Load re-hashes the blob
@@ -25,6 +28,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -63,23 +68,36 @@ const (
 	tagPrefix      = "tags/"
 )
 
-// Registry is a content-addressed model catalog over any Store backend.
+// Registry is a content-addressed model catalog over a store.KV.
 type Registry struct {
-	s store.Store
+	kv *store.KV
 }
 
-// New wraps a backend as a registry.
-func New(s store.Store) *Registry { return &Registry{s: s} }
+// New wraps an open KV as a registry. Close closes the KV.
+func New(kv *store.KV) *Registry { return &Registry{kv: kv} }
 
-// OpenDir opens a file-backed registry rooted at dir (the common case
-// for the CLIs).
+// OpenDir opens the registry in dir, which must exist (vvd-train
+// creates it; a reader given a mistyped path gets an error, not a new
+// empty registry). A directory in the file-per-key layout of earlier
+// releases is refused by name before anything is written into it.
 func OpenDir(dir string) (*Registry, error) {
-	fs, err := store.NewFileStore(dir)
+	if _, err := os.Stat(dir); err != nil {
+		return nil, fmt.Errorf("registry: %w", err)
+	}
+	for _, old := range []string{modelPrefix, manifestPrefix, tagPrefix} {
+		if _, err := os.Stat(filepath.Join(dir, old)); err == nil {
+			return nil, fmt.Errorf("registry: %s is in the old file-per-key layout (it has %s); re-register its models into a new directory", dir, old)
+		}
+	}
+	kv, err := store.OpenKV(dir, store.KVOptions{})
 	if err != nil {
 		return nil, err
 	}
-	return New(fs), nil
+	return New(kv), nil
 }
+
+// Close releases the registry's KV (and its directory lock).
+func (r *Registry) Close() error { return r.kv.Close() }
 
 // Encode renders the canonical model encoding and its content hash. The
 // encoding is core.VVD.Save — deterministic for given weights — so equal
@@ -119,9 +137,10 @@ func validName(name string) error {
 }
 
 // Put registers a model: the canonical blob under its content hash, the
-// manifest beside it, and the name's tag advanced to the new version.
-// Returns the completed manifest. Registering identical weights again is
-// idempotent at the blob layer (same hash, one stored copy).
+// manifest beside it, and the name's tag advanced to the new version,
+// all committed in one KV batch. Returns the completed manifest.
+// Registering identical weights again is idempotent at the blob layer
+// (same hash, one stored key).
 func (r *Registry) Put(v *core.VVD, m Manifest) (Manifest, error) {
 	if err := validName(m.Name); err != nil {
 		return Manifest{}, err
@@ -131,18 +150,12 @@ func (r *Registry) Put(v *core.VVD, m Manifest) (Manifest, error) {
 		return Manifest{}, err
 	}
 	m.Hash = hash
-	if err := store.PutBytes(r.s, modelPrefix+hash, data); err != nil {
-		return Manifest{}, fmt.Errorf("registry: storing model blob: %w", err)
-	}
 	mJSON, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return Manifest{}, fmt.Errorf("registry: encoding manifest: %w", err)
 	}
-	if err := store.PutBytes(r.s, manifestPrefix+hash, append(mJSON, '\n')); err != nil {
-		return Manifest{}, fmt.Errorf("registry: storing manifest: %w", err)
-	}
 	var tag tagFile
-	if data, err := store.GetBytes(r.s, tagPrefix+m.Name); err == nil {
+	if data, err := r.kv.Get(tagPrefix + m.Name); err == nil {
 		if err := json.Unmarshal(data, &tag); err != nil {
 			return Manifest{}, fmt.Errorf("registry: corrupt tag %s: %w", m.Name, err)
 		}
@@ -157,8 +170,12 @@ func (r *Registry) Put(v *core.VVD, m Manifest) (Manifest, error) {
 	if err != nil {
 		return Manifest{}, fmt.Errorf("registry: encoding tag: %w", err)
 	}
-	if err := store.PutBytes(r.s, tagPrefix+m.Name, append(tagJSON, '\n')); err != nil {
-		return Manifest{}, fmt.Errorf("registry: storing tag: %w", err)
+	if err := r.kv.Apply([]store.Op{
+		{Key: modelPrefix + hash, Val: data},
+		{Key: manifestPrefix + hash, Val: append(mJSON, '\n')},
+		{Key: tagPrefix + m.Name, Val: append(tagJSON, '\n')},
+	}); err != nil {
+		return Manifest{}, fmt.Errorf("registry: storing model %s: %w", shortHash(hash), err)
 	}
 	return m, nil
 }
@@ -180,7 +197,7 @@ func (r *Registry) Resolve(ref string) (string, error) {
 		if err := validName(name); err != nil {
 			return "", err
 		}
-		data, err := store.GetBytes(r.s, tagPrefix+name)
+		data, err := r.kv.Get(tagPrefix + name)
 		if isNotFound(err) {
 			return "", fmt.Errorf("registry: no model named %q", name)
 		}
@@ -226,7 +243,7 @@ func (r *Registry) expandHash(pfx string) (string, error) {
 			return "", fmt.Errorf("registry: hash prefix %q is not lowercase hex", pfx)
 		}
 	}
-	keys, err := r.s.List(modelPrefix + pfx)
+	keys, err := r.kv.List(modelPrefix + pfx)
 	if err != nil {
 		return "", err
 	}
@@ -242,7 +259,7 @@ func (r *Registry) expandHash(pfx string) (string, error) {
 
 // Manifest returns the stored manifest for a full content hash.
 func (r *Registry) Manifest(hash string) (Manifest, error) {
-	data, err := store.GetBytes(r.s, manifestPrefix+hash)
+	data, err := r.kv.Get(manifestPrefix + hash)
 	if isNotFound(err) {
 		return Manifest{}, fmt.Errorf("registry: no manifest for model %s", shortHash(hash))
 	}
@@ -265,7 +282,7 @@ func (r *Registry) Load(ref string) (*core.VVD, Manifest, error) {
 	if err != nil {
 		return nil, Manifest{}, err
 	}
-	data, err := store.GetBytes(r.s, modelPrefix+hash)
+	data, err := r.kv.Get(modelPrefix + hash)
 	if isNotFound(err) {
 		return nil, Manifest{}, fmt.Errorf("registry: model blob %s missing", shortHash(hash))
 	}
@@ -290,7 +307,7 @@ func (r *Registry) Load(ref string) (*core.VVD, Manifest, error) {
 
 // List returns every registered manifest, sorted by name then hash.
 func (r *Registry) List() ([]Manifest, error) {
-	keys, err := r.s.List(manifestPrefix)
+	keys, err := r.kv.List(manifestPrefix)
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +334,7 @@ func (r *Registry) Versions(name string) ([]string, error) {
 	if err := validName(name); err != nil {
 		return nil, err
 	}
-	data, err := store.GetBytes(r.s, tagPrefix+name)
+	data, err := r.kv.Get(tagPrefix + name)
 	if isNotFound(err) {
 		return nil, fmt.Errorf("registry: no model named %q", name)
 	}

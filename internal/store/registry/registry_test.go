@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"io/fs"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -33,8 +35,21 @@ func tinyModel(t *testing.T, seed uint64) *core.VVD {
 	return &core.VVD{Net: net, Norm: 1.5, Mean: mean, Lag: dataset.LagCurrent}
 }
 
+// openKV opens a KV in a fresh directory; the registry over it is
+// closed (and the KV with it) when the test ends.
+func openKV(t *testing.T) (*registry.Registry, *store.KV) {
+	t.Helper()
+	kv, err := store.OpenKV(t.TempDir(), store.KVOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := registry.New(kv)
+	t.Cleanup(func() { reg.Close() })
+	return reg, kv
+}
+
 func TestPutLoadRoundTripBitIdentical(t *testing.T) {
-	reg := registry.New(store.NewMemStore())
+	reg, _ := openKV(t)
 	v := tinyModel(t, 1)
 	want, wantHash, err := registry.Encode(v)
 	if err != nil {
@@ -81,7 +96,7 @@ func TestPutLoadRoundTripBitIdentical(t *testing.T) {
 }
 
 func TestVersionsAndLatest(t *testing.T) {
-	reg := registry.New(store.NewMemStore())
+	reg, _ := openKV(t)
 	v1, v2 := tinyModel(t, 1), tinyModel(t, 2)
 	m1, err := reg.Put(v1, registry.Manifest{Name: "vvd-current"})
 	if err != nil {
@@ -123,8 +138,7 @@ func TestVersionsAndLatest(t *testing.T) {
 }
 
 func TestContentAddressingDedupes(t *testing.T) {
-	ms := store.NewMemStore()
-	reg := registry.New(ms)
+	reg, kv := openKV(t)
 	v := tinyModel(t, 3)
 	m1, err := reg.Put(v, registry.Manifest{Name: "name-a"})
 	if err != nil {
@@ -137,14 +151,14 @@ func TestContentAddressingDedupes(t *testing.T) {
 	if m1.Hash != m2.Hash {
 		t.Fatal("identical weights under two names hashed differently")
 	}
-	blobs, err := ms.List("models/")
+	blobs, err := kv.List("models/")
 	if err != nil || len(blobs) != 1 {
 		t.Fatalf("stored %d blobs for identical weights, want 1 (%v)", len(blobs), err)
 	}
 }
 
 func TestResolveErrors(t *testing.T) {
-	reg := registry.New(store.NewMemStore())
+	reg, _ := openKV(t)
 	m, err := reg.Put(tinyModel(t, 4), registry.Manifest{Name: "real"})
 	if err != nil {
 		t.Fatal(err)
@@ -171,35 +185,171 @@ func TestResolveErrors(t *testing.T) {
 	}
 }
 
-// TestLoadDetectsCorruption pins the content-verification guarantee: a
-// flipped bit anywhere in the stored artifact fails the load instead of
-// serving a model that silently differs from its address.
-func TestLoadDetectsCorruption(t *testing.T) {
+// TestPutIsOneWALRecord pins that a registration commits as one batch:
+// each Put, re-registering identical weights included, adds exactly one
+// record to the log (one fsync, and no crash point between the blob, the
+// manifest and the tag).
+func TestPutIsOneWALRecord(t *testing.T) {
 	dir := t.TempDir()
-	reg, err := registry.OpenDir(dir)
+	for i, seed := range []uint64{1, 2, 1} {
+		reg, err := registry.OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reg.Put(tinyModel(t, seed), registry.Manifest{Name: "vvd-current"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		kv, err := store.OpenKV(dir, store.KVOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := kv.Recovery()
+		kv.Close()
+		if rec.Records != i+1 || rec.TornTail != nil {
+			t.Fatalf("after %d Puts the log replays %+v, want %d clean records", i+1, rec, i+1)
+		}
+	}
+}
+
+// flipModelBit flips one bit in the middle of the model's bytes inside
+// the registry's first WAL segment, in place.
+func flipModelBit(t *testing.T, dir string, model []byte) {
+	t.Helper()
+	seg := filepath.Join(dir, "wal-00000001.seg")
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := reg.Put(tinyModel(t, 5), registry.Manifest{Name: "vvd-current"})
+	off := bytes.Index(data, model)
+	if off < 0 {
+		t.Fatal("model bytes not found in the segment")
+	}
+	f, err := os.OpenFile(seg, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := filepath.Join(dir, "models", m.Hash)
-	data, err := os.ReadFile(blob)
+	mid := off + len(model)/2
+	if _, err := f.WriteAt([]byte{data[mid] ^ 0x04}, int64(mid)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadDetectsCorruption pins that a model differing from its address
+// is never served. A bit flipped inside the stored model fails Load's
+// re-hash on the open registry. After a reopen, the WAL's CRC sees it
+// first: as the last record it is a torn tail, truncated away, so the
+// model is gone; followed by another registration it is mid-log
+// corruption, and OpenDir refuses the directory.
+func TestLoadDetectsCorruption(t *testing.T) {
+	for _, followed := range []bool{false, true} {
+		t.Run(map[bool]string{false: "last_record", true: "mid_log"}[followed], func(t *testing.T) {
+			dir := t.TempDir()
+			reg, err := registry.OpenDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := tinyModel(t, 5)
+			m, err := reg.Put(v, registry.Manifest{Name: "vvd-current"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if followed {
+				if _, err := reg.Put(tinyModel(t, 6), registry.Manifest{Name: "other"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			data, _, err := registry.Encode(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flipModelBit(t, dir, data)
+			if _, _, err := reg.Load("vvd-current@latest"); err == nil || !strings.Contains(err.Error(), "content verification") {
+				t.Fatalf("Load over a corrupt blob = %v, want content-verification failure", err)
+			}
+			if err := reg.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			reg, err = registry.OpenDir(dir)
+			if followed {
+				if err == nil || !strings.Contains(err.Error(), "mid-log") {
+					t.Fatalf("OpenDir over mid-log corruption = %v, want refusal", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reg.Close()
+			if _, _, err := reg.Load("vvd-current@latest"); err == nil || !strings.Contains(err.Error(), "no model named") {
+				t.Fatalf("Load after the torn registration = %v, want no such model", err)
+			}
+			if _, _, err := reg.Load("@" + m.Hash[:12]); err == nil || !strings.Contains(err.Error(), "no model with hash prefix") {
+				t.Fatalf("Load by hash after the torn registration = %v, want no such model", err)
+			}
+		})
+	}
+}
+
+// tree lists every path under dir, relative, sorted.
+func tree(t *testing.T, dir string) []string {
+	t.Helper()
+	var paths []string
+	err := filepath.WalkDir(dir, func(p string, _ fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, p)
+		paths = append(paths, rel)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0x04
-	if err := os.WriteFile(blob, data, 0o644); err != nil {
-		t.Fatal(err)
+	return paths
+}
+
+// TestOpenDirRefusesWithoutWriting pins that OpenDir's two refusals
+// leave the filesystem exactly as they found it: a missing directory is
+// not created (so a mistyped -registry path cannot become an empty
+// registry), and a directory in the old file-per-key layout is refused
+// by name with no LOCK or WAL segment written into it.
+func TestOpenDirRefusesWithoutWriting(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "typo")
+	if _, err := registry.OpenDir(missing); err == nil {
+		t.Fatal("OpenDir on a missing directory succeeded")
 	}
-	if _, _, err := reg.Load("vvd-current@latest"); err == nil || !strings.Contains(err.Error(), "content verification") {
-		t.Fatalf("Load over a corrupt blob = %v, want content-verification failure", err)
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Fatalf("OpenDir created the missing directory (stat: %v)", err)
+	}
+
+	for _, old := range []string{"models", "manifests", "tags"} {
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, old), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, old, "vvd-current"), []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := tree(t, dir)
+		_, err := registry.OpenDir(dir)
+		if err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "old file-per-key layout") {
+			t.Fatalf("OpenDir on an old %s/ layout = %v, want a refusal naming %s", old, err, dir)
+		}
+		if after := tree(t, dir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("refused OpenDir changed the directory: %v → %v", before, after)
+		}
 	}
 }
 
 func TestPutNameValidation(t *testing.T) {
-	reg := registry.New(store.NewMemStore())
+	reg, _ := openKV(t)
 	v := tinyModel(t, 6)
 	for _, bad := range []string{"", "a@b", "a/b", "has\x00nul"} {
 		if _, err := reg.Put(v, registry.Manifest{Name: bad}); err == nil {

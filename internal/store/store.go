@@ -1,69 +1,33 @@
-// Package store is the artifact persistence layer: a pluggable named-blob
-// backend abstraction with three implementations, plus the atomic
+// Package store is the artifact persistence layer: the atomic
 // write-to-temp → fsync → rename helper every binary routes its output
-// files through.
+// files through (atomic.go), and one durable named-blob store, the
+// log-structured KV (wal.go) — append-only WAL segments of
+// length-prefixed CRC-32C batches, with crash recovery that truncates
+// the torn tail and replays every committed batch. One process owns a
+// KV directory at a time (an flock on its LOCK file).
 //
-// The three backends:
-//
-//   - FileStore: one file per key under a root directory, every Put
-//     committed atomically. This wraps the existing streaming codecs
-//     (campaign store, model format) as a backend — a key's bytes are
-//     exactly what the codec would have written to a loose file.
-//   - MemStore: a map. For tests and ephemeral pipelines.
-//   - KV: a log-structured persistent engine (wal.go) — append-only WAL
-//     segments of length-prefixed CRC-32C batches with crash recovery
-//     that truncates the torn tail and replays every committed batch.
-//
-// All three satisfy Store, so the campaign helpers (PutCampaign /
-// OpenCampaign) and the model registry (store/registry) are backend
-// agnostic: swapping durable storage for memory is a constructor change,
-// not a plumbing change. The measured cost of durability is pinned in
-// EXPERIMENTS.md ("Storage backends").
+// The model registry (store/registry) runs on the KV. The measured cost
+// of a committed put is pinned in EXPERIMENTS.md ("Storage backends").
 package store
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strings"
-
-	"vvd/internal/dataset"
 )
 
-// ErrNotFound is returned by Open and Delete for a key with no blob.
+// ErrNotFound is returned by Get for a key with no value.
 var ErrNotFound = errors.New("store: key not found")
 
-// maxKeyLen bounds key length across every backend (WAL replay validates
-// stored key lengths against it before allocating).
+// maxKeyLen bounds key length (WAL replay validates stored key lengths
+// against it before allocating).
 const maxKeyLen = 4096
 
-// Store is a named-blob persistence backend. Keys are slash-separated
-// paths ("models/ab12…", "campaigns/crowded"); blobs are opaque bytes.
-//
-// Put is atomic: the blob at key is either the previous value or the
-// complete new value, never a torn intermediate — a crash mid-Put must
-// not be observable through Open after reopening the backend.
-type Store interface {
-	// Put creates or replaces the blob at key with the bytes the callback
-	// writes. The new blob becomes visible only if the callback and the
-	// backend's commit both succeed.
-	Put(key string, write func(w io.Writer) error) error
-	// Open returns the blob at key for reading (ErrNotFound if absent).
-	// The returned reader must be closed; it stays valid across later
-	// Puts to the same key.
-	Open(key string) (io.ReadCloser, error)
-	// Delete removes the blob at key (ErrNotFound if absent).
-	Delete(key string) error
-	// List returns every key with the given prefix, sorted ("" lists all).
-	List(prefix string) ([]string, error)
-	// Close releases backend resources. Reads and writes after Close fail.
-	Close() error
-}
-
-// ValidateKey rejects keys no backend accepts: empty, oversized, rooted
-// or dot-relative paths, control bytes. FileStore additionally maps keys
-// onto real paths, so the same rules keep a hostile key ("../../etc/x")
-// inside the store root on every backend.
+// ValidateKey rejects keys the store does not accept: empty, oversized,
+// rooted or dot-relative paths, control bytes. Keys are slash-separated
+// paths ("models/ab12…", "tags/vvd-current"), and the same rules keep a
+// key usable as a relative file path, so a hostile key ("../../etc/x")
+// can never name anything outside a directory it is joined to.
 func ValidateKey(key string) error {
 	if key == "" {
 		return errors.New("store: empty key")
@@ -85,47 +49,4 @@ func ValidateKey(key string) error {
 		}
 	}
 	return nil
-}
-
-// PutBytes stores a fixed byte slice under key (convenience over Put).
-func PutBytes(s Store, key string, data []byte) error {
-	return s.Put(key, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}
-
-// GetBytes reads the whole blob at key.
-func GetBytes(s Store, key string) ([]byte, error) {
-	rc, err := s.Open(key)
-	if err != nil {
-		return nil, err
-	}
-	data, err := io.ReadAll(rc)
-	if cerr := rc.Close(); err == nil {
-		err = cerr
-	}
-	return data, err
-}
-
-// PutCampaign streams a campaign into the backend under key in the
-// current on-disk container format (dataset.Save).
-func PutCampaign(s Store, key string, c *dataset.Campaign) error {
-	return s.Put(key, c.Save)
-}
-
-// OpenCampaign opens the campaign stored at key for streaming decode.
-// The returned closer releases the underlying blob reader; close it only
-// after the Reader is drained.
-func OpenCampaign(s Store, key string) (*dataset.Reader, io.Closer, error) {
-	rc, err := s.Open(key)
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err := dataset.OpenCampaign(rc)
-	if err != nil {
-		rc.Close()
-		return nil, nil, err
-	}
-	return r, rc, nil
 }

@@ -1,188 +1,84 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"reflect"
 	"testing"
-
-	"vvd/internal/dataset"
 )
 
-// backends builds one fresh instance of every Store implementation, so
-// each conformance test runs identically against the file, memory and
-// WAL engines — the property that makes the campaign helpers and the
-// model registry backend-agnostic.
-func backends(t *testing.T) map[string]Store {
-	t.Helper()
-	kv, err := OpenKV(t.TempDir(), KVOptions{})
+func TestKVConformance(t *testing.T) {
+	kv := openKVT(t, t.TempDir(), KVOptions{})
+	defer kv.Close()
+
+	mustAbsent(t, kv, "nope")
+
+	if err := kv.PutValue("a/b/one", []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.PutValue("a/two", []byte("second")); err != nil {
+		t.Fatal(err)
+	}
+	mustGet(t, kv, "a/b/one", "first")
+
+	// Overwrite replaces wholesale; a value read before it keeps its bytes.
+	old, err := kv.Get("a/b/one")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := NewFileStore(t.TempDir())
+	if err := kv.PutValue("a/b/one", []byte("FIRST2")); err != nil {
+		t.Fatal(err)
+	}
+	mustGet(t, kv, "a/b/one", "FIRST2")
+	if string(old) != "first" {
+		t.Fatalf("value read before the overwrite changed to %q", old)
+	}
+	// Get returns a private copy: scribbling on it changes nothing stored.
+	got, _ := kv.Get("a/b/one")
+	copy(got, "xxxxxx")
+	mustGet(t, kv, "a/b/one", "FIRST2")
+
+	keys, err := kv.List("a/")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Store{"mem": NewMemStore(), "file": fs, "kv": kv}
-}
-
-func TestStoreConformance(t *testing.T) {
-	for name, s := range backends(t) {
-		t.Run(name, func(t *testing.T) {
-			defer s.Close()
-
-			if _, err := s.Open("nope"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("Open(missing) = %v, want ErrNotFound", err)
-			}
-			if err := s.Delete("nope"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("Delete(missing) = %v, want ErrNotFound", err)
-			}
-
-			if err := PutBytes(s, "a/b/one", []byte("first")); err != nil {
-				t.Fatal(err)
-			}
-			if err := PutBytes(s, "a/two", []byte("second")); err != nil {
-				t.Fatal(err)
-			}
-			got, err := GetBytes(s, "a/b/one")
-			if err != nil || string(got) != "first" {
-				t.Fatalf("GetBytes = %q, %v", got, err)
-			}
-
-			// Overwrite replaces wholesale.
-			if err := PutBytes(s, "a/b/one", []byte("FIRST2")); err != nil {
-				t.Fatal(err)
-			}
-			if got, _ = GetBytes(s, "a/b/one"); string(got) != "FIRST2" {
-				t.Fatalf("after overwrite: %q", got)
-			}
-
-			keys, err := s.List("a/")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := []string{"a/b/one", "a/two"}; !reflect.DeepEqual(keys, want) {
-				t.Fatalf("List(a/) = %v, want %v", keys, want)
-			}
-			keys, err = s.List("a/b/")
-			if err != nil || len(keys) != 1 || keys[0] != "a/b/one" {
-				t.Fatalf("List(a/b/) = %v, %v", keys, err)
-			}
-
-			if err := s.Delete("a/two"); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Open("a/two"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("Open(deleted) = %v, want ErrNotFound", err)
-			}
-
-			// A failing write callback publishes nothing.
-			wantErr := errors.New("boom")
-			err = s.Put("a/b/one", func(w io.Writer) error {
-				w.Write([]byte("partial garbage"))
-				return wantErr
-			})
-			if !errors.Is(err, wantErr) {
-				t.Fatalf("failing Put = %v", err)
-			}
-			if got, _ = GetBytes(s, "a/b/one"); string(got) != "FIRST2" {
-				t.Fatalf("failed Put replaced the value: %q", got)
-			}
-
-			// Hostile and malformed keys are rejected on every entry point.
-			for _, bad := range []string{"", "/abs", "trail/", "a//b", "../up", "a/../b", "a\x00b", "a\\b"} {
-				if err := PutBytes(s, bad, []byte("x")); err == nil {
-					t.Errorf("Put(%q) accepted a hostile key", bad)
-				}
-				if _, err := s.Open(bad); err == nil || errors.Is(err, ErrNotFound) {
-					t.Errorf("Open(%q) = %v, want validation error", bad, err)
-				}
-			}
-		})
+	if want := []string{"a/b/one", "a/two"}; !reflect.DeepEqual(keys, want) {
+		t.Fatalf("List(a/) = %v, want %v", keys, want)
 	}
-}
-
-// TestOpenSnapshotStableAcrossOverwrite pins the reader contract: a blob
-// opened before an overwrite keeps serving the old bytes (FileStore holds
-// the old inode, KV reads an immutable log region, MemStore snapshots).
-func TestOpenSnapshotStableAcrossOverwrite(t *testing.T) {
-	for name, s := range backends(t) {
-		t.Run(name, func(t *testing.T) {
-			defer s.Close()
-			if err := PutBytes(s, "k", []byte("old-value")); err != nil {
-				t.Fatal(err)
-			}
-			rc, err := s.Open("k")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rc.Close()
-			if err := PutBytes(s, "k", []byte("new-value")); err != nil {
-				t.Fatal(err)
-			}
-			got, err := io.ReadAll(rc)
-			if err != nil || string(got) != "old-value" {
-				t.Fatalf("stale reader returned %q, %v", got, err)
-			}
-		})
+	keys, err = kv.List("a/b/")
+	if err != nil || len(keys) != 1 || keys[0] != "a/b/one" {
+		t.Fatalf("List(a/b/) = %v, %v", keys, err)
 	}
-}
 
-// tinyCampaign generates the smallest useful campaign (no images, two
-// packets) for round-trip tests.
-func tinyCampaign(tb testing.TB) *dataset.Campaign {
-	tb.Helper()
-	cfg := dataset.DefaultConfig()
-	cfg.Sets = 1
-	cfg.PacketsPerSet = 2
-	cfg.PSDULen = 16
-	cfg.RenderImages = false
-	c, err := dataset.Generate(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return c
-}
-
-// TestCampaignRoundTrip streams a campaign through every backend and pins
-// that the stored bytes are exactly the loose-file container format.
-func TestCampaignRoundTrip(t *testing.T) {
-	c := tinyCampaign(t)
-	var loose bytes.Buffer
-	if err := c.Save(&loose); err != nil {
+	if err := kv.Apply([]Op{{Key: "a/two", Del: true}}); err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range backends(t) {
-		t.Run(name, func(t *testing.T) {
-			defer s.Close()
-			if err := PutCampaign(s, "campaigns/tiny", c); err != nil {
-				t.Fatal(err)
-			}
-			stored, err := GetBytes(s, "campaigns/tiny")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(stored, loose.Bytes()) {
-				t.Fatalf("stored campaign differs from the loose-file encoding (%d vs %d bytes)", len(stored), loose.Len())
-			}
-			r, closer, err := OpenCampaign(s, "campaigns/tiny")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer closer.Close()
-			if r.NumSets() != 1 {
-				t.Fatalf("reopened campaign has %d sets", r.NumSets())
-			}
-			got, err := r.ReadSet(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got.Packets) != len(c.Sets[0].Packets) {
-				t.Fatalf("replayed %d packets, want %d", len(got.Packets), len(c.Sets[0].Packets))
-			}
-		})
+	mustAbsent(t, kv, "a/two")
+
+	// A batch with one bad key publishes nothing.
+	if err := kv.Apply([]Op{{Key: "a/b/one", Val: []byte("partial")}, {Key: "../bad"}}); err == nil {
+		t.Fatal("Apply accepted a batch with a hostile key")
+	}
+	mustGet(t, kv, "a/b/one", "FIRST2")
+
+	// Hostile and malformed keys are rejected on every entry point.
+	for _, bad := range []string{"", "/abs", "trail/", "a//b", "../up", "a/../b", "a\x00b", "a\\b"} {
+		if err := kv.PutValue(bad, []byte("x")); err == nil {
+			t.Errorf("PutValue(%q) accepted a hostile key", bad)
+		}
+		if _, err := kv.Get(bad); err == nil || errors.Is(err, ErrNotFound) {
+			t.Errorf("Get(%q) = %v, want validation error", bad, err)
+		}
+	}
+
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := kv.Get("a/b/one"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Get after Close = %v, want ErrClosed", err)
+	}
+	if err := kv.PutValue("a/b/one", []byte("x")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("PutValue after Close = %v, want ErrClosed", err)
 	}
 }
 

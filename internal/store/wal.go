@@ -18,11 +18,17 @@
 //	  u32  key length, key bytes
 //	  u32  value length, value bytes   (put only)
 //
-// The write path appends one record per Apply/Put/Delete call and (by
-// default) fsyncs before reporting success — the commit point. The
-// in-memory index maps each live key to the byte range of its value
-// inside a segment, so reads are one ReadAt against an immutable region
-// of the log; values are never copied into memory wholesale.
+// The write path appends one record per Apply call and fsyncs before
+// reporting success — the commit point. The in-memory index maps each
+// live key to the byte range of its value inside a segment, so a Get is
+// one ReadAt against an immutable region of the log and the index holds
+// no values.
+//
+// One process owns a directory at a time: OpenKV takes an exclusive,
+// non-blocking flock on the directory's LOCK file and holds it until
+// Close, so a second opener (which would replay, and might truncate, a
+// log another writer is appending to) is refused. The kernel drops the
+// lock when its process dies, so recovery after a crash needs no cleanup.
 //
 // Crash recovery (OpenKV) replays segments in order, CRC-checking every
 // record. A record that runs past the end of the file, has a truncated
@@ -44,6 +50,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -52,7 +59,11 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 )
+
+// ErrClosed is returned by operations on a closed KV.
+var ErrClosed = errors.New("store: backend is closed")
 
 const (
 	kvMagic     = 0x4C445656 // "VVDL"
@@ -79,11 +90,6 @@ type KVOptions struct {
 	// size (0 = 64 MiB). Rotation bounds the cost of a future compaction
 	// and the blast radius of a corrupt file.
 	SegmentBytes int64
-	// NoSync skips the per-batch fsync. A crash may then lose recently
-	// "committed" batches (the OS had not flushed them), but recovery
-	// still replays every batch that reached the disk and truncates any
-	// torn tail — the store never opens into a corrupt state.
-	NoSync bool
 
 	// wrapWriter, when set (tests only), interposes on the active
 	// segment's writer — the failpoint seam the crash-recovery harness
@@ -113,12 +119,12 @@ type kvEntry struct {
 	len int
 }
 
-// KV is the log-structured persistent backend. It implements Store; the
-// richer Apply entry point commits multi-key batches atomically. Safe
-// for concurrent use.
+// KV is the log-structured persistent store. Apply commits multi-key
+// batches atomically. Safe for concurrent use.
 type KV struct {
 	dir  string
 	opts KVOptions
+	lock *os.File // LOCK, flocked until Close
 
 	mu         sync.Mutex
 	index      map[string]kvEntry
@@ -133,7 +139,8 @@ type KV struct {
 }
 
 // OpenKV opens (creating if needed) the WAL store in dir, replaying the
-// log into the in-memory index. See RecoveryInfo for what a reopened
+// log into the in-memory index. It fails if another open KV, in this
+// process or any other, holds dir. See RecoveryInfo for what a reopened
 // store found after a crash.
 func OpenKV(dir string, opts KVOptions) (*KV, error) {
 	if opts.SegmentBytes <= 0 {
@@ -142,39 +149,63 @@ func OpenKV(dir string, opts KVOptions) (*KV, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating wal dir %s: %w", dir, err)
 	}
-	kv := &KV{
-		dir:   dir,
-		opts:  opts,
-		index: make(map[string]kvEntry),
-		segs:  make(map[int]*os.File),
-	}
-	ids, err := kv.segmentIDs()
+	lock, err := lockDir(dir)
 	if err != nil {
 		return nil, err
 	}
+	kv := &KV{
+		dir:   dir,
+		opts:  opts,
+		lock:  lock,
+		index: make(map[string]kvEntry),
+		segs:  make(map[int]*os.File),
+	}
+	if err := kv.replay(); err != nil {
+		kv.Close()
+		return nil, err
+	}
+	return kv, nil
+}
+
+// lockDir takes dir's owner lock: an exclusive, non-blocking flock on
+// dir/LOCK. The lock lives as long as the returned file stays open.
+func lockDir(dir string) (*os.File, error) {
+	name := filepath.Join(dir, "LOCK")
+	f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: opening lock file %s: %w", name, err)
+	}
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: wal dir %s is held by another open store: %w", dir, err)
+	}
+	return f, nil
+}
+
+// replay rebuilds the index from the segments on disk and activates the
+// last one for appending (creating segment 1 in an empty directory).
+func (kv *KV) replay() error {
+	ids, err := kv.segmentIDs()
+	if err != nil {
+		return err
+	}
 	for i, id := range ids {
 		if err := kv.replaySegment(id, i == len(ids)-1); err != nil {
-			kv.Close()
-			return nil, err
+			return err
 		}
-	}
-	if len(ids) == 0 {
-		if err := kv.createSegment(1); err != nil {
-			kv.Close()
-			return nil, err
-		}
-	} else {
-		last := ids[len(ids)-1]
-		f := kv.segs[last]
-		size, err := f.Seek(0, io.SeekEnd)
-		if err != nil {
-			kv.Close()
-			return nil, fmt.Errorf("store: seeking wal segment %d: %w", last, err)
-		}
-		kv.setActive(last, f, size)
 	}
 	kv.recovery.Segments = len(ids)
-	return kv, nil
+	if len(ids) == 0 {
+		return kv.createSegment(1)
+	}
+	last := ids[len(ids)-1]
+	f := kv.segs[last]
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return fmt.Errorf("store: seeking wal segment %d: %w", last, err)
+	}
+	kv.setActive(last, f, size)
+	return nil
 }
 
 // Recovery reports what the open replay found.
@@ -184,14 +215,12 @@ func (kv *KV) Recovery() RecoveryInfo {
 	return kv.recovery
 }
 
-// Dir returns the backing directory.
-func (kv *KV) Dir() string { return kv.dir }
-
 func (kv *KV) segName(id int) string {
 	return filepath.Join(kv.dir, fmt.Sprintf("wal-%08d.seg", id))
 }
 
-// segmentIDs lists the existing segment files in replay order.
+// segmentIDs lists the existing segment files in replay order. Names
+// outside the wal-* pattern (the LOCK file) are not segments.
 func (kv *KV) segmentIDs() ([]int, error) {
 	entries, err := os.ReadDir(kv.dir)
 	if err != nil {
@@ -302,8 +331,11 @@ func (kv *KV) replaySegment(id int, isLast bool) error {
 	var recHdr [kvRecHdrLen]byte
 	var payload []byte
 	for off < size {
-		torn := func(reason string) error {
-			if !isLast {
+		// A damaged record is a torn tail only if nothing follows it: each
+		// append is fsynced before the next one starts, so a bad record with
+		// bytes behind it is damage to committed data, not a killed append.
+		torn := func(reason string, atEnd bool) error {
+			if !isLast || !atEnd {
 				return fmt.Errorf("store: corrupt record mid-log in %s at offset %d (%s): refusing to open", name, off, reason)
 			}
 			kv.recovery.TornTail = tornTailError(name, off, reason)
@@ -314,7 +346,7 @@ func (kv *KV) replaySegment(id int, isLast bool) error {
 			return f.Sync()
 		}
 		if size-off < kvRecHdrLen {
-			return torn("truncated record length prefix")
+			return torn("truncated record length prefix", true)
 		}
 		if _, err := f.ReadAt(recHdr[:], off); err != nil {
 			return fmt.Errorf("store: reading record header of %s: %w", name, err)
@@ -325,7 +357,7 @@ func (kv *KV) replaySegment(id int, isLast bool) error {
 		// before any allocation: a hostile or torn prefix cannot make the
 		// replay allocate past the file's own size.
 		if payloadLen > size-off-kvRecHdrLen {
-			return torn(fmt.Sprintf("record claims %d payload bytes, %d remain", payloadLen, size-off-kvRecHdrLen))
+			return torn(fmt.Sprintf("record claims %d payload bytes, %d remain", payloadLen, size-off-kvRecHdrLen), true)
 		}
 		if int64(cap(payload)) < payloadLen {
 			payload = make([]byte, payloadLen)
@@ -335,7 +367,7 @@ func (kv *KV) replaySegment(id int, isLast bool) error {
 			return fmt.Errorf("store: reading record payload of %s: %w", name, err)
 		}
 		if got := crc32.Checksum(payload, kvCastagnoli); got != wantCRC {
-			return torn(fmt.Sprintf("payload checksum mismatch (stored %08x, computed %08x)", wantCRC, got))
+			return torn(fmt.Sprintf("payload checksum mismatch (stored %08x, computed %08x)", wantCRC, got), off+kvRecHdrLen+payloadLen == size)
 		}
 		if err := kv.replayRecord(id, off+kvRecHdrLen, payload); err != nil {
 			// CRC-valid but malformed: a writer bug or a forged file, not
@@ -472,11 +504,9 @@ func (kv *KV) Apply(ops []Op) error {
 		kv.wErr = err
 		return fmt.Errorf("store: appending wal record: %w", err)
 	}
-	if !kv.opts.NoSync {
-		if err := kv.active.Sync(); err != nil {
-			kv.wErr = err
-			return fmt.Errorf("store: syncing wal record: %w", err)
-		}
+	if err := kv.active.Sync(); err != nil {
+		kv.wErr = err
+		return fmt.Errorf("store: syncing wal record: %w", err)
 	}
 	// Commit point: the record is durable. Index the batch.
 	kv.activeSize += int64(len(record))
@@ -526,32 +556,9 @@ func (kv *KV) PutValue(key string, val []byte) error {
 	return kv.Apply([]Op{{Key: key, Val: val}})
 }
 
-// Put implements Store. The callback's bytes are buffered (a WAL record
-// is one contiguous batch), then committed as a single-op batch.
-func (kv *KV) Put(key string, write func(w io.Writer) error) error {
-	if err := ValidateKey(key); err != nil {
-		return err
-	}
-	var buf writeBuffer
-	if err := write(&buf); err != nil {
-		return err
-	}
-	return kv.PutValue(key, buf.b)
-}
-
-// writeBuffer is a minimal append-only io.Writer (bytes.Buffer without
-// the read-side bookkeeping).
-type writeBuffer struct{ b []byte }
-
-func (w *writeBuffer) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-// Open implements Store: the value is served by ReadAt against the
-// segment that holds it. The log is append-only, so the returned reader
-// stays valid across later writes to the same key.
-func (kv *KV) Open(key string) (io.ReadCloser, error) {
+// Get returns a copy of the value at key (ErrNotFound if absent), read
+// with one ReadAt from the segment that holds it.
+func (kv *KV) Get(key string) ([]byte, error) {
 	if err := ValidateKey(key); err != nil {
 		return nil, err
 	}
@@ -566,28 +573,14 @@ func (kv *KV) Open(key string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	if f == nil {
-		return nil, fmt.Errorf("store: no open segment %d for key %s", e.seg, key)
+	val := make([]byte, e.len)
+	if _, err := f.ReadAt(val, e.off); err != nil {
+		return nil, fmt.Errorf("store: reading %s: %w", key, err)
 	}
-	return io.NopCloser(io.NewSectionReader(f, e.off, int64(e.len))), nil
+	return val, nil
 }
 
-// Delete implements Store (a tombstone record; the value's bytes remain
-// in the log until compaction).
-func (kv *KV) Delete(key string) error {
-	if err := ValidateKey(key); err != nil {
-		return err
-	}
-	kv.mu.Lock()
-	_, ok := kv.index[key]
-	kv.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, key)
-	}
-	return kv.Apply([]Op{{Key: key, Del: true}})
-}
-
-// List implements Store.
+// List returns every live key with the given prefix, sorted ("" lists all).
 func (kv *KV) List(prefix string) ([]string, error) {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
@@ -604,17 +597,9 @@ func (kv *KV) List(prefix string) ([]string, error) {
 	return keys, nil
 }
 
-// Sync forces the active segment to disk (meaningful with NoSync).
-func (kv *KV) Sync() error {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	if kv.closed {
-		return ErrClosed
-	}
-	return kv.active.Sync()
-}
-
-// Close syncs the active segment and releases every file handle.
+// Close syncs the active segment, releases every file handle and then
+// the directory lock. A poisoned writer skips the sync but still
+// releases the lock, so the directory can be reopened for recovery.
 func (kv *KV) Close() error {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
@@ -632,6 +617,9 @@ func (kv *KV) Close() error {
 		if err := f.Close(); err != nil && first == nil {
 			first = err
 		}
+	}
+	if err := kv.lock.Close(); err != nil && first == nil {
+		first = err
 	}
 	return first
 }

@@ -23,21 +23,21 @@ func openKVT(t *testing.T, dir string, opts KVOptions) *KV {
 	return kv
 }
 
-func mustGet(t *testing.T, s Store, key, want string) {
+func mustGet(t *testing.T, kv *KV, key, want string) {
 	t.Helper()
-	got, err := GetBytes(s, key)
+	got, err := kv.Get(key)
 	if err != nil {
-		t.Fatalf("GetBytes(%s): %v", key, err)
+		t.Fatalf("Get(%s): %v", key, err)
 	}
 	if string(got) != want {
-		t.Fatalf("GetBytes(%s) = %q, want %q", key, got, want)
+		t.Fatalf("Get(%s) = %q, want %q", key, got, want)
 	}
 }
 
-func mustAbsent(t *testing.T, s Store, key string) {
+func mustAbsent(t *testing.T, kv *KV, key string) {
 	t.Helper()
-	if _, err := s.Open(key); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Open(%s) = %v, want ErrNotFound", key, err)
+	if _, err := kv.Get(key); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get(%s) = %v, want ErrNotFound", key, err)
 	}
 }
 
@@ -53,7 +53,7 @@ func TestKVReopenReplays(t *testing.T) {
 	if err := kv.PutValue("a", []byte("1-updated")); err != nil {
 		t.Fatal(err)
 	}
-	if err := kv.Delete("b"); err != nil {
+	if err := kv.Apply([]Op{{Key: "b", Del: true}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := kv.Close(); err != nil {
@@ -91,7 +91,7 @@ func kvPutPayload(key, val string) []byte {
 	return append(p, val...)
 }
 
-func appendToFile(t *testing.T, path string, data []byte) {
+func appendToFile(t testing.TB, path string, data []byte) {
 	t.Helper()
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
@@ -255,6 +255,36 @@ func TestKVMidLogCorruptionIsFatal(t *testing.T) {
 		t.Fatalf("OpenKV over mid-log corruption = %v, want refusal", err)
 	}
 
+	// The same flip in the first of two records of one (the last)
+	// segment: committed data follows it, so it is not a torn tail and
+	// the record behind it must not be truncated away.
+	dir1 := t.TempDir()
+	kv1 := openKVT(t, dir1, KVOptions{})
+	if err := kv1.PutValue("k1", []byte("value-one")); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv1.PutValue("k2", []byte("value-two")); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg1 := filepath.Join(dir1, "wal-00000001.seg")
+	data, err = os.ReadFile(seg1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[bytes.Index(data, []byte("value-one"))] ^= 0x01
+	if err := os.WriteFile(seg1, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenKV(dir1, KVOptions{}); err == nil || !strings.Contains(err.Error(), "mid-log") {
+		t.Fatalf("OpenKV over a corrupt record followed by a committed one = %v, want refusal", err)
+	}
+	if info, err := os.Stat(seg1); err != nil || info.Size() != int64(len(data)) {
+		t.Fatalf("refused open changed the segment (stat %+v, %v)", info, err)
+	}
+
 	// A CRC-valid but malformed record is a writer bug, not a crash
 	// artifact: fatal even as the last record.
 	dir2 := t.TempDir()
@@ -304,8 +334,12 @@ func TestKVAlienFileRefused(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "wal-junk.seg"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenKV(dir, KVOptions{}); err == nil || !strings.Contains(err.Error(), "alien file") {
-		t.Fatalf("OpenKV = %v, want alien-file refusal", err)
+	// Twice: a refused open must release the directory lock on its way
+	// out, or the second attempt would report a held lock instead.
+	for i := 0; i < 2; i++ {
+		if _, err := OpenKV(dir, KVOptions{}); err == nil || !strings.Contains(err.Error(), "alien file") {
+			t.Fatalf("OpenKV #%d = %v, want alien-file refusal", i+1, err)
+		}
 	}
 }
 
@@ -493,90 +527,74 @@ func TestKVKillUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestKVNoSyncRecovers pins that NoSync only weakens durability, not
-// integrity: whatever reached the file replays cleanly.
-func TestKVNoSyncRecovers(t *testing.T) {
+// TestKVLockOneOwner pins the directory's single owner: while one KV is
+// open, a second OpenKV on the same directory (here from the same
+// process, through a separate open file description) is refused with an
+// error naming the directory; after Close it succeeds. A refused open
+// replays nothing, so it cannot truncate the owner's log.
+func TestKVLockOneOwner(t *testing.T) {
 	dir := t.TempDir()
-	kv := openKVT(t, dir, KVOptions{NoSync: true})
-	for i := 0; i < 10; i++ {
-		if err := kv.PutValue(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := kv.Sync(); err != nil {
+	kv := openKVT(t, dir, KVOptions{})
+	if err := kv.PutValue("models/x", bytes.Repeat([]byte("A"), 100)); err != nil {
 		t.Fatal(err)
 	}
+	if second, err := OpenKV(dir, KVOptions{}); err == nil {
+		second.Close()
+		t.Fatal("second OpenKV on a live directory succeeded")
+	} else if !strings.Contains(err.Error(), dir) {
+		t.Fatalf("second OpenKV error %q does not name the directory %s", err, dir)
+	}
+	mustGet(t, kv, "models/x", strings.Repeat("A", 100))
 	if err := kv.Close(); err != nil {
 		t.Fatal(err)
 	}
+
 	kv2 := openKVT(t, dir, KVOptions{})
 	defer kv2.Close()
-	if rec := kv2.Recovery(); rec.Records != 10 || rec.TornTail != nil {
-		t.Fatalf("recovery: %+v", rec)
+	if rec := kv2.Recovery(); rec.Records != 1 || rec.TornTail != nil {
+		t.Fatalf("reopen after Close: %+v, want 1 clean record", rec)
 	}
+	mustGet(t, kv2, "models/x", strings.Repeat("A", 100))
 }
 
 // ---- benchmarks: the durability price list EXPERIMENTS.md pins ----
 
-func benchPut(b *testing.B, s Store, valSize int) {
-	val := bytes.Repeat([]byte("v"), valSize)
-	b.SetBytes(int64(valSize))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := PutBytes(s, fmt.Sprintf("bench/k%03d", i%128), val); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkStorePut(b *testing.B) {
 	const valSize = 4096
-	b.Run("mem", func(b *testing.B) {
-		s := NewMemStore()
-		defer s.Close()
-		benchPut(b, s, valSize)
-	})
-	b.Run("file", func(b *testing.B) {
-		s, err := NewFileStore(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchPut(b, s, valSize)
-	})
-	b.Run("kv-nosync", func(b *testing.B) {
-		s, err := OpenKV(b.TempDir(), KVOptions{NoSync: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		benchPut(b, s, valSize)
-	})
-	b.Run("kv-sync", func(b *testing.B) {
-		s, err := OpenKV(b.TempDir(), KVOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		benchPut(b, s, valSize)
-	})
-}
-
-func BenchmarkKVReplay(b *testing.B) {
-	dir := b.TempDir()
-	kv, err := OpenKV(dir, KVOptions{NoSync: true})
+	kv, err := OpenKV(b.TempDir(), KVOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	val := bytes.Repeat([]byte("v"), 4096)
-	const keys = 1000
-	for i := 0; i < keys; i++ {
-		if err := kv.PutValue(fmt.Sprintf("k%04d", i), val); err != nil {
+	defer kv.Close()
+	val := bytes.Repeat([]byte("v"), valSize)
+	b.SetBytes(valSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := kv.PutValue(fmt.Sprintf("bench/k%03d", i%128), val); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkKVReplay reopens a log of 1,000 single-put records of 4 KiB.
+// The records are appended to the segment directly (the writer's framing,
+// without a thousand fsyncs to build the fixture).
+func BenchmarkKVReplay(b *testing.B) {
+	dir := b.TempDir()
+	kv, err := OpenKV(dir, KVOptions{})
+	if err != nil {
+		b.Fatal(err)
 	}
 	if err := kv.Close(); err != nil {
 		b.Fatal(err)
 	}
+	val := strings.Repeat("v", 4096)
+	const keys = 1000
+	var log []byte
+	for i := 0; i < keys; i++ {
+		log = append(log, kvRecord(kvPutPayload(fmt.Sprintf("k%04d", i), val))...)
+	}
+	appendToFile(b, filepath.Join(dir, "wal-00000001.seg"), log)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		kv, err := OpenKV(dir, KVOptions{})
