@@ -35,9 +35,9 @@ func main() {
 		scripted  = flag.Bool("scripted", false, "use the deterministic LoS-crossing trajectory")
 		snr       = flag.Float64("snr", 0, "override clear-channel SNR in dB (0 = default)")
 		occupants = flag.Int("occupants", 0, "people in the room (0 = the paper's single human, N > 1 = N collision-avoiding walkers, -1 = empty room)")
-		preset    = flag.String("scenario", "", "apply a registered scenario preset (see -list-scenarios); -scripted/-snr/-occupants further shape it (non-zero/true values win over the preset; zero/false keep it)")
+		preset    = flag.String("scenario", "", "apply a scenario preset (see -list-scenarios); -scripted/-snr/-occupants further shape it (non-zero/true values win over the preset; zero/false keep it)")
 		random    = flag.Uint64("random-scenario", 0, "draw a bounded random scenario from this seed instead of -scenario (the same seed always draws the same world; the provenance name records every axis)")
-		list      = flag.Bool("list-scenarios", false, "list the registered scenario presets and exit")
+		list      = flag.Bool("list-scenarios", false, "list the scenario presets and exit")
 		workers   = flag.Int("workers", 0, "parallel generation workers (0 = one per core, 1 = sequential; output is identical for any value)")
 	)
 	flag.Parse()
@@ -118,7 +118,7 @@ func main() {
 		*out, float64(info.Size())/(1<<20), total, 100*float64(detected)/float64(total))
 }
 
-// listScenarios prints every registered preset with its description.
+// listScenarios prints every preset with its description.
 func listScenarios() {
 	for _, s := range scenario.All() {
 		fmt.Printf("%-20s %s\n", s.Name, s.Description)

@@ -47,7 +47,7 @@ func main() {
 		gridOcc   = flag.String("grid-occ", "0,1,2,4", "grid sweep occupancy axis: comma list of occupant counts (0 = empty room)")
 		gridSNR   = flag.String("grid-snr", "7,13,20,25", "grid sweep SNR axis: comma list of clear-channel SNRs in dB")
 		sweepOut  = flag.String("sweep-out", "", "also write the sweep table to this file")
-		list      = flag.Bool("list-scenarios", false, "list the registered scenario presets and exit")
+		list      = flag.Bool("list-scenarios", false, "list the scenario presets and exit")
 	)
 	flag.Parse()
 
@@ -214,18 +214,24 @@ func agingOffsets(n int) []int {
 	return ages
 }
 
-// runSweep evaluates the named scenarios (or every registered preset) with
-// the sweep technique set and prints the per-scenario MSE/availability/PER
-// table, optionally duplicating it to a file (the CI build artifact).
-func runSweep(p experiments.Params, names, outPath string) error {
-	var selected []string
-	if strings.TrimSpace(strings.ToLower(names)) != "all" {
-		for _, n := range strings.Split(names, ",") {
-			selected = append(selected, strings.TrimSpace(n))
+// runSweep evaluates the named presets (or all of them) with the sweep
+// technique set and prints the per-scenario MSE/availability/PER table,
+// optionally duplicating it to a file (the CI build artifact). Every name
+// resolves before the first campaign is generated, so a typo fails at once.
+func runSweep(p experiments.Params, list, outPath string) error {
+	ss := scenario.All()
+	if strings.TrimSpace(strings.ToLower(list)) != "all" {
+		ss = nil
+		for _, name := range strings.Split(list, ",") {
+			s, err := scenario.Lookup(strings.TrimSpace(name))
+			if err != nil {
+				return err
+			}
+			ss = append(ss, s)
 		}
 	}
 	start := time.Now()
-	results, err := experiments.NewSweepEngine(p).EvaluateScenarios(selected, nil)
+	results, err := experiments.EvaluateScenarios(p, ss, nil)
 	if err != nil {
 		return err
 	}
@@ -263,7 +269,7 @@ func runGridSweep(p experiments.Params, occList, snrList, outPath string) error 
 		g.Cols = append(g.Cols, scenario.SNR(db))
 	}
 	start := time.Now()
-	gr, err := experiments.NewSweepEngine(p).EvaluateGrid(g, nil)
+	gr, err := experiments.EvaluateGrid(p, g, nil)
 	if err != nil {
 		return err
 	}

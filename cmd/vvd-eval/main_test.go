@@ -5,6 +5,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"vvd/internal/experiments"
+	"vvd/internal/scenario"
 )
 
 // TestAgingOffsets pins the Figs. 16–17 ages to the test-set size: short
@@ -51,6 +54,24 @@ func TestParseFigures(t *testing.T) {
 		}
 		if names := slices.Sorted(maps.Keys(got)); !slices.Equal(names, slices.Sorted(slices.Values(tc.want))) {
 			t.Errorf("parseFigures(%q) = %v, want %v", tc.list, names, tc.want)
+		}
+	}
+}
+
+// TestRunSweepResolvesBeforeGeneration holds -scenarios to its names: a
+// typo anywhere in the list fails before the first campaign is generated,
+// and the error lists the presets. The campaign here cannot be generated
+// (PSDU length 0), so reaching generation would fail with another error.
+func TestRunSweepResolvesBeforeGeneration(t *testing.T) {
+	p := experiments.DefaultParams()
+	p.Campaign.PSDULen = 0
+	err := runSweep(p, "paper-default, nope", "")
+	if err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("runSweep(paper-default, nope) = %v; want an unknown-scenario error", err)
+	}
+	for _, name := range scenario.Names() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error does not list preset %q: %v", name, err)
 		}
 	}
 }

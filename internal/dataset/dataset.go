@@ -61,10 +61,11 @@ type Config struct {
 	// efficiency when non-zero (how strongly the person's body itself
 	// contributes a moving multipath component).
 	HumanScatterGain float64
-	// Scenario names the registered preset this configuration was derived
-	// from (internal/scenario), purely as provenance: the fields above carry
-	// everything generation needs, so the label round-trips through the
-	// store header and survives into reports without being re-resolved.
+	// Scenario names the preset or composed scenario this configuration
+	// was derived from (internal/scenario), purely as provenance: the
+	// fields above carry everything generation needs, so the label
+	// round-trips through the store header and survives into reports
+	// without being re-resolved.
 	Scenario string `json:",omitempty"`
 	// Occupants is the number of people walking the room: 0 keeps the
 	// paper's single human (the zero value of every pre-scenario campaign),

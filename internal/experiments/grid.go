@@ -20,20 +20,15 @@ type GridResult struct {
 
 // EvaluateGrid expands the grid's cross product into composed scenarios and
 // evaluates every cell through the ordinary scenario sweep, so a grid cell
-// is bit-identical to evaluating its composed scenario by name. The
-// row-major expansion order and EvaluateScenarios' determinism in
-// Params.Workers carry over: the reshaped result (and hence the rendered
-// table) is byte-identical at any fan-out width.
-func (e *Engine) EvaluateGrid(g scenario.Grid, techniques []string) (*GridResult, error) {
+// is bit-identical to evaluating its composed scenario. The row-major
+// expansion order and EvaluateScenarios' determinism in Params.Workers
+// carry over: the reshaped result (and hence the rendered table) is
+// byte-identical at any fan-out width.
+func EvaluateGrid(p Params, g scenario.Grid, techniques []string) (*GridResult, error) {
 	if len(g.Rows) == 0 || len(g.Cols) == 0 {
 		return nil, fmt.Errorf("experiments: grid needs at least one row and one column combinator")
 	}
-	cells := g.Scenarios()
-	names := make([]string, len(cells))
-	for i, s := range cells {
-		names[i] = s.Name
-	}
-	flat, err := e.EvaluateScenarios(names, techniques)
+	flat, err := EvaluateScenarios(p, g.Scenarios(), techniques)
 	if err != nil {
 		return nil, err
 	}

@@ -23,11 +23,11 @@ func tinyGrid() scenario.Grid {
 // scenario sweep's parity guarantee.
 func TestEvaluateGridParallelMatchesSequential(t *testing.T) {
 	techniques := []string{core.TechPreamble, core.TechKalmanAR5}
-	seq, err := NewSweepEngine(sweepParams(1)).EvaluateGrid(tinyGrid(), techniques)
+	seq, err := EvaluateGrid(sweepParams(1), tinyGrid(), techniques)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NewSweepEngine(sweepParams(8)).EvaluateGrid(tinyGrid(), techniques)
+	par, err := EvaluateGrid(sweepParams(8), tinyGrid(), techniques)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestEvaluateGridParallelMatchesSequential(t *testing.T) {
 // rendered table carries every axis label and technique block.
 func TestEvaluateGridShape(t *testing.T) {
 	techniques := []string{core.TechPreamble}
-	gr, err := NewSweepEngine(sweepParams(0)).EvaluateGrid(tinyGrid(), techniques)
+	gr, err := EvaluateGrid(sweepParams(0), tinyGrid(), techniques)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestEvaluateGridShape(t *testing.T) {
 	}
 
 	// Degenerate grids are rejected, not silently empty.
-	if _, err := NewSweepEngine(sweepParams(0)).EvaluateGrid(scenario.Grid{}, techniques); err == nil {
+	if _, err := EvaluateGrid(sweepParams(0), scenario.Grid{}, techniques); err == nil {
 		t.Fatal("empty grid accepted")
 	}
 }

@@ -89,18 +89,8 @@ var SweepTechniques = []string{
 	core.TechGroundTruth,
 }
 
-// NewSweepEngine returns an engine for cross-scenario sweeps only: it owns
-// no campaign (and no model caches) of its own, because EvaluateScenarios
-// generates a sub-engine per scenario. Calling the single-campaign entry
-// points (Evaluate, the figure runners, the ablations) on a sweep engine
-// is a bug.
-func NewSweepEngine(p Params) *Engine {
-	return &Engine{P: p}
-}
-
 // EvaluateScenarios runs the full generate→train→evaluate pipeline once per
-// named scenario (nil names = every registered preset) and returns one
-// result per scenario, in the given order. The engine's own parameters are
+// scenario and returns one result per scenario, in the given order. p is
 // the base: each scenario rewrites only the world-shaping campaign fields,
 // so sets/packets/seed/training/worker knobs apply uniformly and results
 // are comparable across scenarios. nil techniques selects SweepTechniques.
@@ -108,41 +98,34 @@ func NewSweepEngine(p Params) *Engine {
 // Like Evaluate, the sweep is deterministic in Params.Workers: generation
 // and evaluation are byte-identical at any fan-out width (pinned by
 // TestEvaluateScenariosParallelMatchesSequential).
-func (e *Engine) EvaluateScenarios(names []string, techniques []string) ([]*ScenarioResult, error) {
-	if names == nil {
-		names = scenario.Names()
-	}
+func EvaluateScenarios(p Params, ss []scenario.Scenario, techniques []string) ([]*ScenarioResult, error) {
 	if techniques == nil {
 		techniques = SweepTechniques
 	}
 	// Timing is injected (Params.Clock), never read ambiently: with no
 	// clock every timestamp is the zero Time and the recorded timings are
 	// 0, so the sweep result is a pure function of the seed.
-	clock := e.P.Clock
+	clock := p.Clock
 	if clock == nil {
 		clock = func() time.Time { return time.Time{} }
 	}
-	out := make([]*ScenarioResult, 0, len(names))
-	for _, name := range names {
-		s, err := scenario.Lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		p := e.P
-		p.Campaign = s.Apply(e.P.Campaign)
+	out := make([]*ScenarioResult, 0, len(ss))
+	for _, s := range ss {
+		sp := p
+		sp.Campaign = s.Apply(p.Campaign)
 		start := clock()
-		sub, err := NewEngine(p)
+		sub, err := NewEngine(sp)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: scenario %q: %w", name, err)
+			return nil, fmt.Errorf("experiments: scenario %q: %w", s.Name, err)
 		}
 		mid := clock()
 		res, err := sub.Evaluate(techniques)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: scenario %q: %w", name, err)
+			return nil, fmt.Errorf("experiments: scenario %q: %w", s.Name, err)
 		}
 		out = append(out, &ScenarioResult{
-			Name:        name,
-			Occupants:   p.Campaign.NumOccupants(),
+			Name:        s.Name,
+			Occupants:   sp.Campaign.NumOccupants(),
 			GenSeconds:  mid.Sub(start).Seconds(),
 			EvalSeconds: clock().Sub(mid).Seconds(),
 			Results:     res,

@@ -7,6 +7,7 @@ import (
 
 	"vvd/internal/core"
 	"vvd/internal/dataset"
+	"vvd/internal/scenario"
 )
 
 func sweepParams(workers int) Params {
@@ -20,6 +21,20 @@ func sweepParams(workers int) Params {
 	return Params{Campaign: cfg, Combos: 1, Train: train, SkipPackets: 2, Workers: workers}
 }
 
+// presets looks up the named presets a sweep test evaluates.
+func presets(t *testing.T, names ...string) []scenario.Scenario {
+	t.Helper()
+	out := make([]scenario.Scenario, len(names))
+	for i, name := range names {
+		s, err := scenario.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = s
+	}
+	return out
+}
+
 // TestEvaluateScenariosParallelMatchesSequential pins the acceptance bound
 // of the scenario engine: the crowded-room-4 sweep is byte-identical at
 // Workers=1 and Workers=8 — generation, training and evaluation all
@@ -27,12 +42,12 @@ func sweepParams(workers int) Params {
 // multi-occupant pipeline end to end.
 func TestEvaluateScenariosParallelMatchesSequential(t *testing.T) {
 	techniques := []string{core.TechPreamble, core.TechKalmanAR5, core.TechVVDCurrent}
-	names := []string{"crowded-room-4", "empty-room"}
-	seq, err := NewSweepEngine(sweepParams(1)).EvaluateScenarios(names, techniques)
+	ss := presets(t, "crowded-room-4", "empty-room")
+	seq, err := EvaluateScenarios(sweepParams(1), ss, techniques)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NewSweepEngine(sweepParams(8)).EvaluateScenarios(names, techniques)
+	par, err := EvaluateScenarios(sweepParams(8), ss, techniques)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +69,7 @@ func TestEvaluateScenariosParallelMatchesSequential(t *testing.T) {
 // fraction, and the table names each scenario.
 func TestScenarioSweepSummaryAndTable(t *testing.T) {
 	techniques := []string{core.TechPreamble, core.TechKalmanAR5}
-	results, err := NewSweepEngine(sweepParams(0)).EvaluateScenarios([]string{"paper-default", "low-snr"}, techniques)
+	results, err := EvaluateScenarios(sweepParams(0), presets(t, "paper-default", "low-snr"), techniques)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +93,5 @@ func TestScenarioSweepSummaryAndTable(t *testing.T) {
 		if !strings.Contains(table, want) {
 			t.Fatalf("table missing %q:\n%s", want, table)
 		}
-	}
-}
-
-// TestEvaluateScenariosUnknownName surfaces a typo before any generation.
-func TestEvaluateScenariosUnknownName(t *testing.T) {
-	_, err := NewSweepEngine(sweepParams(1)).EvaluateScenarios([]string{"nope"}, []string{core.TechPreamble})
-	if err == nil || !strings.Contains(err.Error(), "unknown scenario") {
-		t.Fatalf("expected unknown-scenario error, got %v", err)
 	}
 }

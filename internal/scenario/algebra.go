@@ -1,4 +1,4 @@
-// Scenario algebra: parameterized combinators compose into registered,
+// Scenario algebra: parameterized combinators compose into
 // provenance-stamped Scenario values, and a Grid expands the cross product
 // of two axes into the scenario set a multi-axis sweep evaluates.
 //
@@ -6,15 +6,17 @@
 // worlds; the algebra makes the whole parameter space addressable. A
 // composed scenario's name IS its provenance — "occ4+snr7dB+room12x9x3"
 // says exactly which combinators produced it, in which order, with which
-// values — so a result row in a sweep table reproduces from its label
-// alone, and a generated counterexample reproduces from its seed (see
-// generate.go).
+// values — so a sweep row's label says which world it measured over the
+// sweep's base configuration, and a generated counterexample reproduces
+// from its seed (see generate.go).
 package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
+	"vvd/internal/dataset"
 	"vvd/internal/room"
 )
 
@@ -28,7 +30,7 @@ type Combinator struct {
 	Axis string
 	// Value renders the parameter, e.g. "4", "7dB", "12x9x3".
 	Value string
-	apply func(*Scenario)
+	apply func(*dataset.Config)
 }
 
 // String returns the provenance fragment, e.g. "occ4" or "snr7dB".
@@ -44,7 +46,7 @@ func Occupancy(n int) Combinator {
 	return Combinator{
 		Axis:  "occ",
 		Value: fmt.Sprintf("%d", n),
-		apply: func(s *Scenario) { s.Occupants = occ },
+		apply: func(cfg *dataset.Config) { cfg.Occupants = occ },
 	}
 }
 
@@ -56,7 +58,7 @@ func Mobility(speed float64) Combinator {
 	return Combinator{
 		Axis:  "speed",
 		Value: fmt.Sprintf("%.2gms", speed),
-		apply: func(s *Scenario) { s.Mobility = &room.MobilityConfig{SpeedMin: speed, SpeedMax: speed} },
+		apply: func(cfg *dataset.Config) { cfg.Mobility = room.MobilityConfig{SpeedMin: speed, SpeedMax: speed} },
 	}
 }
 
@@ -65,7 +67,7 @@ func SNR(db float64) Combinator {
 	return Combinator{
 		Axis:  "snr",
 		Value: fmt.Sprintf("%gdB", db),
-		apply: func(s *Scenario) { s.SNRdB = db },
+		apply: func(cfg *dataset.Config) { cfg.Imp.SNRdB = db },
 	}
 }
 
@@ -75,7 +77,7 @@ func Geometry(w, d, h float64) Combinator {
 	return Combinator{
 		Axis:  "room",
 		Value: fmt.Sprintf("%gx%gx%g", w, d, h),
-		apply: func(s *Scenario) { s.RoomW, s.RoomD, s.RoomH = w, d, h },
+		apply: func(cfg *dataset.Config) { cfg.RoomWidth, cfg.RoomDepth, cfg.RoomHeight = w, d, h },
 	}
 }
 
@@ -84,7 +86,7 @@ func Scatter(gain float64) Combinator {
 	return Combinator{
 		Axis:  "scatter",
 		Value: fmt.Sprintf("%g", gain),
-		apply: func(s *Scenario) { s.HumanScatterGain = gain },
+		apply: func(cfg *dataset.Config) { cfg.HumanScatterGain = gain },
 	}
 }
 
@@ -94,35 +96,31 @@ func ScriptedCrossing() Combinator {
 	return Combinator{
 		Axis:  "scripted",
 		Value: "",
-		apply: func(s *Scenario) { s.Scripted = true },
+		apply: func(cfg *dataset.Config) { cfg.Scripted = true },
 	}
 }
 
-// Compose builds the scenario the combinators describe, stamps its
-// provenance name from their String() fragments joined by "+", registers
-// it, and returns it. Composition is left to right; a later combinator on
-// the same axis wins (and its fragment still appears in the name, keeping
-// the provenance honest about the full composition). Composing zero
-// combinators yields the base world under the name "base".
+// Compose builds the scenario the combinators describe and stamps its
+// provenance name from their String() fragments joined by "+". Apply runs
+// them left to right, so a later combinator on the same axis wins (and
+// its fragment still appears in the name, keeping the provenance honest
+// about the full composition). Composing zero combinators yields the base
+// world under the name "base".
 func Compose(cs ...Combinator) Scenario {
-	s := Scenario{}
-	frags := make([]string, 0, len(cs))
-	for _, c := range cs {
-		c.apply(&s)
-		frags = append(frags, c.String())
+	frags := make([]string, len(cs))
+	for i, c := range cs {
+		frags[i] = c.String()
 	}
-	s.Name = strings.Join(frags, "+")
-	if s.Name == "" {
-		s.Name = "base"
+	name := strings.Join(frags, "+")
+	if name == "" {
+		name = "base"
 	}
-	s.Description = "composed: " + s.Name
-	Register(s)
-	return s
+	return Scenario{Name: name, Description: "composed: " + name, cs: slices.Clone(cs)}
 }
 
 // Grid is the cross product of two rendered axes over an optional fixed
 // context: Scenarios expands Rows × Cols (row-major, deterministic order)
-// into composed, registered scenarios, one per cell.
+// into composed scenarios, one per cell.
 type Grid struct {
 	// Rows and Cols are the two swept axes. Every entry of an axis should
 	// share its Axis label; RowAxis/ColAxis report the first entry's.
@@ -148,8 +146,7 @@ func (g Grid) ColAxis() string {
 }
 
 // Scenarios expands the grid row-major: cell (i, j) composes
-// Fixed + Rows[i] + Cols[j]. Each cell is registered by Compose, so the
-// returned scenarios resolve by name through the ordinary sweep machinery.
+// Fixed + Rows[i] + Cols[j].
 func (g Grid) Scenarios() []Scenario {
 	out := make([]Scenario, 0, len(g.Rows)*len(g.Cols))
 	for _, r := range g.Rows {

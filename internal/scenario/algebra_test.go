@@ -41,29 +41,17 @@ func TestComposeNamesAndSemantics(t *testing.T) {
 		t.Fatalf("composed config invalid: %v", err)
 	}
 
-	// Registration: the composed scenario resolves by its own name.
-	got, err := scenario.Lookup(s.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, s) {
-		t.Fatalf("registry returned a different scenario for %q", s.Name)
-	}
-
 	// Empty-room encoding: Occupancy(0) means -1 at the config layer.
 	empty := scenario.Compose(scenario.Occupancy(0))
-	if empty.Name != "occ0" || empty.Occupants != -1 {
-		t.Fatalf("Occupancy(0) = %+v", empty)
-	}
-	if c := empty.Apply(dataset.DefaultConfig()); c.NumOccupants() != 0 {
-		t.Fatalf("occ0 config still has %d occupants", c.NumOccupants())
+	if c := empty.Apply(dataset.DefaultConfig()); empty.Name != "occ0" || c.Occupants != -1 || c.NumOccupants() != 0 {
+		t.Fatalf("Occupancy(0) = %s, Occupants %d (%d people)", empty.Name, c.Occupants, c.NumOccupants())
 	}
 
 	// Left-to-right composition: a later combinator on the same axis wins,
 	// and the name still records both fragments.
 	over := scenario.Compose(scenario.SNR(7), scenario.SNR(25))
-	if over.SNRdB != 25 || over.Name != "snr7dB+snr25dB" {
-		t.Fatalf("override semantics broken: %+v", over)
+	if c := over.Apply(dataset.DefaultConfig()); c.Imp.SNRdB != 25 || over.Name != "snr7dB+snr25dB" {
+		t.Fatalf("override semantics broken: %s at %g dB", over.Name, c.Imp.SNRdB)
 	}
 
 	if base := scenario.Compose(); base.Name != "base" {
@@ -72,7 +60,7 @@ func TestComposeNamesAndSemantics(t *testing.T) {
 }
 
 // TestGridExpansion pins the cross product: row-major order, one composed
-// registered scenario per cell, Fixed context applied to every cell.
+// scenario per cell, Fixed context applied to every cell.
 func TestGridExpansion(t *testing.T) {
 	g := scenario.Grid{
 		Rows:  []scenario.Combinator{scenario.Occupancy(1), scenario.Occupancy(4)},
@@ -90,23 +78,21 @@ func TestGridExpansion(t *testing.T) {
 		"speed0.6ms+occ1+snr7dB", "speed0.6ms+occ1+snr13dB", "speed0.6ms+occ1+snr25dB",
 		"speed0.6ms+occ4+snr7dB", "speed0.6ms+occ4+snr13dB", "speed0.6ms+occ4+snr25dB",
 	}
+	base := dataset.DefaultConfig()
 	for i, c := range cells {
 		if c.Name != wantNames[i] {
 			t.Fatalf("cell %d named %q, want %q", i, c.Name, wantNames[i])
 		}
-		if _, err := scenario.Lookup(c.Name); err != nil {
-			t.Fatalf("cell %d not registered: %v", i, err)
-		}
-		if c.Mobility == nil || c.Mobility.SpeedMin != 0.6 {
-			t.Fatalf("cell %d lost the fixed mobility context", i)
+		if cfg := c.Apply(base); cfg.Mobility.SpeedMin != 0.6 || cfg.Mobility.SpeedMax != 0.6 {
+			t.Fatalf("cell %d lost the fixed mobility context: %+v", i, cfg.Mobility)
 		}
 	}
 	// Row i, column j carries Rows[i] and Cols[j].
-	if cells[3].Occupants != 4 || cells[3].SNRdB != 7 {
-		t.Fatalf("cell (1,0) = %+v", cells[3])
+	if cfg := cells[3].Apply(base); cfg.Occupants != 4 || cfg.Imp.SNRdB != 7 {
+		t.Fatalf("cell (1,0) = %+v", cfg)
 	}
-	if cells[2].Occupants != 1 || cells[2].SNRdB != 25 {
-		t.Fatalf("cell (0,2) = %+v", cells[2])
+	if cfg := cells[2].Apply(base); cfg.Occupants != 1 || cfg.Imp.SNRdB != 25 {
+		t.Fatalf("cell (0,2) = %+v", cfg)
 	}
 }
 
@@ -115,32 +101,35 @@ func TestGridExpansion(t *testing.T) {
 // that TestPropertyGeneratedScenariosValid checks at the config layer).
 func TestRandomStaysInBounds(t *testing.T) {
 	b := scenario.DefaultBounds()
+	base := dataset.DefaultConfig()
 	sawEmpty, sawCrowd, sawScripted := false, false, false
 	for seed := uint64(0); seed < 300; seed++ {
 		s := scenario.Random(scenario.NewPCG(seed), b)
+		cfg := s.Apply(base)
 		switch {
-		case s.Occupants == -1:
+		case cfg.Occupants == -1:
 			sawEmpty = true
-		case s.Occupants > 1:
+		case cfg.Occupants > 1:
 			sawCrowd = true
 		}
-		if s.Scripted {
+		if cfg.Scripted {
 			sawScripted = true
 		}
-		if s.Occupants > b.MaxOccupants {
-			t.Fatalf("seed %d: %d occupants above bound %d", seed, s.Occupants, b.MaxOccupants)
+		if cfg.Occupants > b.MaxOccupants {
+			t.Fatalf("seed %d: %d occupants above bound %d", seed, cfg.Occupants, b.MaxOccupants)
 		}
-		if s.SNRdB < b.SNRMin-0.05 || s.SNRdB > b.SNRMax+0.05 {
-			t.Fatalf("seed %d: SNR %g outside [%g,%g]", seed, s.SNRdB, b.SNRMin, b.SNRMax)
+		if snr := cfg.Imp.SNRdB; snr < b.SNRMin-0.05 || snr > b.SNRMax+0.05 {
+			t.Fatalf("seed %d: SNR %g outside [%g,%g]", seed, snr, b.SNRMin, b.SNRMax)
 		}
-		if s.Mobility != nil && (s.Mobility.SpeedMin < b.SpeedMin-0.005 || s.Mobility.SpeedMax > b.SpeedMax+0.005) {
-			t.Fatalf("seed %d: speed %+v outside [%g,%g]", seed, s.Mobility, b.SpeedMin, b.SpeedMax)
+		if cfg.Occupants == -1 {
+			if cfg.Scripted || cfg.Mobility != base.Mobility {
+				t.Fatalf("seed %d: empty room with walker axes: %+v", seed, cfg)
+			}
+		} else if m := cfg.Mobility; m.SpeedMin < b.SpeedMin-0.005 || m.SpeedMax > b.SpeedMax+0.005 {
+			t.Fatalf("seed %d: speed %+v outside [%g,%g]", seed, m, b.SpeedMin, b.SpeedMax)
 		}
-		if s.RoomW < 8*b.ScaleMin-0.05 || s.RoomW > 8*b.ScaleMax+0.05 {
-			t.Fatalf("seed %d: room width %g outside scale bounds", seed, s.RoomW)
-		}
-		if s.Occupants == -1 && (s.Scripted || s.Mobility != nil) {
-			t.Fatalf("seed %d: empty room with walker axes: %+v", seed, s)
+		if cfg.RoomWidth < 8*b.ScaleMin-0.05 || cfg.RoomWidth > 8*b.ScaleMax+0.05 {
+			t.Fatalf("seed %d: room width %g outside scale bounds", seed, cfg.RoomWidth)
 		}
 		if !strings.Contains(s.Name, "occ") || !strings.Contains(s.Name, "room") {
 			t.Fatalf("seed %d: name %q missing mandatory axes", seed, s.Name)
@@ -149,5 +138,46 @@ func TestRandomStaysInBounds(t *testing.T) {
 	if !sawEmpty || !sawCrowd || !sawScripted {
 		t.Fatalf("300 draws never hit every scenario class: empty=%v crowd=%v scripted=%v",
 			sawEmpty, sawCrowd, sawScripted)
+	}
+}
+
+// TestComposeZeroApplies pins that a combinator's value is written even
+// when it is zero: the name snr0dB must run at 0 dB, not at the base SNR.
+func TestComposeZeroApplies(t *testing.T) {
+	s := scenario.Compose(scenario.SNR(0))
+	if s.Name != "snr0dB" {
+		t.Fatalf("composed name %q", s.Name)
+	}
+	if got := s.Apply(tinyConfig()).Imp.SNRdB; got != 0 {
+		t.Fatalf("%s applied SNR %g dB", s.Name, got)
+	}
+}
+
+// TestNamesIgnoreComposedScenarios pins that composing, expanding a grid
+// and drawing random worlds leave the preset catalogue alone: Names lists
+// the nine built-in presets and nothing else, however many scenarios the
+// process has built.
+func TestNamesIgnoreComposedScenarios(t *testing.T) {
+	want := []string{
+		"crowded-room-2", "crowded-room-4", "crowded-room-8", "empty-room",
+		"high-mobility", "high-snr", "low-snr", "paper-default", "scripted-crossing",
+	}
+	if got := scenario.Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
+	}
+	s := scenario.Compose(scenario.Occupancy(3), scenario.SNR(11))
+	g := scenario.Grid{
+		Rows: []scenario.Combinator{scenario.Occupancy(1), scenario.Occupancy(5)},
+		Cols: []scenario.Combinator{scenario.SNR(9), scenario.SNR(17)},
+	}
+	g.Scenarios()
+	for seed := uint64(0); seed < 1000; seed++ {
+		scenario.Random(scenario.NewPCG(seed), scenario.DefaultBounds())
+	}
+	if got := scenario.Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Names() grew to %d entries after composing", len(got))
+	}
+	if _, err := scenario.Lookup(s.Name); err == nil {
+		t.Fatalf("composed %q resolves as a preset", s.Name)
 	}
 }

@@ -43,7 +43,7 @@ func TestPresetApplyFieldDiscipline(t *testing.T) {
 	base.Workers = 5
 	bv := reflect.ValueOf(base)
 	typ := bv.Type()
-	for _, name := range presetNames {
+	for _, name := range scenario.Names() {
 		s, err := scenario.Lookup(name)
 		if err != nil {
 			t.Fatal(err)

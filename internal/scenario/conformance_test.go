@@ -138,7 +138,7 @@ func scenarioMetrics(t *testing.T, name string) map[string]string {
 }
 
 // TestScenarioConformanceGoldens is the end-to-end conformance suite: for
-// every registered scenario it generates a tiny campaign, runs
+// every preset it generates a tiny campaign, runs
 // LS/MMSE/Kalman/VVD estimation over the test partition and pins the
 // summary metrics against the committed goldens. A failure names the
 // drifting scenario and metric; after an *intended* numeric change,
@@ -148,10 +148,7 @@ func scenarioMetrics(t *testing.T, name string) map[string]string {
 func TestScenarioConformanceGoldens(t *testing.T) {
 	path := filepath.Join("testdata", "conformance.json")
 	got := map[string]map[string]string{}
-	// Iterate the fixed preset catalogue, not scenario.Names(): the algebra
-	// tests register composed scenarios into the shared registry, and those
-	// are covered by the property suite, not by committed goldens.
-	for _, name := range presetNames {
+	for _, name := range scenario.Names() {
 		got[name] = scenarioMetrics(t, name)
 	}
 	if *updateGolden {
@@ -189,7 +186,7 @@ func TestScenarioConformanceGoldens(t *testing.T) {
 	}
 	for name := range want {
 		if _, ok := got[name]; !ok {
-			t.Errorf("golden for %q has no registered scenario (stale goldens?)", name)
+			t.Errorf("golden for %q has no preset (stale goldens?)", name)
 		}
 	}
 }

@@ -46,11 +46,11 @@ func DefaultBounds() Bounds {
 	}
 }
 
-// Random draws one scenario from the bounded space and registers it via
-// Compose. The draw order is fixed (occupancy, scripted, SNR, speed, room
-// scale, scatter — always six draws, whether or not a draw's result is
-// used), so a given RNG state maps to exactly one scenario: replaying a
-// seed through NewPCG replays the world, which is how property-suite
+// Random draws one scenario from the bounded space and composes it. The
+// draw order is fixed (occupancy, scripted, SNR, speed, room scale,
+// scatter — always six draws, whether or not a draw's result is used),
+// so a given RNG state maps to exactly one scenario: replaying a seed
+// through NewPCG replays the world, which is how property-suite
 // counterexamples and fuzz crashes reproduce.
 func Random(r RNG, b Bounds) Scenario {
 	uOcc := r.Rand()

@@ -2,11 +2,11 @@
 // the simulated testbed can stage. The paper measured exactly one world — a
 // single person walking one laboratory room — and the reproduction long
 // hard-coded that shape. A Scenario names a full world configuration
-// (occupancy, mobility, trajectory style, link quality) as a
-// self-describing preset; presets resolve through a Register/Lookup
-// registry mirroring the estimator registry in internal/experiments, so
-// adding a scenario to every CLI, sweep and conformance test is one
-// Register call.
+// (occupancy, mobility, trajectory style, link quality) as an ordered list
+// of combinators, each of which rewrites dataset.Config fields. The
+// built-in presets are a fixed table (presets.go) that Lookup, Names, All
+// and Resolve read; composed and randomly drawn scenarios are plain values
+// that nothing records.
 //
 // Scenarios expand along the axes the paper could not measure: how does
 // vision-based estimation compare to Kalman tracking as the room fills
@@ -15,126 +15,70 @@
 // itself degrades (low-snr)? The Apply model keeps the dataset layer
 // authoritative: a Scenario only rewrites dataset.Config fields, the
 // resulting Config travels through the campaign store header, and
-// regeneration never needs the registry again.
+// regeneration never needs the scenario again.
 package scenario
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"vvd/internal/dataset"
-	"vvd/internal/room"
 )
 
-// Scenario is one named world preset. The zero value of every field means
-// "keep the base configuration's value", so presets compose with the scale
+// Scenario is one named world: the combinators that rewrite a base
+// configuration into it. Fields a scenario's combinators do not write keep
+// the base configuration's value, so scenarios compose with the scale
 // knobs (sets, packets, seed, workers) the caller already chose.
 type Scenario struct {
-	// Name is the registry key (kebab-case, e.g. "crowded-room-4").
+	// Name is the preset name (kebab-case, e.g. "crowded-room-4") or the
+	// composed provenance (e.g. "occ4+snr7dB").
 	Name string
 	// Description is the one-line summary shown by -list-scenarios.
 	Description string
-	// Occupants follows dataset.Config.Occupants: 0 keeps the base config's
-	// occupancy (normally the paper's single human), N > 1 fills the room,
-	// -1 empties it.
-	Occupants int
-	// Scripted switches occupant 0 to the deterministic LoS-crossing
-	// diagonal (paper Fig. 15). Like every other field, false keeps the
-	// base configuration's value.
-	Scripted bool
-	// SNRdB overrides the clear-channel SNR when non-zero.
-	SNRdB float64
-	// HumanScatterGain overrides the body re-radiation efficiency when
-	// non-zero.
-	HumanScatterGain float64
-	// Mobility overrides the walker dynamics when non-nil.
-	Mobility *room.MobilityConfig
-	// RoomW/RoomD/RoomH override the laboratory dimensions (metres) when
-	// all three are non-zero; the layout scales proportionally (see
-	// room.ScaledLab). Zero keeps the paper's 8×6×3 m room.
-	RoomW, RoomD, RoomH float64
+	cs          []Combinator
 }
 
-// Apply rewrites the world-shaping fields of a base configuration and
-// stamps the scenario name into it. Scale knobs (Sets, PacketsPerSet,
-// PSDULen, Seed, RenderImages, Workers) pass through untouched.
+// Apply runs the scenario's combinators over a base configuration, in
+// order, and stamps the scenario name into it. Scale knobs (Sets,
+// PacketsPerSet, PSDULen, Seed, RenderImages, Workers) pass through
+// untouched.
 func (s Scenario) Apply(cfg dataset.Config) dataset.Config {
+	for _, c := range s.cs {
+		c.apply(&cfg)
+	}
 	cfg.Scenario = s.Name
-	if s.Occupants != 0 {
-		cfg.Occupants = s.Occupants
-	}
-	if s.Scripted {
-		cfg.Scripted = true
-	}
-	if s.SNRdB != 0 {
-		cfg.Imp.SNRdB = s.SNRdB
-	}
-	if s.HumanScatterGain != 0 {
-		cfg.HumanScatterGain = s.HumanScatterGain
-	}
-	if s.Mobility != nil {
-		cfg.Mobility = *s.Mobility
-	}
-	if s.RoomW != 0 && s.RoomD != 0 && s.RoomH != 0 {
-		cfg.RoomWidth, cfg.RoomDepth, cfg.RoomHeight = s.RoomW, s.RoomD, s.RoomH
-	}
 	return cfg
 }
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Scenario{}
-)
-
-// Register adds a scenario to the global registry. Registering an existing
-// name replaces the previous preset (last registration wins), mirroring the
-// estimator registry's override semantics for tests and extensions.
-func Register(s Scenario) {
-	if s.Name == "" {
-		panic("scenario: Register needs a name")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	registry[s.Name] = s
-}
-
-// Lookup resolves a scenario name.
+// Lookup resolves a preset name.
 func Lookup(name string) (Scenario, error) {
-	registryMu.RLock()
-	s, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return Scenario{}, fmt.Errorf("scenario: unknown scenario %q (registered: %s)", name, strings.Join(Names(), ", "))
+	for _, s := range presets {
+		if s.Name == name {
+			return s, nil
+		}
 	}
-	return s, nil
+	return Scenario{}, fmt.Errorf("scenario: unknown scenario %q (presets: %s)", name, strings.Join(Names(), ", "))
 }
 
-// Names lists every registered scenario name, sorted.
+// Names lists every preset name, sorted.
 func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
+	all := All()
+	out := make([]string, len(all))
+	for i, s := range all {
+		out[i] = s.Name
 	}
-	sort.Strings(out)
 	return out
 }
 
-// All returns every registered scenario sorted by name.
+// All returns every preset sorted by name.
 func All() []Scenario {
-	names := Names()
-	out := make([]Scenario, 0, len(names))
-	for _, n := range names {
-		s, _ := Lookup(n)
-		out = append(out, s)
-	}
+	out := slices.Clone(presets)
+	slices.SortFunc(out, func(a, b Scenario) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
-// Resolve looks the name up and applies it over base in one step — the
+// Resolve looks the preset up and applies it over base in one step — the
 // common CLI path.
 func Resolve(name string, base dataset.Config) (dataset.Config, error) {
 	s, err := Lookup(name)

@@ -26,7 +26,7 @@ func tinyConfig() dataset.Config {
 func TestRegistryLookup(t *testing.T) {
 	names := scenario.Names()
 	if len(names) < 8 {
-		t.Fatalf("only %d presets registered: %v", len(names), names)
+		t.Fatalf("only %d presets: %v", len(names), names)
 	}
 	for _, want := range []string{"paper-default", "scripted-crossing", "crowded-room-2", "crowded-room-4", "crowded-room-8", "high-mobility", "low-snr", "empty-room"} {
 		if _, err := scenario.Lookup(want); err != nil {
@@ -34,8 +34,13 @@ func TestRegistryLookup(t *testing.T) {
 		}
 	}
 	_, err := scenario.Lookup("no-such-scenario")
-	if err == nil || !strings.Contains(err.Error(), "registered") {
-		t.Fatalf("expected a listing error, got %v", err)
+	if err == nil {
+		t.Fatal("unknown name resolved")
+	}
+	for _, name := range names {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("error does not list preset %q: %v", name, err)
+		}
 	}
 }
 
@@ -138,24 +143,14 @@ func TestScenarioShapes(t *testing.T) {
 	}
 }
 
-// presetNames is the fixed catalogue of hand-written presets. The parity
-// test iterates this list rather than scenario.Names() because the algebra
-// tests register composed scenarios into the same process-wide registry,
-// and regenerating every composed cell here would retest the same code
-// paths at quadratic cost.
-var presetNames = []string{
-	"paper-default", "scripted-crossing", "crowded-room-2", "crowded-room-4",
-	"crowded-room-8", "high-mobility", "low-snr", "high-snr", "empty-room",
-}
-
 // TestScenarioGenerateParallelMatchesSequential extends the single-human
-// generation-parity contract to every registered scenario: for each preset
+// generation-parity contract to every preset: for each one
 // the campaign generated with 8 workers is packet-for-packet identical to
 // the sequential one, multi-occupant trajectories, shared frame renders and
 // all. Run under -race in CI it doubles as the data-race check over the
 // multi-occupant fan-out.
 func TestScenarioGenerateParallelMatchesSequential(t *testing.T) {
-	for _, name := range presetNames {
+	for _, name := range scenario.Names() {
 		cfg, err := scenario.Resolve(name, tinyConfig())
 		if err != nil {
 			t.Fatal(err)
