@@ -37,8 +37,10 @@
 // killed mid-append. Recovery truncates the file at the torn record's
 // start (every batch committed before it replays intact), records the
 // rejection in RecoveryInfo.TornTail, and the store resumes appending at
-// the truncation point. The same shape anywhere else in the log is
-// corruption, not a crash artifact, and fails the open.
+// the truncation point. A run of zeros to the end of the last segment
+// (a file extended before a killed append's data landed) is a torn tail
+// too. The same shapes anywhere else in the log are corruption, not crash
+// artifacts, and fail the open.
 //
 // Segment rotation is atomic by construction: the next segment file is
 // created, its header written and fsynced, and the directory fsynced
@@ -353,6 +355,18 @@ func (kv *KV) replaySegment(id int, isLast bool) error {
 		}
 		payloadLen := int64(binary.LittleEndian.Uint32(recHdr[0:]))
 		wantCRC := binary.LittleEndian.Uint32(recHdr[4:])
+		if payloadLen == 0 && wantCRC == 0 {
+			// Zeros read as an empty record whose CRC matches, but no
+			// committed record is empty: a filesystem that extended the
+			// file before a killed append's data landed leaves them. A zero
+			// run to the end of the file is that torn tail; anything
+			// after the zeros is damage.
+			zero, err := zeroFrom(f, off, size)
+			if err != nil {
+				return fmt.Errorf("store: reading record header of %s: %w", name, err)
+			}
+			return torn("zero-filled record", zero)
+		}
 		// The length is validated against the bytes actually present
 		// before any allocation: a hostile or torn prefix cannot make the
 		// replay allocate past the file's own size.
@@ -378,6 +392,24 @@ func (kv *KV) replaySegment(id int, isLast bool) error {
 		off += kvRecHdrLen + payloadLen
 	}
 	return nil
+}
+
+// zeroFrom reports whether bytes [off, size) of f are all zero.
+func zeroFrom(f *os.File, off, size int64) (bool, error) {
+	buf := make([]byte, min(size-off, 32<<10))
+	for off < size {
+		n := min(size-off, int64(len(buf)))
+		if _, err := f.ReadAt(buf[:n], off); err != nil {
+			return false, err
+		}
+		for _, b := range buf[:n] {
+			if b != 0 {
+				return false, nil
+			}
+		}
+		off += n
+	}
+	return true, nil
 }
 
 // replayRecord applies one CRC-verified batch payload to the index.

@@ -226,6 +226,59 @@ func TestKVTornTail(t *testing.T) {
 	}
 }
 
+// TestKVZeroFilledTail covers the footprint of a crash that extended the
+// last segment before the appended bytes landed: zeros, which parse as an
+// empty record with a matching CRC. A zero run to the end of the file is a
+// torn tail; zeros with anything behind them are damage and refuse the
+// open.
+func TestKVZeroFilledTail(t *testing.T) {
+	oneRecord := func(t *testing.T) (dir, seg string, committedEnd int64) {
+		dir = t.TempDir()
+		kv := openKVT(t, dir, KVOptions{})
+		if err := kv.PutValue("k1", []byte("value-one")); err != nil {
+			t.Fatal(err)
+		}
+		if err := kv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		seg = filepath.Join(dir, "wal-00000001.seg")
+		info, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dir, seg, info.Size()
+	}
+
+	t.Run("zeros_to_end", func(t *testing.T) {
+		dir, seg, committedEnd := oneRecord(t)
+		appendToFile(t, seg, make([]byte, 64))
+		kv := openKVT(t, dir, KVOptions{})
+		defer kv.Close()
+		rec := kv.Recovery()
+		if rec.TornTail == nil || !strings.Contains(rec.TornTail.Error(), "zero-filled") {
+			t.Fatalf("TornTail = %v, want a zero-filled tail", rec.TornTail)
+		}
+		if rec.TruncatedBytes != 64 || rec.Records != 1 {
+			t.Fatalf("recovery %+v, want 64 bytes truncated and 1 record", rec)
+		}
+		mustGet(t, kv, "k1", "value-one")
+		if info, err := os.Stat(seg); err != nil || info.Size() != committedEnd {
+			t.Fatalf("segment not truncated back to %d bytes (stat %+v, %v)", committedEnd, info, err)
+		}
+	})
+
+	t.Run("zeros_then_data", func(t *testing.T) {
+		dir, seg, committedEnd := oneRecord(t)
+		appendToFile(t, seg, append(make([]byte, 64), 0x01))
+		if _, err := OpenKV(dir, KVOptions{}); err == nil || !strings.Contains(err.Error(), "mid-log") {
+			t.Fatalf("OpenKV over zeros followed by data = %v, want refusal", err)
+		}
+		if info, err := os.Stat(seg); err != nil || info.Size() != committedEnd+65 {
+			t.Fatalf("refused open changed the segment (stat %+v, %v)", info, err)
+		}
+	})
+}
+
 // TestKVMidLogCorruptionIsFatal pins the other half of the recovery
 // policy: the torn-tail shapes are forgiven only at the end of the log.
 // The same damage mid-log is corruption and must refuse to open.
