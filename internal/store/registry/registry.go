@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -139,8 +140,8 @@ func validName(name string) error {
 // Put registers a model: the canonical blob under its content hash, the
 // manifest beside it, and the name's tag advanced to the new version,
 // all committed in one KV batch. Returns the completed manifest.
-// Registering identical weights again is idempotent at the blob layer
-// (same hash, one stored key).
+// Registering identical weights again stores the blob once: the batch
+// then carries only the manifest and the tag.
 func (r *Registry) Put(v *core.VVD, m Manifest) (Manifest, error) {
 	if err := validName(m.Name); err != nil {
 		return Manifest{}, err
@@ -170,11 +171,20 @@ func (r *Registry) Put(v *core.VVD, m Manifest) (Manifest, error) {
 	if err != nil {
 		return Manifest{}, fmt.Errorf("registry: encoding tag: %w", err)
 	}
-	if err := r.kv.Apply([]store.Op{
-		{Key: modelPrefix + hash, Val: data},
+	ops := []store.Op{
 		{Key: manifestPrefix + hash, Val: append(mJSON, '\n')},
 		{Key: tagPrefix + m.Name, Val: append(tagJSON, '\n')},
-	}); err != nil {
+	}
+	// The blob is content-addressed: identical weights registered again
+	// are already in the log, so only the manifest and tag are appended.
+	have, err := r.kv.List(modelPrefix + hash)
+	if err != nil {
+		return Manifest{}, err
+	}
+	if !slices.Contains(have, modelPrefix+hash) {
+		ops = append([]store.Op{{Key: modelPrefix + hash, Val: data}}, ops...)
+	}
+	if err := r.kv.Apply(ops); err != nil {
 		return Manifest{}, fmt.Errorf("registry: storing model %s: %w", shortHash(hash), err)
 	}
 	return m, nil

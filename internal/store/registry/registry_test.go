@@ -157,6 +157,46 @@ func TestContentAddressingDedupes(t *testing.T) {
 	}
 }
 
+// TestReputAppendsNoBlob pins that registering identical weights again
+// leaves the blob where it is: the log grows by the manifest and the tag,
+// not by another copy of the model, and the tag still moves.
+func TestReputAppendsNoBlob(t *testing.T) {
+	dir := t.TempDir()
+	reg, err := registry.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	seg := filepath.Join(dir, "wal-00000001.seg")
+	segSize := func() int64 {
+		t.Helper()
+		info, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Size()
+	}
+	v := tinyModel(t, 5)
+	blob, _, err := registry.Encode(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Put(v, registry.Manifest{Name: "vvd-current"}); err != nil {
+		t.Fatal(err)
+	}
+	before := segSize()
+	m, err := reg.Put(v, registry.Manifest{Name: "vvd-copy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := segSize() - before; grew >= int64(len(blob)) {
+		t.Fatalf("second identical Put grew the log by %d bytes, blob is %d", grew, len(blob))
+	}
+	if _, got, err := reg.Load("vvd-copy@latest"); err != nil || got.Hash != m.Hash {
+		t.Fatalf("Load after re-registration = %+v, %v", got, err)
+	}
+}
+
 func TestResolveErrors(t *testing.T) {
 	reg, _ := openKV(t)
 	m, err := reg.Put(tinyModel(t, 4), registry.Manifest{Name: "real"})
