@@ -107,9 +107,9 @@ func appendToFile(t testing.TB, path string, data []byte) {
 
 // TestKVTornTail is the crash-recovery table: every torn-tail footprint a
 // killed writer can leave — truncated length prefix, truncated payload,
-// corrupted CRC, torn final record after valid batches — must reopen with
-// the committed batches intact, the tail truncated away, and the store
-// writable again.
+// corrupted CRC, zeros, torn final record after valid batches — must
+// reopen with the committed batches intact, the tail truncated away, and
+// the store writable again.
 func TestKVTornTail(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -148,6 +148,16 @@ func TestKVTornTail(t *testing.T) {
 			},
 			reason:  "checksum mismatch",
 			tornKey: "torn",
+		},
+		{
+			name: "zero_filled_tail",
+			tear: func(t *testing.T, seg string, _ int64) {
+				// A file extended before the appended bytes landed: the
+				// zeros parse as an empty record whose CRC matches.
+				appendToFile(t, seg, make([]byte, 64))
+			},
+			reason:     "zero-filled record",
+			extraBytes: 64,
 		},
 		{
 			name: "torn_final_record",
@@ -226,59 +236,6 @@ func TestKVTornTail(t *testing.T) {
 	}
 }
 
-// TestKVZeroFilledTail covers the footprint of a crash that extended the
-// last segment before the appended bytes landed: zeros, which parse as an
-// empty record with a matching CRC. A zero run to the end of the file is a
-// torn tail; zeros with anything behind them are damage and refuse the
-// open.
-func TestKVZeroFilledTail(t *testing.T) {
-	oneRecord := func(t *testing.T) (dir, seg string, committedEnd int64) {
-		dir = t.TempDir()
-		kv := openKVT(t, dir, KVOptions{})
-		if err := kv.PutValue("k1", []byte("value-one")); err != nil {
-			t.Fatal(err)
-		}
-		if err := kv.Close(); err != nil {
-			t.Fatal(err)
-		}
-		seg = filepath.Join(dir, "wal-00000001.seg")
-		info, err := os.Stat(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dir, seg, info.Size()
-	}
-
-	t.Run("zeros_to_end", func(t *testing.T) {
-		dir, seg, committedEnd := oneRecord(t)
-		appendToFile(t, seg, make([]byte, 64))
-		kv := openKVT(t, dir, KVOptions{})
-		defer kv.Close()
-		rec := kv.Recovery()
-		if rec.TornTail == nil || !strings.Contains(rec.TornTail.Error(), "zero-filled") {
-			t.Fatalf("TornTail = %v, want a zero-filled tail", rec.TornTail)
-		}
-		if rec.TruncatedBytes != 64 || rec.Records != 1 {
-			t.Fatalf("recovery %+v, want 64 bytes truncated and 1 record", rec)
-		}
-		mustGet(t, kv, "k1", "value-one")
-		if info, err := os.Stat(seg); err != nil || info.Size() != committedEnd {
-			t.Fatalf("segment not truncated back to %d bytes (stat %+v, %v)", committedEnd, info, err)
-		}
-	})
-
-	t.Run("zeros_then_data", func(t *testing.T) {
-		dir, seg, committedEnd := oneRecord(t)
-		appendToFile(t, seg, append(make([]byte, 64), 0x01))
-		if _, err := OpenKV(dir, KVOptions{}); err == nil || !strings.Contains(err.Error(), "mid-log") {
-			t.Fatalf("OpenKV over zeros followed by data = %v, want refusal", err)
-		}
-		if info, err := os.Stat(seg); err != nil || info.Size() != committedEnd+65 {
-			t.Fatalf("refused open changed the segment (stat %+v, %v)", info, err)
-		}
-	})
-}
-
 // TestKVMidLogCorruptionIsFatal pins the other half of the recovery
 // policy: the torn-tail shapes are forgiven only at the end of the log.
 // The same damage mid-log is corruption and must refuse to open.
@@ -336,6 +293,21 @@ func TestKVMidLogCorruptionIsFatal(t *testing.T) {
 	}
 	if info, err := os.Stat(seg1); err != nil || info.Size() != int64(len(data)) {
 		t.Fatalf("refused open changed the segment (stat %+v, %v)", info, err)
+	}
+
+	// Zeros followed by anything else are damage too, not a zero-filled
+	// torn tail.
+	dirZ := t.TempDir()
+	kvZ := openKVT(t, dirZ, KVOptions{})
+	if err := kvZ.PutValue("k1", []byte("value-one")); err != nil {
+		t.Fatal(err)
+	}
+	if err := kvZ.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendToFile(t, filepath.Join(dirZ, "wal-00000001.seg"), append(make([]byte, 64), 0x01))
+	if _, err := OpenKV(dirZ, KVOptions{}); err == nil || !strings.Contains(err.Error(), "mid-log") {
+		t.Fatalf("OpenKV over zeros followed by data = %v, want refusal", err)
 	}
 
 	// A CRC-valid but malformed record is a writer bug, not a crash
