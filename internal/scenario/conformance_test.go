@@ -138,11 +138,10 @@ func scenarioMetrics(t *testing.T, name string) map[string]string {
 }
 
 // TestScenarioConformanceGoldens is the end-to-end conformance suite: for
-// every preset it generates a tiny campaign, runs
-// LS/MMSE/Kalman/VVD estimation over the test partition and pins the
-// summary metrics against the committed goldens. A failure names the
-// drifting scenario and metric; after an *intended* numeric change,
-// regenerate with
+// every preset it generates a tiny campaign, runs LS/MMSE/Kalman/VVD
+// estimation over the test partition and pins the summary metrics against
+// the committed goldens. A failure names the drifting scenario and
+// metric; after an *intended* numeric change, regenerate with
 //
 //	go test ./internal/scenario -run TestScenarioConformanceGoldens -update-golden
 func TestScenarioConformanceGoldens(t *testing.T) {

@@ -144,9 +144,9 @@ func TestScenarioShapes(t *testing.T) {
 }
 
 // TestScenarioGenerateParallelMatchesSequential extends the single-human
-// generation-parity contract to every preset: for each one
-// the campaign generated with 8 workers is packet-for-packet identical to
-// the sequential one, multi-occupant trajectories, shared frame renders and
+// generation-parity contract to every preset: for each one the campaign
+// generated with 8 workers is packet-for-packet identical to the
+// sequential one, multi-occupant trajectories, shared frame renders and
 // all. Run under -race in CI it doubles as the data-race check over the
 // multi-occupant fan-out.
 func TestScenarioGenerateParallelMatchesSequential(t *testing.T) {
