@@ -35,26 +35,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cf, err := os.Open(*campaignPath)
-	if err != nil {
-		fatal(err)
-	}
-	// Stream the campaign: only the requested set is decoded (earlier sets
-	// are skipped by their payload length), so peak memory is one set
-	// regardless of campaign size. Receptions regenerate against the
-	// environment shell rebuilt from the stored config.
-	cr, err := dataset.OpenCampaign(cf)
-	if err != nil {
-		cf.Close()
-		fatal(err)
-	}
-	campaign, err := cr.Shell()
-	if err != nil {
-		cf.Close()
-		fatal(err)
-	}
-	set, err := cr.ReadSet(*setID)
-	cf.Close()
+	campaign, set, err := readSet(*campaignPath, *setID)
 	if err != nil {
 		fatal(err)
 	}
@@ -93,6 +74,31 @@ func main() {
 	if *decode {
 		fmt.Printf("blind decode: PER %.3f, CER %.4f\n", counter.PER(), counter.CER())
 	}
+}
+
+// readSet decodes measurement set id of the campaign at path. Only that
+// set is decoded (the others are skipped by their payload length), so peak
+// memory is one set regardless of campaign size; receptions regenerate
+// against the returned campaign, the environment rebuilt from the stored
+// config.
+func readSet(path string, id int) (*dataset.Campaign, *dataset.Set, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	cr, err := dataset.OpenCampaign(f)
+	if err != nil {
+		return nil, nil, err
+	}
+	if id < 1 || id > cr.NumSets() {
+		return nil, nil, fmt.Errorf("-set %d out of range (the campaign has sets 1-%d)", id, cr.NumSets())
+	}
+	campaign, err := cr.ReadSets(func(s int) bool { return s == id })
+	if err != nil {
+		return nil, nil, err
+	}
+	return campaign, &campaign.Sets[id-1], nil
 }
 
 // loadModel loads from a registry ref (verified against its content

@@ -60,26 +60,8 @@ func (d *Depth) Crop(top, left, rows, cols int) (*Depth, error) {
 	return out, nil
 }
 
-// Normalized returns the pixels scaled to [0, 1] by maxRange (values beyond
-// clamp to 1), as float64 for the neural network input.
-func (d *Depth) Normalized(maxRange float64) []float64 {
-	out := make([]float64, len(d.Pix))
-	for i, p := range d.Pix {
-		v := float64(p) / maxRange
-		if v > 1 {
-			v = 1
-		}
-		if v < 0 {
-			v = 0
-		}
-		out[i] = v
-	}
-	return out
-}
-
-// NormalizedF32 is Normalized producing the float32 pixels the dataset
-// stores, without the intermediate float64 image: each value equals
-// float32(v) for the corresponding Normalized output v.
+// NormalizedF32 returns the pixels scaled to [0, 1] by maxRange (values
+// beyond clamp to 1) as the float32 network input the dataset stores.
 func (d *Depth) NormalizedF32(maxRange float64) []float32 {
 	out := make([]float32, len(d.Pix))
 	for i, p := range d.Pix {

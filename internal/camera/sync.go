@@ -23,19 +23,3 @@ func (s *Synchronizer) FrameIndex(packetTime float64) int {
 	}
 	return int(math.Floor(packetTime * s.FrameRate))
 }
-
-// CandidateFrames returns the two frames nearest the packet time (the
-// ambiguity of Fig. 3) with the LED-resolved frame first.
-func (s *Synchronizer) CandidateFrames(packetTime float64) (ledFrame, other int) {
-	led := s.FrameIndex(packetTime)
-	mid := (float64(led) + 0.5) / s.FrameRate
-	if packetTime < mid && led > 0 {
-		return led, led - 1
-	}
-	return led, led + 1
-}
-
-// FrameTime returns the exposure start time of frame i.
-func (s *Synchronizer) FrameTime(i int) float64 {
-	return float64(i) / s.FrameRate
-}

@@ -122,31 +122,3 @@ func (c *Campaign) TestPackets(cb Combination) []*Packet {
 	}
 	return out
 }
-
-// NormalizationFactor returns the max |CIR| element over the training
-// packets' aligned perfect estimates — the paper's output normalization
-// (divide by the maximum absolute CIR value of the training partition).
-func (c *Campaign) NormalizationFactor(cb Combination) float64 {
-	var max float64
-	for _, p := range c.TrainingPackets(cb) {
-		for _, v := range p.PerfectAligned {
-			if m := abs(real(v)); m > max {
-				max = m
-			}
-			if m := abs(imag(v)); m > max {
-				max = m
-			}
-		}
-	}
-	if max == 0 {
-		return 1
-	}
-	return max
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}

@@ -300,23 +300,6 @@ func TestPartitionAccessors(t *testing.T) {
 	}
 }
 
-func TestNormalizationFactor(t *testing.T) {
-	c := genSmall(t)
-	cb := Combination{Number: 1, Training: []int{1, 2}, Val: 3, Test: 3}
-	norm := c.NormalizationFactor(cb)
-	if norm <= 0 {
-		t.Fatalf("norm = %v", norm)
-	}
-	// Every normalized training component must be within [−1, 1].
-	for _, p := range c.TrainingPackets(cb) {
-		for _, v := range p.PerfectAligned {
-			if abs(real(v))/norm > 1+1e-12 || abs(imag(v))/norm > 1+1e-12 {
-				t.Fatal("normalization does not bound training targets")
-			}
-		}
-	}
-}
-
 func TestSetAccessor(t *testing.T) {
 	c := genSmall(t)
 	s, err := c.Set(2)

@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
-	"io"
 	"os"
 	"strings"
 	"testing"
 )
 
 // FuzzOpenCampaign fuzzes the campaign store decoder over mutated bytes:
-// whatever the input, OpenCampaign/NextSet/Shell must either succeed or
+// whatever the input, OpenCampaign and ReadSets must either succeed or
 // return an error — never panic, and never allocate beyond the decoder's
 // sanity bounds (every length field is checked against its limit and the
 // remaining payload before allocation). The committed seed corpus under
@@ -71,17 +70,7 @@ func FuzzOpenCampaign(f *testing.F) {
 		}
 		// The header parsed: the rest of the stream must decode or error
 		// cleanly too.
-		if _, err := r.Shell(); err != nil {
-			return
-		}
-		for {
-			if _, err := r.NextSet(); err != nil {
-				if err != io.EOF {
-					return
-				}
-				break
-			}
-		}
+		r.ReadSets(nil)
 	})
 }
 
@@ -144,10 +133,7 @@ func TestOpenCampaignRejectsTruncatedOccupantBlock(t *testing.T) {
 	if err != nil {
 		t.Fatalf("header must parse (the forgery is in the set block): %v", err)
 	}
-	if _, err := r.Shell(); err != nil {
-		t.Fatalf("shell must parse: %v", err)
-	}
-	_, err = r.NextSet()
+	_, err = r.ReadSets(nil)
 	if err == nil {
 		t.Fatal("decoder accepted a set whose occupant block is truncated")
 	}

@@ -2,7 +2,7 @@
 // a versioned, checksummed, streaming store whose header carries the
 // complete Config.
 //
-// Compatibility policy: Save writes, and LoadCampaign reads, version 3 of
+// Compatibility policy: Save writes, and OpenCampaign reads, version 3 of
 // the VVD2 family only. Files in the retired v2 layout and in the retired,
 // unversioned v1 format ("VVDC" magic) are rejected with an error that asks
 // for the campaign to be regenerated.
@@ -33,17 +33,6 @@ func (c *Campaign) Save(w io.Writer) error {
 		}
 	}
 	return sw.Close()
-}
-
-// LoadCampaign reads a v3 campaign, rebuilding the simulation
-// objects from the stored configuration. It materializes every set; use
-// OpenCampaign to stream set-at-a-time instead.
-func LoadCampaign(r io.Reader) (*Campaign, error) {
-	cr, err := OpenCampaign(r)
-	if err != nil {
-		return nil, err
-	}
-	return cr.ReadSets(nil)
 }
 
 // rebuildShell reconstructs the simulation environment for a loaded

@@ -2,9 +2,20 @@ package dataset
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
+
+// loadCampaign decodes every stored set, the way vvd-train and vvd-eval
+// read a whole campaign.
+func loadCampaign(r io.Reader) (*Campaign, error) {
+	cr, err := OpenCampaign(r)
+	if err != nil {
+		return nil, err
+	}
+	return cr.ReadSets(nil)
+}
 
 func TestCampaignSaveLoadRoundTrip(t *testing.T) {
 	orig, err := Generate(smallConfig())
@@ -15,7 +26,7 @@ func TestCampaignSaveLoadRoundTrip(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCampaign(&buf)
+	loaded, err := loadCampaign(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +88,7 @@ func TestCampaignSaveLoadWithoutImages(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCampaign(&buf)
+	loaded, err := loadCampaign(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +107,7 @@ func TestLoadCampaignGarbage(t *testing.T) {
 		{"zero blob", make([]byte, 64), ""},
 		{"v1 magic", append([]byte{0x43, 0x44, 0x56, 0x56}, bytes.Repeat([]byte{0xa5}, 60)...), "v1"},
 	} {
-		_, err := LoadCampaign(bytes.NewReader(tc.data))
+		_, err := loadCampaign(bytes.NewReader(tc.data))
 		if err == nil {
 			t.Fatalf("%s accepted", tc.name)
 		}
@@ -116,7 +127,7 @@ func TestLoadCampaignTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := LoadCampaign(bytes.NewReader(data[:len(data)/2])); err == nil {
+	if _, err := loadCampaign(bytes.NewReader(data[:len(data)/2])); err == nil {
 		t.Fatal("truncated campaign accepted")
 	}
 }

@@ -25,9 +25,9 @@
 // per-array allocation) on little-endian machines — see cursor.
 //
 // The per-set framing is what makes the store streamable: a Reader decodes
-// one set at a time (O(one set) peak memory) and can skip a set it does
-// not need by its payload length without decoding a single packet — which
-// is also how `vvd-dataset -inspect` verifies checksums without decoding.
+// only the sets a caller keeps and skips the rest by their payload length
+// without decoding a single packet — which is also how `vvd-dataset
+// -inspect` verifies checksums without decoding.
 //
 // Versioning/compat policy: the magic word selects the decoder family
 // (only VVD2 is decoded; the retired v1 magic is refused by name), the
@@ -209,9 +209,9 @@ type SetInfo struct {
 	CRCOK        bool
 }
 
-// Reader streams a stored campaign set-at-a-time. Obtain one with
-// OpenCampaign; the header (config, set count) is available immediately,
-// sets are decoded on demand by NextSet/ReadSet/ReadSets.
+// Reader streams a stored campaign. Obtain one with OpenCampaign; the
+// header (config, set count) is available immediately, and ReadSets or
+// Inspect then walks the sets once.
 type Reader struct {
 	br      *bufio.Reader
 	version int
@@ -288,11 +288,10 @@ func (r *Reader) Config() Config { return r.cfg }
 // NumSets returns the number of stored measurement sets.
 func (r *Reader) NumSets() int { return r.numSets }
 
-// Shell rebuilds the simulation environment for the stored configuration:
-// a Campaign whose Sets slice has one empty placeholder per stored set.
-// Callers that stream sets can regenerate receptions against the shell
-// (ReceptionPacket) without ever materializing the full campaign.
-func (r *Reader) Shell() (*Campaign, error) {
+// shell rebuilds the simulation environment for the stored configuration:
+// a Campaign whose Sets slice has one empty placeholder per stored set,
+// against which receptions regenerate (ReceptionPacket).
+func (r *Reader) shell() (*Campaign, error) {
 	c, err := rebuildShell(r.cfg)
 	if err != nil {
 		return nil, err
@@ -439,54 +438,12 @@ func (r *Reader) verifyBody(hdr setHeader) (bool, error) {
 	return binary.LittleEndian.Uint32(trailer[:]) == sum, nil
 }
 
-// NextSet decodes the next stored set, returning io.EOF after the last.
-func (r *Reader) NextSet() (*Set, error) {
-	hdr, err := r.readSetHeader()
-	if err != nil {
-		return nil, err
-	}
-	return r.decodeBody(hdr)
-}
-
-// SkipSet discards the next stored set without decoding it, returning its
-// index.
-func (r *Reader) SkipSet() (int, error) {
-	hdr, err := r.readSetHeader()
-	if err != nil {
-		return 0, err
-	}
-	return hdr.index, r.skipBody(hdr)
-}
-
-// ReadSet scans forward for the set with the given 1-based index, skipping
-// (without decoding) every set before it. Peak memory is one decoded set.
-func (r *Reader) ReadSet(id int) (*Set, error) {
-	if id < 1 || id > r.numSets {
-		return nil, fmt.Errorf("dataset: set %d out of range (campaign has %d)", id, r.numSets)
-	}
-	for {
-		hdr, err := r.readSetHeader()
-		if err == io.EOF {
-			return nil, fmt.Errorf("dataset: set %d not found in stream", id)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if hdr.index == id {
-			return r.decodeBody(hdr)
-		}
-		if err := r.skipBody(hdr); err != nil {
-			return nil, err
-		}
-	}
-}
-
 // ReadSets materializes the remaining sets into a full Campaign. A non-nil
 // keep predicate selects which set indices to decode; the rest are skipped
 // and left as empty placeholders, so e.g. a training run can stream in
 // only a combination's training+validation sets. keep == nil decodes all.
 func (r *Reader) ReadSets(keep func(setID int) bool) (*Campaign, error) {
-	c, err := r.Shell()
+	c, err := r.shell()
 	if err != nil {
 		return nil, err
 	}

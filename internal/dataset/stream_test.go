@@ -76,7 +76,7 @@ func TestV2RoundTripFullConfig(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCampaign(&buf)
+	loaded, err := loadCampaign(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestV2RoundTripFullConfig(t *testing.T) {
 
 // goldenV3Config must stay frozen: testdata/campaign_v3.bin holds the
 // scripted-mobility campaign it generates. The fixture was first written in
-// the retired v1 format and converted to v3 by LoadCampaign+Save, so the
+// the retired v1 format and converted to v3 by a load and Save, so the
 // packets it pins have not changed since scripted mobility was introduced.
 func goldenV3Config() Config {
 	cfg := DefaultConfig()
@@ -161,7 +161,7 @@ func saveV2(t *testing.T, c *Campaign) []byte {
 	return buf.Bytes()
 }
 
-func TestStreamNextSetAndEOF(t *testing.T) {
+func TestStreamReadSetsSubset(t *testing.T) {
 	orig, err := Generate(smallConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -175,71 +175,6 @@ func TestStreamNextSetAndEOF(t *testing.T) {
 	}
 	if r.Config() != orig.Cfg {
 		t.Fatalf("header config mismatch")
-	}
-	for i := 0; i < len(orig.Sets); i++ {
-		set, err := r.NextSet()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if set.Index != i+1 || len(set.Packets) != len(orig.Sets[i].Packets) {
-			t.Fatalf("set %d shape mismatch", i)
-		}
-		if !reflect.DeepEqual(set.Packets, orig.Sets[i].Packets) {
-			t.Fatalf("set %d payload mismatch", i)
-		}
-	}
-	if _, err := r.NextSet(); err != io.EOF {
-		t.Fatalf("expected io.EOF, got %v", err)
-	}
-}
-
-func TestStreamSkipAndReadSet(t *testing.T) {
-	orig, err := Generate(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob := saveV2(t, orig)
-
-	r, err := OpenCampaign(bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx, err := r.SkipSet(); err != nil || idx != 1 {
-		t.Fatalf("SkipSet = %d, %v", idx, err)
-	}
-	set, err := r.NextSet()
-	if err != nil || set.Index != 2 {
-		t.Fatalf("NextSet after skip: %v, %v", set, err)
-	}
-
-	r, err = OpenCampaign(bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err = r.ReadSet(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(set.Packets, orig.Sets[2].Packets) {
-		t.Fatal("ReadSet(3) payload mismatch")
-	}
-	// The stream has been consumed past set 1.
-	if _, err := r.ReadSet(1); err == nil {
-		t.Fatal("expected backward ReadSet to fail")
-	}
-	if _, err := r.ReadSet(99); err == nil {
-		t.Fatal("expected out-of-range ReadSet to fail")
-	}
-}
-
-func TestStreamReadSetsSubset(t *testing.T) {
-	orig, err := Generate(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenCampaign(bytes.NewReader(saveV2(t, orig)))
-	if err != nil {
-		t.Fatal(err)
 	}
 	c, err := r.ReadSets(func(id int) bool { return id != 2 })
 	if err != nil {
@@ -268,7 +203,7 @@ func TestStreamShellEnvironment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shell, err := r.Shell()
+	shell, err := r.ReadSets(func(id int) bool { return id == 2 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,10 +218,10 @@ func TestStreamShellEnvironment(t *testing.T) {
 	}
 	// A streamed set decodes packets that regenerate identically via the
 	// shell, without the other sets ever being materialized.
-	set, err := r.ReadSet(2)
-	if err != nil {
-		t.Fatal(err)
+	if len(shell.Sets[0].Packets) != 0 || len(shell.Sets[2].Packets) != 0 {
+		t.Fatal("sets the filter skipped were decoded")
 	}
+	set := &shell.Sets[1]
 	_, _, _, recA, err := orig.Reception(2, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +252,7 @@ func TestV2CorruptionDetected(t *testing.T) {
 	for pos := 0; pos < len(blob); pos += step {
 		mut := append([]byte(nil), blob...)
 		mut[pos] ^= 0x5a
-		if _, err := LoadCampaign(bytes.NewReader(mut)); err == nil {
+		if _, err := loadCampaign(bytes.NewReader(mut)); err == nil {
 			t.Fatalf("byte flip at offset %d of %d went undetected", pos, len(blob))
 		}
 	}
@@ -335,7 +270,7 @@ func TestV2TruncationDetected(t *testing.T) {
 	blob := saveV2(t, orig)
 	cuts := []int{0, 1, 3, 7, 11, 40, len(blob) / 3, len(blob) / 2, len(blob) - 5, len(blob) - 1}
 	for _, cut := range cuts {
-		if _, err := LoadCampaign(bytes.NewReader(blob[:cut])); err == nil {
+		if _, err := loadCampaign(bytes.NewReader(blob[:cut])); err == nil {
 			t.Fatalf("truncation to %d of %d bytes went undetected", cut, len(blob))
 		}
 	}
@@ -522,31 +457,8 @@ func BenchmarkCampaignLoad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LoadCampaign(bytes.NewReader(v2)); err != nil {
+		if _, err := loadCampaign(bytes.NewReader(v2)); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCampaignStream measures the set-at-a-time path every streaming
-// consumer uses: decode one set, drop it, move on — peak live memory is
-// one set regardless of campaign size.
-func BenchmarkCampaignStream(b *testing.B) {
-	_, v2 := benchCampaign(b)
-	b.SetBytes(int64(len(v2)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := OpenCampaign(bytes.NewReader(v2))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for {
-			if _, err := r.NextSet(); err == io.EOF {
-				break
-			} else if err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }
@@ -609,7 +521,7 @@ func TestV2RejectsNaNCIR(t *testing.T) {
 	if err := c.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	_, err = LoadCampaign(&buf)
+	_, err = loadCampaign(&buf)
 	if err == nil || !strings.Contains(err.Error(), "NaN") {
 		t.Fatalf("expected NaN rejection, got %v", err)
 	}

@@ -1,7 +1,7 @@
 // Package dsp provides the signal-processing primitives shared by the PHY
-// and the channel simulator: complex convolution and FIR filtering,
-// cross-correlation, band-limited fractional-delay kernels, additive white
-// Gaussian noise, and power/SNR utilities.
+// and the channel simulator: complex convolution, cross-correlation,
+// band-limited fractional-delay kernels, the half-sine chip pulse, additive
+// white Gaussian noise, and power/SNR utilities.
 package dsp
 
 import (
@@ -71,33 +71,6 @@ func ConvolveTo(dst, x, h []complex128) {
 		dst[i] = 0
 	}
 	directConvolve(dst, x, h)
-}
-
-// FilterSame applies FIR taps h to x and returns the "same"-length output:
-// out[n] = Σ h[k]·x[n−k], with x treated as zero outside its bounds.
-// This equals the first len(x) samples of the full convolution, so it
-// shares Convolve's FFT fast path above the size cutoff.
-func FilterSame(x, h []complex128) []complex128 {
-	if len(x) == 0 {
-		return nil
-	}
-	if len(h) == 0 {
-		return make([]complex128, len(x))
-	}
-	if len(x) >= FFTMinOverlap && len(h) >= FFTMinOverlap {
-		return fft.Convolve(x, h)[:len(x)]
-	}
-	out := make([]complex128, len(x))
-	for n := range x {
-		var s complex128
-		for k, hv := range h {
-			if idx := n - k; idx >= 0 && idx < len(x) {
-				s += hv * x[idx]
-			}
-		}
-		out[n] = s
-	}
-	return out
 }
 
 // CrossCorrelate computes c[lag] = Σ_n x[n+lag]·conj(ref[n]) for
@@ -197,27 +170,16 @@ func SNRdB(clean, noisy []complex128) float64 {
 	return 10 * math.Log10(sig/err)
 }
 
-// FractionalDelayKernel returns an n-tap windowed-sinc interpolation kernel
-// that realizes a delay of `delay` samples (may be fractional) with the
-// kernel's reference (zero-delay) position at index `center`. Projecting a
-// continuous-delay multipath component through this kernel is what spreads
-// its energy across neighbouring FIR taps, producing the pre-cursor leakage
-// visible in the paper's Fig. 5.
+// FractionalDelayKernelInto fills dst with a len(dst)-tap windowed-sinc
+// interpolation kernel that realizes a delay of `delay` samples (may be
+// fractional) with the kernel's reference (zero-delay) position at index
+// `center`. Projecting a continuous-delay multipath component through this
+// kernel is what spreads its energy across neighbouring FIR taps, producing
+// the pre-cursor leakage visible in the paper's Fig. 5. Per-path projection
+// loops reuse one kernel buffer instead of allocating per path.
 //
 // A Hann window bounds the sinc side lobes so truncation artifacts stay well
 // below the dominant taps.
-func FractionalDelayKernel(n, center int, delay float64) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	FractionalDelayKernelInto(out, center, delay)
-	return out
-}
-
-// FractionalDelayKernelInto fills dst with the windowed-sinc kernel of
-// FractionalDelayKernel (n = len(dst)), letting per-path projection loops
-// reuse one kernel buffer instead of allocating per path.
 func FractionalDelayKernelInto(dst []float64, center int, delay float64) {
 	if center < 0 {
 		center = 0
@@ -244,46 +206,16 @@ func hann(t, n float64) float64 {
 	return 0.5 * (1 + math.Cos(2*math.Pi*t/n))
 }
 
-// Upsample inserts factor−1 zeros between samples (zero-order expansion
-// without interpolation filtering).
-func Upsample(x []complex128, factor int) []complex128 {
-	if factor <= 1 {
-		out := make([]complex128, len(x))
-		copy(out, x)
-		return out
-	}
-	out := make([]complex128, len(x)*factor)
-	for i, v := range x {
-		out[i*factor] = v
-	}
-	return out
-}
-
-// Downsample keeps every factor-th sample starting at offset.
-func Downsample(x []complex128, factor, offset int) []complex128 {
-	if factor <= 0 {
-		panic("dsp: Downsample factor must be positive")
-	}
-	if offset < 0 {
-		offset = 0
-	}
-	var out []complex128
-	for i := offset; i < len(x); i += factor {
-		out = append(out, x[i])
-	}
-	return out
-}
-
-// HalfSinePulse returns the O-QPSK half-sine chip pulse sampled at sps
-// samples per chip: p[k] = sin(π·k/sps) for k = 0..sps−1 (IEEE 802.15.4
+// HalfSinePulse returns the O-QPSK half-sine pulse sampled at n points
+// over its duration: p[k] = sin(π·k/n) for k = 0..n−1 (IEEE 802.15.4
 // O-QPSK PHY pulse shape).
-func HalfSinePulse(sps int) []float64 {
-	if sps <= 0 {
-		panic("dsp: HalfSinePulse needs sps > 0")
+func HalfSinePulse(n int) []float64 {
+	if n <= 0 {
+		panic("dsp: HalfSinePulse needs n > 0")
 	}
-	p := make([]float64, sps)
+	p := make([]float64, n)
 	for k := range p {
-		p[k] = math.Sin(math.Pi * float64(k) / float64(sps))
+		p[k] = math.Sin(math.Pi * float64(k) / float64(n))
 	}
 	return p
 }

@@ -9,10 +9,9 @@ import (
 )
 
 // The FFT fast paths must agree with the direct definitions within float
-// tolerance at every length — including primes (Bluestein territory for
-// the transform, odd padding for the helpers) and lengths straddling the
-// FFTMinOverlap cutoff — and must preserve the argmax of a sync
-// correlation exactly.
+// tolerance at every length — including primes (odd padding) and lengths
+// straddling the FFTMinOverlap cutoff — and must preserve the argmax of a
+// sync correlation exactly.
 
 func randSignal(rng *rand.Rand, n int) []complex128 {
 	x := make([]complex128, n)
@@ -47,20 +46,6 @@ func directCrossCorrelateRef(x, ref []complex128) []complex128 {
 			s += x[lag+n] * cmplx.Conj(rv)
 		}
 		out[lag] = s
-	}
-	return out
-}
-
-func directFilterSameRef(x, h []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	for n := range x {
-		var s complex128
-		for k, hv := range h {
-			if idx := n - k; idx >= 0 && idx < len(x) {
-				s += hv * x[idx]
-			}
-		}
-		out[n] = s
 	}
 	return out
 }
@@ -101,14 +86,6 @@ func TestConvolveFFTMatchesDirectProperty(t *testing.T) {
 		dst := make([]complex128, len(x)+len(h)-1)
 		ConvolveTo(dst, x, h)
 		closeEnough(t, "ConvolveTo", dst, directConvolveRef(x, h))
-	}
-}
-
-func TestFilterSameFFTMatchesDirectProperty(t *testing.T) {
-	rng := rand.New(rand.NewPCG(101, 201))
-	for _, ln := range propertyLengths {
-		x, h := randSignal(rng, ln[0]), randSignal(rng, ln[1])
-		closeEnough(t, "FilterSame", FilterSame(x, h), directFilterSameRef(x, h))
 	}
 }
 

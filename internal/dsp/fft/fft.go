@@ -1,13 +1,12 @@
-// Package fft implements the fast Fourier transforms backing the dsp
+// Package fft implements the fast Fourier transform backing the dsp
 // package's fast convolution and correlation paths: an iterative in-place
-// radix-2 Cooley-Tukey transform for power-of-two lengths and Bluestein's
-// chirp-z algorithm for arbitrary lengths (including primes).
+// radix-2 Cooley-Tukey transform over power-of-two lengths, to which both
+// helpers zero-pad.
 //
-// Plans (twiddle factors, bit-reversal permutations, chirp sequences) are
-// computed once per size and cached in a process-wide table; they are
-// immutable after construction and safe for concurrent use. Scratch
-// buffers are pooled so steady-state transforms allocate only their
-// output.
+// Plans (twiddle factors, bit-reversal permutations) are computed once per
+// size and cached in a process-wide table; they are immutable after
+// construction and safe for concurrent use. Scratch buffers are pooled so
+// steady-state transforms allocate only their output.
 package fft
 
 import (
@@ -56,9 +55,6 @@ func newPlan(n int) *Plan {
 	}
 	return &Plan{n: n, logN: logN, rev: rev, twiddle: tw}
 }
-
-// N returns the transform size of the plan.
-func (p *Plan) N() int { return p.n }
 
 // Forward computes the in-place DFT of x (len(x) must equal p.N()).
 func (p *Plan) Forward(x []complex128) {
@@ -203,40 +199,5 @@ func CrossCorrelate(x, ref []complex128) []complex128 {
 	copy(out, a[m-1:m-1+outLen])
 	putBuf(a)
 	putBuf(b)
-	return out
-}
-
-// Transform returns the n-point DFT of x for any length n: radix-2 for
-// powers of two, Bluestein's chirp-z algorithm otherwise. The input is not
-// modified.
-func Transform(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	out := make([]complex128, n)
-	copy(out, x)
-	if n&(n-1) == 0 {
-		PlanFor(n).Forward(out)
-		return out
-	}
-	bluesteinFor(n).transform(out, false)
-	return out
-}
-
-// InverseTransform returns the n-point inverse DFT of x (scaled by 1/n)
-// for any length n. The input is not modified.
-func InverseTransform(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	out := make([]complex128, n)
-	copy(out, x)
-	if n&(n-1) == 0 {
-		PlanFor(n).Inverse(out)
-		return out
-	}
-	bluesteinFor(n).transform(out, true)
 	return out
 }

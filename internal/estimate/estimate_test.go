@@ -206,15 +206,15 @@ func TestEstimateCFOZeroOnShortInput(t *testing.T) {
 
 func TestBoxcarAveraging(t *testing.T) {
 	x := []complex128{4, 8, 12, 16}
-	out := Boxcar(x, 2)
+	out := boxcarInto(make([]complex128, len(x)), x, 2)
 	// out[i] is the mean of the last 2 samples (ramp-up at i=0).
 	if out[1] != 6 || out[2] != 10 || out[3] != 14 {
 		t.Fatalf("boxcar = %v", out)
 	}
-	cp := Boxcar(x, 1)
+	cp := boxcarInto(make([]complex128, len(x)), x, 1)
 	cp[0] = 99
 	if x[0] == 99 {
-		t.Fatal("Boxcar(n=1) aliased input")
+		t.Fatal("boxcarInto(n=1) aliased input")
 	}
 }
 

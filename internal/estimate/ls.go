@@ -286,16 +286,11 @@ func EstimateCFO(rx []complex128, lag, start, span int, fs float64) float64 {
 	return cmplx.Phase(acc) * fs / (2 * math.Pi * float64(lag))
 }
 
-// Boxcar applies an n-sample moving-average prefilter. The O-QPSK signal
+// boxcarInto writes the n-sample moving average of x into dst (len(dst)
+// must equal len(x); dst must not alias x unless n ≤ 1). The O-QPSK signal
 // occupies only the lower quarter of the 8 MHz capture bandwidth, so a
 // short boxcar suppresses out-of-band noise ahead of CFO estimation
 // without distorting the periodicity.
-func Boxcar(x []complex128, n int) []complex128 {
-	return boxcarInto(make([]complex128, len(x)), x, n)
-}
-
-// boxcarInto is Boxcar writing into dst (len(dst) must equal len(x); dst
-// must not alias x unless n ≤ 1).
 func boxcarInto(dst, x []complex128, n int) []complex128 {
 	if n <= 1 {
 		copy(dst, x)

@@ -9,7 +9,6 @@ package kalman
 import (
 	"errors"
 	"fmt"
-	"math/cmplx"
 
 	"vvd/internal/mathx"
 )
@@ -323,16 +322,4 @@ func Norm2Error(a, b []complex128) float64 {
 		s += real(d)*real(d) + imag(d)*imag(d)
 	}
 	return s
-}
-
-// MaxAbsTap returns the largest tap magnitude, useful for sanity checks on
-// predicted CIRs before equalization.
-func MaxAbsTap(h []complex128) float64 {
-	var m float64
-	for _, c := range h {
-		if a := cmplx.Abs(c); a > m {
-			m = a
-		}
-	}
-	return m
 }

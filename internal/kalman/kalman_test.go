@@ -308,15 +308,6 @@ func TestKalmanOnSimulatedChannelSeries(t *testing.T) {
 	}
 }
 
-func TestMaxAbsTap(t *testing.T) {
-	if MaxAbsTap([]complex128{1, -3i, 2}) != 3 {
-		t.Fatal("MaxAbsTap wrong")
-	}
-	if MaxAbsTap(nil) != 0 {
-		t.Fatal("MaxAbsTap(nil) must be 0")
-	}
-}
-
 func TestNorm2Error(t *testing.T) {
 	got := Norm2Error([]complex128{1, 2}, []complex128{1, 2 + 1i})
 	if math.Abs(got-1) > 1e-12 {

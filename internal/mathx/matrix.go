@@ -11,7 +11,6 @@ package mathx
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/cmplx"
 )
 
@@ -73,22 +72,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []complex128 {
-	r := make([]complex128, m.Cols)
-	copy(r, m.Data[i*m.Cols:(i+1)*m.Cols])
-	return r
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []complex128 {
-	c := make([]complex128, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		c[i] = m.At(i, j)
-	}
-	return c
-}
-
 // Hermitian returns the conjugate transpose mᴴ.
 func (m *Matrix) Hermitian() *Matrix {
 	h := NewMatrix(m.Cols, m.Rows)
@@ -98,17 +81,6 @@ func (m *Matrix) Hermitian() *Matrix {
 		}
 	}
 	return h
-}
-
-// Transpose returns mᵀ without conjugation.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
 }
 
 // Mul returns m·b.
@@ -407,15 +379,6 @@ func MaxAbs(v []complex128) float64 {
 		}
 	}
 	return max
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []complex128) float64 {
-	var s float64
-	for _, c := range v {
-		s += real(c)*real(c) + imag(c)*imag(c)
-	}
-	return math.Sqrt(s)
 }
 
 // Dot returns the inner product Σ a[i]·conj(b[i]) (a correlates with b).

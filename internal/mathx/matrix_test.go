@@ -1,7 +1,6 @@
 package mathx
 
 import (
-	"math"
 	"math/cmplx"
 	"math/rand/v2"
 	"testing"
@@ -84,16 +83,6 @@ func TestCloneIndependence(t *testing.T) {
 	cEq(t, m.At(0, 0), 1, "original unchanged after clone mutation")
 }
 
-func TestRowColCopies(t *testing.T) {
-	m := FromRows([][]complex128{{1, 2}, {3, 4}})
-	r := m.Row(0)
-	r[0] = 99
-	cEq(t, m.At(0, 0), 1, "Row returns a copy")
-	c := m.Col(1)
-	cEq(t, c[0], 2, "Col(1)[0]")
-	cEq(t, c[1], 4, "Col(1)[1]")
-}
-
 func TestHermitian(t *testing.T) {
 	m := FromRows([][]complex128{{1 + 1i, 2}, {3, 4 - 2i}, {5i, 6}})
 	h := m.Hermitian()
@@ -111,13 +100,6 @@ func TestHermitianInvolution(t *testing.T) {
 	for i := range m.Data {
 		cEq(t, hh.Data[i], m.Data[i], "(Aᴴ)ᴴ = A")
 	}
-}
-
-func TestTranspose(t *testing.T) {
-	m := FromRows([][]complex128{{1 + 1i, 2}, {3, 4}})
-	tr := m.Transpose()
-	cEq(t, tr.At(0, 0), 1+1i, "no conjugation in transpose")
-	cEq(t, tr.At(1, 0), 2, "(1,0)")
 }
 
 func TestMul(t *testing.T) {
@@ -319,8 +301,12 @@ func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 	for i := range b {
 		res[i] = b[i] - ax[i]
 	}
+	col := make([]complex128, a.Rows)
 	for j := 0; j < a.Cols; j++ {
-		if d := cmplx.Abs(Dot(a.Col(j), res)); d > 1e-6 {
+		for i := range col {
+			col[i] = a.At(i, j)
+		}
+		if d := cmplx.Abs(Dot(col, res)); d > 1e-6 {
 			t.Fatalf("residual not orthogonal to column %d: |dot| = %g", j, d)
 		}
 	}
@@ -393,12 +379,6 @@ func TestMaxAbs(t *testing.T) {
 	}
 	if got := MaxAbs(nil); got != 0 {
 		t.Fatalf("MaxAbs(nil) = %v want 0", got)
-	}
-}
-
-func TestNorm2(t *testing.T) {
-	if got := Norm2([]complex128{3, 4i}); math.Abs(got-5) > tol {
-		t.Fatalf("Norm2 = %v want 5", got)
 	}
 }
 

@@ -80,29 +80,3 @@ func YuleWalker(x []complex128, p int) (phi []complex128, noiseVar float64, err 
 	}
 	return phi, v, nil
 }
-
-// Mean returns the arithmetic mean of a real series (0 for empty input).
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s / float64(len(x))
-}
-
-// Variance returns the population variance of a real series.
-func Variance(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m := Mean(x)
-	var s float64
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(x))
-}

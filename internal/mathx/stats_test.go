@@ -150,16 +150,3 @@ func TestYuleWalkerNoiseVarianceNonNegativeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMeanVariance(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	if m := Mean(x); math.Abs(m-2.5) > tol {
-		t.Fatalf("Mean = %v", m)
-	}
-	if v := Variance(x); math.Abs(v-1.25) > tol {
-		t.Fatalf("Variance = %v", v)
-	}
-	if Mean(nil) != 0 || Variance(nil) != 0 {
-		t.Fatal("empty-input mean/variance should be 0")
-	}
-}

@@ -18,12 +18,7 @@ type Modulator struct {
 func NewModulator() *Modulator {
 	// The O-QPSK pulse spans two chip periods (each rail runs at half the
 	// chip rate); sampled at SamplesPerChip per chip that is 2·SPS samples.
-	n := 2 * SamplesPerChip
-	p := make([]float64, n)
-	for k := range p {
-		p[k] = math.Sin(math.Pi * float64(k) / float64(n))
-	}
-	return &Modulator{pulse: p}
+	return &Modulator{pulse: dsp.HalfSinePulse(2 * SamplesPerChip)}
 }
 
 // WaveformLen returns the number of complex samples produced for nchips.
@@ -135,12 +130,10 @@ func MatchedChips(soft []float64, x []complex128, rot complex128, rotate bool) {
 // matchedPulse returns the cached half-sine matched-filter taps and their
 // energy (built once; the pulse shape is a PHY constant).
 var matchedPulse = sync.OnceValues(func() ([]float64, float64) {
-	n := 2 * SamplesPerChip
-	pulse := make([]float64, n)
+	pulse := dsp.HalfSinePulse(2 * SamplesPerChip)
 	var energy float64
-	for k := range pulse {
-		pulse[k] = math.Sin(math.Pi * float64(k) / float64(n))
-		energy += pulse[k] * pulse[k]
+	for _, p := range pulse {
+		energy += p * p
 	}
 	return pulse, energy
 })

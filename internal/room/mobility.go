@@ -181,9 +181,6 @@ func (c *Crowd) collides(p Vec3, self int) bool {
 	return false
 }
 
-// Len returns the number of walkers.
-func (c *Crowd) Len() int { return len(c.walkers) }
-
 // Positions appends the current walker positions to dst and returns it.
 func (c *Crowd) Positions(dst []Vec3) []Vec3 {
 	for _, w := range c.walkers {

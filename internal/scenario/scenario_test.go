@@ -192,7 +192,11 @@ func TestScenarioRoundTripsStore(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := dataset.LoadCampaign(bytes.NewReader(buf.Bytes()))
+	r, err := dataset.OpenCampaign(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := r.ReadSets(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -338,26 +338,6 @@ func (r *Registry) List() ([]Manifest, error) {
 	return out, nil
 }
 
-// Versions returns a name's version history, oldest first (the last
-// entry is @latest).
-func (r *Registry) Versions(name string) ([]string, error) {
-	if err := validName(name); err != nil {
-		return nil, err
-	}
-	data, err := r.kv.Get(tagPrefix + name)
-	if isNotFound(err) {
-		return nil, fmt.Errorf("registry: no model named %q", name)
-	}
-	if err != nil {
-		return nil, err
-	}
-	var tag tagFile
-	if err := json.Unmarshal(data, &tag); err != nil {
-		return nil, fmt.Errorf("registry: corrupt tag %s: %w", name, err)
-	}
-	return tag.History, nil
-}
-
 // IsRef reports whether a CLI -model argument addresses the registry
 // ("name@version") rather than a file path.
 func IsRef(s string) bool { return strings.Contains(s, "@") }
