@@ -4,7 +4,7 @@
 // log-structured KV (wal.go) — append-only WAL segments of
 // length-prefixed CRC-32C batches, with crash recovery that truncates
 // the torn tail and replays every committed batch. One process owns a
-// KV directory at a time (an flock on its LOCK file).
+// KV directory at a time (an flock on the directory itself).
 //
 // The model registry (store/registry) runs on the KV. The measured cost
 // of a committed put is pinned in EXPERIMENTS.md ("Storage backends").

@@ -25,10 +25,12 @@
 // no values.
 //
 // One process owns a directory at a time: OpenKV takes an exclusive,
-// non-blocking flock on the directory's LOCK file and holds it until
-// Close, so a second opener (which would replay, and might truncate, a
-// log another writer is appending to) is refused. The kernel drops the
-// lock when its process dies, so recovery after a crash needs no cleanup.
+// non-blocking flock on the directory itself and holds it until Close, so
+// a second opener (which would replay, and might truncate, a log another
+// writer is appending to) is refused. The kernel drops the lock when its
+// process dies, so recovery after a crash needs no cleanup. Opening writes
+// nothing into a directory that holds no log: the first Apply creates
+// segment 1.
 //
 // Crash recovery (OpenKV) replays segments in order, CRC-checking every
 // record. A record that runs past the end of the file, has a truncated
@@ -126,7 +128,7 @@ type kvEntry struct {
 type KV struct {
 	dir  string
 	opts KVOptions
-	lock *os.File // LOCK, flocked until Close
+	lock *os.File // the directory, flocked until Close
 
 	mu         sync.Mutex
 	index      map[string]kvEntry
@@ -169,13 +171,12 @@ func OpenKV(dir string, opts KVOptions) (*KV, error) {
 	return kv, nil
 }
 
-// lockDir takes dir's owner lock: an exclusive, non-blocking flock on
-// dir/LOCK. The lock lives as long as the returned file stays open.
+// lockDir takes dir's owner lock: an exclusive, non-blocking flock on the
+// directory itself. The lock lives as long as the returned file stays open.
 func lockDir(dir string) (*os.File, error) {
-	name := filepath.Join(dir, "LOCK")
-	f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.Open(dir)
 	if err != nil {
-		return nil, fmt.Errorf("store: opening lock file %s: %w", name, err)
+		return nil, fmt.Errorf("store: opening wal dir %s: %w", dir, err)
 	}
 	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
 		f.Close()
@@ -185,7 +186,8 @@ func lockDir(dir string) (*os.File, error) {
 }
 
 // replay rebuilds the index from the segments on disk and activates the
-// last one for appending (creating segment 1 in an empty directory).
+// last one for appending. An empty directory stays empty: the first Apply
+// creates segment 1.
 func (kv *KV) replay() error {
 	ids, err := kv.segmentIDs()
 	if err != nil {
@@ -198,7 +200,7 @@ func (kv *KV) replay() error {
 	}
 	kv.recovery.Segments = len(ids)
 	if len(ids) == 0 {
-		return kv.createSegment(1)
+		return nil
 	}
 	last := ids[len(ids)-1]
 	f := kv.segs[last]
@@ -222,7 +224,8 @@ func (kv *KV) segName(id int) string {
 }
 
 // segmentIDs lists the existing segment files in replay order. Names
-// outside the wal-* pattern (the LOCK file) are not segments.
+// outside the wal-* pattern (such as the LOCK file earlier releases
+// flocked) are not segments.
 func (kv *KV) segmentIDs() ([]int, error) {
 	entries, err := os.ReadDir(kv.dir)
 	if err != nil {
@@ -528,6 +531,11 @@ func (kv *KV) Apply(ops []Op) error {
 	}
 	if kv.wErr != nil {
 		return fmt.Errorf("store: wal writer poisoned by earlier failure (reopen to recover): %w", kv.wErr)
+	}
+	if kv.active == nil {
+		if err := kv.createSegment(kv.activeID + 1); err != nil {
+			return err
+		}
 	}
 	base := kv.activeSize
 	if _, err := kv.activeW.Write(record); err != nil {

@@ -582,6 +582,40 @@ func TestKVLockOneOwner(t *testing.T) {
 	mustGet(t, kv2, "models/x", strings.Repeat("A", 100))
 }
 
+// TestKVOpenWritesNothing pins that a reader leaves a directory as it
+// found it: opening, reading and closing a KV over an empty directory
+// creates no file, so neither does a registry reader given one. The first
+// Apply creates segment 1 through the rotation path.
+func TestKVOpenWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	kv := openKVT(t, dir, KVOptions{})
+	mustAbsent(t, kv, "tags/x")
+	if keys, err := kv.List(""); err != nil || len(keys) != 0 {
+		t.Fatalf("List on an empty store = %v, %v", keys, err)
+	}
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("open/close of an empty store left %v (%v)", entries, err)
+	}
+
+	kv = openKVT(t, dir, KVOptions{})
+	if err := kv.PutValue("k1", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 1 || entries[0].Name() != "wal-00000001.seg" {
+		t.Fatalf("after the first Apply the directory holds %v (%v), want wal-00000001.seg only", entries, err)
+	}
+	kv = openKVT(t, dir, KVOptions{})
+	defer kv.Close()
+	mustGet(t, kv, "k1", "v1")
+}
+
 // ---- benchmarks: the durability price list EXPERIMENTS.md pins ----
 
 func BenchmarkStorePut(b *testing.B) {
@@ -602,24 +636,20 @@ func BenchmarkStorePut(b *testing.B) {
 }
 
 // BenchmarkKVReplay reopens a log of 1,000 single-put records of 4 KiB.
-// The records are appended to the segment directly (the writer's framing,
+// The segment is written directly (the writer's header and framing,
 // without a thousand fsyncs to build the fixture).
 func BenchmarkKVReplay(b *testing.B) {
 	dir := b.TempDir()
-	kv, err := OpenKV(dir, KVOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := kv.Close(); err != nil {
-		b.Fatal(err)
-	}
 	val := strings.Repeat("v", 4096)
 	const keys = 1000
-	var log []byte
+	log := binary.LittleEndian.AppendUint32(nil, kvMagic)
+	log = binary.LittleEndian.AppendUint32(log, kvVersion)
 	for i := 0; i < keys; i++ {
 		log = append(log, kvRecord(kvPutPayload(fmt.Sprintf("k%04d", i), val))...)
 	}
-	appendToFile(b, filepath.Join(dir, "wal-00000001.seg"), log)
+	if err := os.WriteFile(filepath.Join(dir, "wal-00000001.seg"), log, 0o644); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		kv, err := OpenKV(dir, KVOptions{})
