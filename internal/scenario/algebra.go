@@ -57,7 +57,7 @@ func Occupancy(n int) Combinator {
 func Mobility(speed float64) Combinator {
 	return Combinator{
 		Axis:  "speed",
-		Value: fmt.Sprintf("%.2gms", speed),
+		Value: fmt.Sprintf("%gms", speed),
 		apply: func(cfg *dataset.Config) { cfg.Mobility = room.MobilityConfig{SpeedMin: speed, SpeedMax: speed} },
 	}
 }

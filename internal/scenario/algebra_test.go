@@ -57,6 +57,12 @@ func TestComposeNamesAndSemantics(t *testing.T) {
 	if base := scenario.Compose(); base.Name != "base" {
 		t.Fatalf("empty composition named %q", base.Name)
 	}
+
+	// The name states the speed the walkers run, at the 0.01 m/s grid
+	// Random draws on.
+	if got := scenario.Mobility(1.35).String(); got != "speed1.35ms" {
+		t.Fatalf("Mobility(1.35) named %q", got)
+	}
 }
 
 // TestGridExpansion pins the cross product: row-major order, one composed
