@@ -33,9 +33,9 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "master random seed")
 		noImages  = flag.Bool("no-images", false, "skip depth image rendering")
 		scripted  = flag.Bool("scripted", false, "use the deterministic LoS-crossing trajectory")
-		snr       = flag.Float64("snr", 0, "override clear-channel SNR in dB (0 = default)")
-		occupants = flag.Int("occupants", 0, "people in the room (0 = the paper's single human, N > 1 = N collision-avoiding walkers, -1 = empty room)")
-		preset    = flag.String("scenario", "", "apply a scenario preset (see -list-scenarios); -scripted/-snr/-occupants further shape it (non-zero/true values win over the preset; zero/false keep it)")
+		snr       = flag.Float64("snr", 0, "clear-channel SNR in dB (unset keeps the preset's or the default)")
+		occupants = flag.Int("occupants", 0, "people in the room: 0 empties it, 1 is the paper's single walker, N > 1 is N collision-avoiding walkers (unset keeps the preset's or the default single walker)")
+		preset    = flag.String("scenario", "", "apply a scenario preset (see -list-scenarios); -scripted, -snr and -occupants, when given, apply after it and extend its name (-scenario low-snr -occupants 2 is low-snr+occ2)")
 		random    = flag.Uint64("random-scenario", 0, "draw a bounded random scenario from this seed instead of -scenario (the same seed always draws the same world; the provenance name records every axis)")
 		list      = flag.Bool("list-scenarios", false, "list the scenario presets and exit")
 		workers   = flag.Int("workers", 0, "parallel generation workers (0 = one per core, 1 = sequential; output is identical for any value)")
@@ -75,15 +75,20 @@ func main() {
 	cfg.Seed = *seed
 	cfg.RenderImages = !*noImages
 	cfg.Workers = *workers
-	if *scripted {
-		cfg.Scripted = true
-	}
-	if *occupants != 0 {
-		cfg.Occupants = *occupants
-	}
-	if *snr != 0 {
-		cfg.Imp.SNRdB = *snr
-	}
+	// Only the world flags given on the command line apply, so a zero value
+	// (-snr 0, -occupants 0) is a setting, not "keep the default".
+	var world []scenario.Combinator
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case f.Name == "occupants":
+			world = append(world, scenario.Occupancy(*occupants))
+		case f.Name == "scripted" && *scripted:
+			world = append(world, scenario.ScriptedCrossing())
+		case f.Name == "snr":
+			world = append(world, scenario.SNR(*snr))
+		}
+	})
+	cfg = scenario.Extend(cfg, world...)
 
 	fmt.Printf("generating campaign: %d sets x %d packets, PSDU %d bytes, images=%v, occupants=%d",
 		cfg.Sets, cfg.PacketsPerSet, cfg.PSDULen, cfg.RenderImages, cfg.NumOccupants())

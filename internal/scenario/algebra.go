@@ -118,6 +118,24 @@ func Compose(cs ...Combinator) Scenario {
 	return Scenario{Name: name, Description: "composed: " + name, cs: slices.Clone(cs)}
 }
 
+// Extend runs cs over a configuration some scenario (or none) already
+// shaped and appends their fragments to its stamped name, so the name still
+// states every combinator applied: "low-snr" extended by Occupancy(2) is
+// "low-snr+occ2", an unnamed configuration extended by SNR(0) is "snr0dB".
+// With no combinators cfg is returned unchanged.
+func Extend(cfg dataset.Config, cs ...Combinator) dataset.Config {
+	if len(cs) == 0 {
+		return cfg
+	}
+	base := cfg.Scenario
+	s := Compose(cs...)
+	cfg = s.Apply(cfg)
+	if base != "" {
+		cfg.Scenario = base + "+" + s.Name
+	}
+	return cfg
+}
+
 // Grid is the cross product of two rendered axes over an optional fixed
 // context: Scenarios expands Rows × Cols (row-major, deterministic order)
 // into composed scenarios, one per cell.

@@ -159,6 +159,27 @@ func TestComposeZeroApplies(t *testing.T) {
 	}
 }
 
+// TestExtend pins how vvd-dataset's world flags act on a preset: they
+// apply after it, zero values included, and the stamped name grows by
+// their fragments.
+func TestExtend(t *testing.T) {
+	low, err := scenario.Resolve("low-snr", tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := scenario.Extend(low, scenario.Occupancy(2))
+	if c.Scenario != "low-snr+occ2" || c.Occupants != 2 || c.Imp.SNRdB != 7 {
+		t.Fatalf("low-snr extended by occ2: %q, %d occupants at %g dB", c.Scenario, c.Occupants, c.Imp.SNRdB)
+	}
+	c = scenario.Extend(tinyConfig(), scenario.SNR(0), scenario.Occupancy(0))
+	if c.Scenario != "snr0dB+occ0" || c.Imp.SNRdB != 0 || c.NumOccupants() != 0 {
+		t.Fatalf("unnamed config extended by snr0dB+occ0: %q, %d people at %g dB", c.Scenario, c.NumOccupants(), c.Imp.SNRdB)
+	}
+	if c := scenario.Extend(low); c != low {
+		t.Fatalf("Extend with no combinators changed the config: %+v", c)
+	}
+}
+
 // TestNamesIgnoreComposedScenarios pins that composing, expanding a grid
 // and drawing random worlds leave the preset catalogue alone: Names lists
 // the nine built-in presets and nothing else, however many scenarios the
