@@ -11,7 +11,8 @@
 //
 //	-list         print the analyzers and exit
 //	-run regexp   run only analyzers whose name matches
-//	-tests=false  skip _test.go files and external test packages
+//
+// _test.go files and external test packages are always linted.
 package main
 
 import (
@@ -26,7 +27,6 @@ import (
 func main() {
 	list := flag.Bool("list", false, "print the analyzers and exit")
 	run := flag.String("run", "", "run only analyzers whose name matches this regexp")
-	tests := flag.Bool("tests", true, "also lint _test.go files and external test packages")
 	flag.Parse()
 
 	analyzers := lint.All()
@@ -53,7 +53,7 @@ func main() {
 		analyzers = keep
 	}
 
-	pkgs, err := lint.Load(lint.Config{Patterns: flag.Args(), Tests: *tests})
+	pkgs, err := lint.Load(lint.Config{Patterns: flag.Args()})
 	if err != nil {
 		fatal(err)
 	}

@@ -13,8 +13,8 @@
 // The router itself serves the wire protocol, so clients (vvd-load, or
 // any wire.Client) cannot tell a router from a single backend — the
 // cluster is one big vvd-serve. Every request for a link lands on the
-// same shard (consistent hashing by link id over -vnodes virtual nodes
-// per backend); a dead shard's links fail over to their ring successor
+// same shard (consistent hashing by link id over 64 virtual nodes per
+// backend); a dead shard's links fail over to their ring successor
 // and come home when the shard's health probes recover.
 //
 // An optional admin endpoint (-admin) serves:
@@ -43,21 +43,15 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":9990", "wire protocol listen address")
 		backends = flag.String("backends", "", "comma-separated backend wire addresses (host:port)")
-		vnodes   = flag.Int("vnodes", 64, "virtual nodes per backend on the hash ring")
-		conns    = flag.Int("conns", 2, "pooled connections per backend")
 		inflight = flag.Int("inflight", 128, "max in-flight requests per backend (beyond: shed)")
 		health   = flag.Duration("health", time.Second, "health probe interval (0 disables)")
-		fails    = flag.Int("health-failures", 3, "consecutive probe failures before a backend leaves rotation")
 		admin    = flag.String("admin", "", "admin HTTP listen address for /shardz (empty = disabled)")
 	)
 	flag.Parse()
 
 	cfg := shard.Config{
-		VNodes:         *vnodes,
-		Conns:          *conns,
 		MaxInflight:    *inflight,
 		HealthInterval: *health,
-		HealthFailures: *fails,
 	}
 	if *health == 0 {
 		cfg.HealthInterval = -1
@@ -80,8 +74,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("routing %d backends on %s (%d vnodes, %d in-flight per shard)\n",
-		len(cfg.Backends), bound, *vnodes, *inflight)
+	fmt.Printf("routing %d backends on %s (%d in-flight per shard)\n",
+		len(cfg.Backends), bound, *inflight)
 
 	var adminServer *http.Server
 	if *admin != "" {

@@ -58,16 +58,19 @@ import (
 	"vvd/internal/wire"
 )
 
+// stubPixels is the frame size the stub estimator accepts: the CNN
+// input, one cropped depth frame.
+const stubPixels = camera.CropRows * camera.CropCols
+
 func main() {
 	var (
-		modelPath  = flag.String("model", "vvd.model", "model file from vvd-train, or a registry ref (name@latest, name@hash) with -registry")
-		regDir     = flag.String("registry", "", "content-addressed model registry directory (makes -model accept name@version refs)")
-		addr       = flag.String("addr", ":8990", "HTTP listen address")
-		wireAddr   = flag.String("wire", "", "also listen for the binary wire protocol on this address (empty = HTTP only)")
-		maxLinks   = flag.Int("maxlinks", 10000, "max open link sessions (0 = unlimited)")
-		demo       = flag.Bool("demo", false, "train a tiny model and feed simulated camera frames")
-		stub       = flag.Duration("stub", -1, "serve a stub estimator with this fixed latency per inference instead of a model (0 for instant; negative disables)")
-		stubPixels = flag.Int("stub-pixels", 4500, "frame size the stub estimator accepts")
+		modelPath = flag.String("model", "vvd.model", "model file from vvd-train, or a registry ref (name@latest, name@hash) with -registry")
+		regDir    = flag.String("registry", "", "content-addressed model registry directory (makes -model accept name@version refs)")
+		addr      = flag.String("addr", ":8990", "HTTP listen address")
+		wireAddr  = flag.String("wire", "", "also listen for the binary wire protocol on this address (empty = HTTP only)")
+		maxLinks  = flag.Int("maxlinks", 10000, "max open link sessions (0 = unlimited)")
+		demo      = flag.Bool("demo", false, "train a tiny model and feed simulated camera frames")
+		stub      = flag.Duration("stub", -1, "serve a stub estimator with this fixed latency per inference instead of a model (0 for instant; negative disables)")
 	)
 	flag.Parse()
 
@@ -77,7 +80,7 @@ func main() {
 	case *stub >= 0:
 		// Benchmark backend: deterministic CIRs at a known cost per
 		// inference, no model required (see serve.StubEstimator).
-		fmt.Printf("stub estimator: %d-pixel frames, %v per inference\n", *stubPixels, *stub)
+		fmt.Printf("stub estimator: %d-pixel frames, %v per inference\n", stubPixels, *stub)
 	case *demo:
 		var err error
 		if model, feed, err = demoModel(); err != nil {
@@ -118,7 +121,7 @@ func main() {
 		scfg.InputSize = model.Net.In.Size()
 	} else {
 		scfg.Estimator = &serve.StubEstimator{Latency: *stub}
-		scfg.InputSize = *stubPixels
+		scfg.InputSize = stubPixels
 	}
 	svc, err := serve.New(scfg)
 	if err != nil {

@@ -1,7 +1,6 @@
 package estimate
 
 import (
-	"errors"
 	"math/cmplx"
 	"sync"
 
@@ -154,7 +153,6 @@ type Result struct {
 	ChipErrors int     // wrong hard chips over the PSDU
 	PSDUChips  int     // total PSDU chips compared
 	SyncPeak   float64 // normalized preamble correlation
-	CFO        float64 // estimated carrier frequency offset (Hz)
 	Phase      float64 // mean phase correction applied (radians)
 }
 
@@ -165,9 +163,6 @@ func (res *Result) CER() float64 {
 	}
 	return float64(res.ChipErrors) / float64(res.PSDUChips)
 }
-
-// ErrNoEstimate signals a decode that required an estimate but got none.
-var ErrNoEstimate = errors.New("estimate: nil channel estimate")
 
 // decodeWork is Decode's scratch, pooled so that decoding packet after
 // packet allocates no waveform- or chip-sized buffer.

@@ -44,7 +44,7 @@ var depfenceTable = map[string][]string{
 	"vvd/internal/kalman":         {"vvd/internal/channel", "vvd/internal/mathx", "vvd/internal/phy", "vvd/internal/room"},
 	"vvd/internal/dataset":        {"vvd/internal/camera", "vvd/internal/channel", "vvd/internal/dsp", "vvd/internal/estimate", "vvd/internal/phy", "vvd/internal/room"},
 	"vvd/internal/core":           {"vvd/internal/camera", "vvd/internal/dataset", "vvd/internal/metrics", "vvd/internal/nn"},
-	"vvd/internal/serve":          {"vvd/internal/core", "vvd/internal/dataset", "vvd/internal/nn"},
+	"vvd/internal/serve":          {"vvd/internal/core", "vvd/internal/dataset", "vvd/internal/metrics", "vvd/internal/nn"},
 	"vvd/internal/wire":           {"vvd/internal/serve"},
 	"vvd/internal/shard":          {"vvd/internal/wire"},
 	"vvd/internal/scenario":       {"vvd/internal/channel", "vvd/internal/core", "vvd/internal/dataset", "vvd/internal/estimate", "vvd/internal/kalman", "vvd/internal/metrics", "vvd/internal/phy", "vvd/internal/room"},

@@ -22,10 +22,10 @@ import (
 type Config struct {
 	// Dir is the module root the patterns are resolved in.
 	Dir string
-	// Patterns are go-list package patterns (default "./...").
+	// Patterns are go-list package patterns (default "./..."). Every
+	// matched package is loaded with its in-package test files, and its
+	// external _test package too.
 	Patterns []string
-	// Tests includes in-package test files and external _test packages.
-	Tests bool
 }
 
 // Load resolves the patterns with the go tool and type-checks every
@@ -36,7 +36,7 @@ func Load(cfg Config) ([]*Package, error) {
 	if len(cfg.Patterns) == 0 {
 		cfg.Patterns = []string{"./..."}
 	}
-	entries, err := goList(cfg)
+	entries, err := goList(cfg, true)
 	if err != nil {
 		return nil, err
 	}
@@ -105,10 +105,12 @@ type listEntry struct {
 	Imports    []string
 }
 
-func goList(cfg Config) ([]*listEntry, error) {
+// goList runs `go list -deps -export` over cfg's patterns, with -test
+// when tests is set.
+func goList(cfg Config, tests bool) ([]*listEntry, error) {
 	args := []string{"list", "-deps", "-export",
 		"-json=ImportPath,Name,Dir,Standard,Export,ForTest,GoFiles,Imports"}
-	if cfg.Tests {
+	if tests {
 		args = append(args, "-test")
 	}
 	args = append(args, cfg.Patterns...)

@@ -106,7 +106,7 @@ func stdExports(needed map[string]bool) (map[string]string, error) {
 		patterns = append(patterns, p)
 	}
 	sort.Strings(patterns)
-	entries, err := goList(Config{Patterns: patterns})
+	entries, err := goList(Config{Patterns: patterns}, false)
 	if err != nil {
 		return nil, err
 	}

@@ -125,16 +125,19 @@ func Box(values []float64) (BoxStats, error) {
 	return BoxStats{
 		N:      len(v),
 		Min:    v[0],
-		Q1:     quantile(v, 0.25),
-		Median: quantile(v, 0.5),
-		Q3:     quantile(v, 0.75),
+		Q1:     Quantile(v, 0.25),
+		Median: Quantile(v, 0.5),
+		Q3:     Quantile(v, 0.75),
 		Max:    v[len(v)-1],
 		Mean:   sum / float64(len(v)),
 	}, nil
 }
 
-// quantile interpolates linearly on a sorted sample.
-func quantile(sorted []float64, q float64) float64 {
+// Quantile is the q-quantile (0 ≤ q ≤ 1) of a non-empty ascending
+// sample, interpolated linearly between the two nearest ranks. Box
+// plots, the served-estimate age percentiles and vvd-load's percentiles
+// all use it.
+func Quantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
 	}

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"vvd/internal/metrics"
 )
 
 // servedAgeWindow is the number of recent served-estimate ages kept for
@@ -27,30 +29,18 @@ func (a *ageSampler) record(d time.Duration) {
 	a.slots[i&(servedAgeWindow-1)].Store(int64(d))
 }
 
-// percentiles returns the p50 and p99 of the sampled ages (zeros before
-// the first served estimate).
+// percentiles returns the p50 and p99 of the sampled ages, interpolated
+// linearly (metrics.Quantile); zeros before the first served estimate.
 func (a *ageSampler) percentiles() (p50, p99 time.Duration) {
 	total := a.n.Load()
 	k := int(min(total, servedAgeWindow))
 	if k == 0 {
 		return 0, 0
 	}
-	sample := make([]int64, k)
+	sample := make([]float64, k)
 	for i := range sample {
-		sample[i] = a.slots[i].Load()
+		sample[i] = float64(a.slots[i].Load())
 	}
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-	return quantile(sample, 0.50), quantile(sample, 0.99)
-}
-
-// quantile is the nearest-rank quantile of an ascending sample.
-func quantile(sorted []int64, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(sorted)-1) + 0.5)
-	if i > len(sorted)-1 {
-		i = len(sorted) - 1
-	}
-	return time.Duration(sorted[i])
+	sort.Float64s(sample)
+	return time.Duration(metrics.Quantile(sample, 0.50)), time.Duration(metrics.Quantile(sample, 0.99))
 }

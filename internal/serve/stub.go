@@ -16,24 +16,21 @@ import "time"
 // so any two backends given the same frame produce byte-identical
 // estimates — the property the router integration tests pin.
 type StubEstimator struct {
-	// Taps is the CIR length per estimate. Default 11 (the paper's
-	// channel length) when zero.
-	Taps int
 	// Latency, when positive, is slept once per EstimateBatch call —
 	// a fixed cost per inference, like a busy accelerator.
 	Latency time.Duration
 }
 
-// EstimateBatch derives one Taps-long CIR per frame: every tap mixes a
+// stubTaps is the stub's CIR length per estimate: the paper's channel
+// length.
+const stubTaps = 11
+
+// EstimateBatch derives one stubTaps-long CIR per frame: every tap mixes a
 // full-image checksum with the tap index, so a single flipped pixel
 // changes every tap.
 func (e *StubEstimator) EstimateBatch(imgs [][]float32) ([][]complex128, error) {
 	if e.Latency > 0 {
 		time.Sleep(e.Latency)
-	}
-	taps := e.Taps
-	if taps <= 0 {
-		taps = 11
 	}
 	out := make([][]complex128, len(imgs))
 	for i, img := range imgs {
@@ -41,7 +38,7 @@ func (e *StubEstimator) EstimateBatch(imgs [][]float32) ([][]complex128, error) 
 		for j, p := range img {
 			sum += float64(p) * float64(j%7+1)
 		}
-		cir := make([]complex128, taps)
+		cir := make([]complex128, stubTaps)
 		for k := range cir {
 			cir[k] = complex(sum+float64(k), float64(len(img))-float64(2*k))
 		}

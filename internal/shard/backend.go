@@ -12,7 +12,6 @@ import (
 // ring consults when routing.
 type backend struct {
 	addr string
-	ccfg wire.ClientConfig
 
 	// healthy gates routing. Starts true (a new backend gets traffic
 	// immediately; the first failed calls flip it) and is owned by the
@@ -35,12 +34,11 @@ type backend struct {
 	closed bool
 }
 
-func newBackend(addr string, conns int, inflight int, ccfg wire.ClientConfig) *backend {
+func newBackend(addr string, inflight int) *backend {
 	b := &backend{
 		addr:     addr,
-		ccfg:     ccfg,
 		inflight: make(chan struct{}, inflight),
-		conns:    make([]*wire.Client, conns),
+		conns:    make([]*wire.Client, poolConns),
 	}
 	b.healthy.Store(true)
 	return b
@@ -65,7 +63,7 @@ func (b *backend) client() (*wire.Client, error) {
 	b.mu.Unlock()
 
 	// Dial outside the lock; a slow backend must not stall other slots.
-	nc, err := wire.Dial(b.addr, b.ccfg)
+	nc, err := wire.Dial(b.addr, wire.ClientConfig{})
 	if err != nil {
 		return nil, wire.Errf(wire.StatusUnavailable, "backend %s unreachable: %v", b.addr, err)
 	}

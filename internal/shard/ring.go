@@ -5,7 +5,7 @@
 // Placement is by link id — every frame and fetch for a link lands on
 // the same backend, so that backend's freshest-wins estimate stream is
 // the link's estimate stream; backends share nothing. The hash ring uses
-// virtual nodes (Config.VNodes per backend) so load spreads evenly and
+// virtual nodes (64 per backend) so load spreads evenly and
 // adding or removing one backend remaps only the ~1/N of links it owns,
 // never reshuffling the rest of the cluster — the property that makes
 // hot add/remove cheap while cameras keep streaming.
@@ -55,7 +55,7 @@ type ring struct {
 }
 
 // buildRing places vnodes virtual nodes per backend on the circle.
-func buildRing(backends []*backend, vnodes int) *ring {
+func buildRing(backends []*backend) *ring {
 	entries := make([]ringEntry, 0, len(backends)*vnodes)
 	for _, b := range backends {
 		for v := 0; v < vnodes; v++ {

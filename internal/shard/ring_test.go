@@ -3,21 +3,19 @@ package shard
 import (
 	"fmt"
 	"testing"
-
-	"vvd/internal/wire"
 )
 
 func testBackends(addrs ...string) []*backend {
 	out := make([]*backend, len(addrs))
 	for i, a := range addrs {
-		out[i] = newBackend(a, 1, 1, wire.ClientConfig{})
+		out[i] = newBackend(a, 1)
 	}
 	return out
 }
 
 func TestRingDeterministic(t *testing.T) {
-	a := buildRing(testBackends("h1:1", "h2:1", "h3:1"), 64)
-	b := buildRing(testBackends("h3:1", "h1:1", "h2:1"), 64) // different order, same set
+	a := buildRing(testBackends("h1:1", "h2:1", "h3:1"))
+	b := buildRing(testBackends("h3:1", "h1:1", "h2:1")) // different order, same set
 	for i := 0; i < 1000; i++ {
 		link := fmt.Sprintf("link-%d", i)
 		if a.owner(link).addr != b.owner(link).addr {
@@ -28,7 +26,7 @@ func TestRingDeterministic(t *testing.T) {
 
 func TestRingSpreadsLoad(t *testing.T) {
 	backends := testBackends("h1:1", "h2:1", "h3:1", "h4:1")
-	r := buildRing(backends, 64)
+	r := buildRing(backends)
 	counts := map[string]int{}
 	const links = 4000
 	for i := 0; i < links; i++ {
@@ -45,8 +43,8 @@ func TestRingSpreadsLoad(t *testing.T) {
 
 func TestRingRemapBounds(t *testing.T) {
 	full := testBackends("h1:1", "h2:1", "h3:1")
-	before := buildRing(full, 64)
-	after := buildRing(full[:2], 64) // h3 leaves
+	before := buildRing(full)
+	after := buildRing(full[:2]) // h3 leaves
 
 	const links = 3000
 	var moved, ownedByGone int
@@ -73,7 +71,7 @@ func TestRingRemapBounds(t *testing.T) {
 }
 
 func TestRingWalkVisitsEachBackendOnce(t *testing.T) {
-	r := buildRing(testBackends("h1:1", "h2:1", "h3:1"), 64)
+	r := buildRing(testBackends("h1:1", "h2:1", "h3:1"))
 	var order []string
 	r.walk("some-link", func(b *backend) bool {
 		order = append(order, b.addr)
@@ -95,7 +93,7 @@ func TestRingWalkVisitsEachBackendOnce(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	r := buildRing(nil, 64)
+	r := buildRing(nil)
 	if r.owner("x") != nil {
 		t.Fatal("empty ring returned an owner")
 	}

@@ -12,17 +12,23 @@ import (
 	"vvd/internal/wire"
 )
 
+// The Router's fixed settings.
+const (
+	// vnodes is the number of virtual nodes per backend on the hash
+	// ring — load imbalance shrinks as sqrt of this.
+	vnodes = 64
+	// poolConns is the multiplexed connection pool size per backend.
+	poolConns = 2
+	// healthFailures is how many consecutive probe failures take a
+	// backend out of rotation. A single successful probe rejoins it.
+	healthFailures = 3
+)
+
 // Config parameterizes a Router.
 type Config struct {
 	// Backends are the initial shard addresses (host:port, wire
 	// protocol). More can join and leave at runtime.
 	Backends []string
-	// VNodes is the number of virtual nodes per backend on the hash
-	// ring. Default 64 — load imbalance shrinks as sqrt of this.
-	VNodes int
-	// Conns is the multiplexed connection pool size per backend.
-	// Default 2.
-	Conns int
 	// MaxInflight bounds concurrently-forwarded requests per backend;
 	// beyond it the router sheds with StatusOverloaded. Default 128.
 	MaxInflight int
@@ -30,29 +36,14 @@ type Config struct {
 	// disables active health checking (transport failures still mark
 	// backends down).
 	HealthInterval time.Duration
-	// HealthFailures is how many consecutive probe failures take a
-	// backend out of rotation. Default 3. A single successful probe
-	// rejoins it.
-	HealthFailures int
-	// Client configures each pooled wire connection.
-	Client wire.ClientConfig
 }
 
 func (c *Config) fill() {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	if c.Conns <= 0 {
-		c.Conns = 2
-	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 128
 	}
 	if c.HealthInterval == 0 {
 		c.HealthInterval = time.Second
-	}
-	if c.HealthFailures <= 0 {
-		c.HealthFailures = 3
 	}
 }
 
@@ -97,7 +88,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		if _, dup := r.backends[addr]; dup {
 			return nil, fmt.Errorf("shard: duplicate backend %s", addr)
 		}
-		r.backends[addr] = newBackend(addr, cfg.Conns, cfg.MaxInflight, cfg.Client)
+		r.backends[addr] = newBackend(addr, cfg.MaxInflight)
 	}
 	r.rebuild()
 	if cfg.HealthInterval > 0 {
@@ -117,7 +108,7 @@ func (r *Router) rebuild() {
 	// buildRing sorts by hash; pre-sorting by addr just makes the input
 	// order deterministic for the tie-break path.
 	sort.Slice(backends, func(i, j int) bool { return backends[i].addr < backends[j].addr })
-	r.ring.Store(buildRing(backends, r.cfg.VNodes))
+	r.ring.Store(buildRing(backends))
 }
 
 // AddBackend brings a new shard into rotation. Only the ~1/N of links
@@ -134,7 +125,7 @@ func (r *Router) AddBackend(addr string) error {
 	if _, dup := r.backends[addr]; dup {
 		return fmt.Errorf("shard: backend %s already present", addr)
 	}
-	r.backends[addr] = newBackend(addr, r.cfg.Conns, r.cfg.MaxInflight, r.cfg.Client)
+	r.backends[addr] = newBackend(addr, r.cfg.MaxInflight)
 	r.rebuild()
 	return nil
 }
@@ -229,7 +220,7 @@ func (r *Router) probe(b *backend) {
 		b.healthy.Store(true)
 		return
 	}
-	if int(b.fails.Add(1)) >= r.cfg.HealthFailures {
+	if b.fails.Add(1) >= healthFailures {
 		b.healthy.Store(false)
 	}
 }

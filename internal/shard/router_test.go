@@ -381,10 +381,7 @@ counted:
 }
 
 func TestFailoverAndRejoin(t *testing.T) {
-	c := startCluster(t, 2, Config{
-		HealthInterval: 20 * time.Millisecond,
-		HealthFailures: 2,
-	}, 0)
+	c := startCluster(t, 2, Config{HealthInterval: 20 * time.Millisecond}, 0)
 	victim := c.nodes[1]
 	links := linksOwnedBy(t, c, victim.addr, 3)
 

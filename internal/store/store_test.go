@@ -8,7 +8,7 @@ import (
 )
 
 // TestStoreConformance pins the KV's key/value contract: get, overwrite,
-// list, delete, atomic batches, key validation and use after Close. The
+// list, atomic batches, key validation and use after Close. The
 // "kv" subtest name is kept from when several backends ran it.
 func TestStoreConformance(t *testing.T) {
 	t.Run("kv", testKVConformance)
@@ -49,11 +49,6 @@ func testKVConformance(t *testing.T) {
 	if err != nil || len(keys) != 1 || keys[0] != "a/b/one" {
 		t.Fatalf("List(a/b/) = %v, %v", keys, err)
 	}
-
-	if err := kv.Apply([]Op{{Key: "a/two", Del: true}}); err != nil {
-		t.Fatal(err)
-	}
-	mustAbsent(t, kv, "a/two")
 
 	// A batch with one bad key publishes nothing.
 	if err := kv.Apply([]Op{{Key: "a/b/one", Val: []byte("partial")}, {Key: "../bad"}}); err == nil {

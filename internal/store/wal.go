@@ -14,9 +14,13 @@
 //
 //	u32  op count
 //	per op:
-//	  u8   kind (1 = put, 2 = delete)
+//	  u8   kind (1 = put)
 //	  u32  key length, key bytes
-//	  u32  value length, value bytes   (put only)
+//	  u32  value length, value bytes
+//
+// Put is the only op kind: the store has no delete. A CRC-valid record
+// holding any other kind (2 was the delete op of earlier releases) is
+// an invalid record, and the open refuses it.
 //
 // The write path appends one record per Apply call and fsyncs before
 // reporting success — the commit point. The in-memory index maps each
@@ -48,8 +52,7 @@
 // created, its header written and fsynced, and the directory fsynced
 // before the writer switches over; a crash between any two steps leaves
 // either the old tail or an empty-but-valid new segment — both replay
-// cleanly. Old segments are never rewritten (compaction is future work;
-// deletes are tombstones).
+// cleanly. Old segments are never rewritten.
 package store
 
 import (
@@ -77,23 +80,22 @@ const (
 	maxKVValue  = 1 << 30 // bytes per stored value
 	maxKVBatch  = 1 << 16 // ops per batch
 
-	defaultSegmentBytes = 64 << 20
+	// segmentBytes rotates the active segment once it grows past this
+	// size. Rotation bounds the blast radius of a corrupt file.
+	segmentBytes = 64 << 20
 )
 
 var kvCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Op kinds in the WAL payload.
-const (
-	kvOpPut    = 1
-	kvOpDelete = 2
-)
+// kvOpPut is the one op kind in the WAL payload.
+const kvOpPut = 1
 
-// KVOptions tune the WAL engine.
+// KVOptions tune the WAL engine. Its zero value runs the fixed
+// segmentBytes; it has no exported fields.
 type KVOptions struct {
-	// SegmentBytes rotates the active segment once it grows past this
-	// size (0 = 64 MiB). Rotation bounds the cost of a future compaction
-	// and the blast radius of a corrupt file.
-	SegmentBytes int64
+	// segmentBytes, when positive (tests only), replaces the rotation
+	// size.
+	segmentBytes int64
 
 	// wrapWriter, when set (tests only), interposes on the active
 	// segment's writer — the failpoint seam the crash-recovery harness
@@ -101,11 +103,10 @@ type KVOptions struct {
 	wrapWriter func(f io.Writer) io.Writer
 }
 
-// Op is one operation of an atomic batch.
+// Op is one put of an atomic batch.
 type Op struct {
 	Key string
-	Val []byte // ignored for deletes
-	Del bool
+	Val []byte
 }
 
 // RecoveryInfo reports what OpenKV found while replaying the log.
@@ -147,8 +148,8 @@ type KV struct {
 // process or any other, holds dir. See RecoveryInfo for what a reopened
 // store found after a crash.
 func OpenKV(dir string, opts KVOptions) (*KV, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegmentBytes
+	if opts.segmentBytes <= 0 {
+		opts.segmentBytes = segmentBytes
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating wal dir %s: %w", dir, err)
@@ -453,27 +454,22 @@ func (kv *KV) replayRecord(seg int, base int64, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		key := string(keyB)
-		switch kindB[0] {
-		case kvOpPut:
-			b, err := take(4)
-			if err != nil {
-				return err
-			}
-			valLen := int(binary.LittleEndian.Uint32(b))
-			if valLen > maxKVValue {
-				return fmt.Errorf("implausible value length %d", valLen)
-			}
-			valOff := base + int64(pos)
-			if _, err := take(valLen); err != nil {
-				return err
-			}
-			kv.index[key] = kvEntry{seg: seg, off: valOff, len: valLen}
-		case kvOpDelete:
-			delete(kv.index, key)
-		default:
+		if kindB[0] != kvOpPut {
 			return fmt.Errorf("unknown op kind %d", kindB[0])
 		}
+		b, err = take(4)
+		if err != nil {
+			return err
+		}
+		valLen := int(binary.LittleEndian.Uint32(b))
+		if valLen > maxKVValue {
+			return fmt.Errorf("implausible value length %d", valLen)
+		}
+		valOff := base + int64(pos)
+		if _, err := take(valLen); err != nil {
+			return err
+		}
+		kv.index[string(keyB)] = kvEntry{seg: seg, off: valOff, len: valLen}
 	}
 	if pos != len(payload) {
 		return fmt.Errorf("%d trailing payload bytes", len(payload)-pos)
@@ -495,23 +491,17 @@ func (kv *KV) Apply(ops []Op) error {
 		if err := ValidateKey(ops[i].Key); err != nil {
 			return err
 		}
-		if !ops[i].Del && len(ops[i].Val) > maxKVValue {
+		if len(ops[i].Val) > maxKVValue {
 			return fmt.Errorf("store: value for %q is %d bytes (max %d)", ops[i].Key, len(ops[i].Val), maxKVValue)
 		}
 	}
 
-	// Encode the payload, remembering where each put's value bytes sit
-	// so the index can alias the log after the write commits.
+	// Encode the payload, remembering where each value's bytes sit so
+	// the index can alias the log after the write commits.
 	payload := make([]byte, 0, kvBatchSize(ops))
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(ops)))
 	valPos := make([]int, len(ops))
 	for i := range ops {
-		if ops[i].Del {
-			payload = append(payload, kvOpDelete)
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(len(ops[i].Key)))
-			payload = append(payload, ops[i].Key...)
-			continue
-		}
 		payload = append(payload, kvOpPut)
 		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(ops[i].Key)))
 		payload = append(payload, ops[i].Key...)
@@ -551,17 +541,13 @@ func (kv *KV) Apply(ops []Op) error {
 	// Commit point: the record is durable. Index the batch.
 	kv.activeSize += int64(len(record))
 	for i := range ops {
-		if ops[i].Del {
-			delete(kv.index, ops[i].Key)
-		} else {
-			kv.index[ops[i].Key] = kvEntry{
-				seg: kv.activeID,
-				off: base + kvRecHdrLen + int64(valPos[i]),
-				len: len(ops[i].Val),
-			}
+		kv.index[ops[i].Key] = kvEntry{
+			seg: kv.activeID,
+			off: base + kvRecHdrLen + int64(valPos[i]),
+			len: len(ops[i].Val),
 		}
 	}
-	if kv.activeSize >= kv.opts.SegmentBytes {
+	if kv.activeSize >= kv.opts.segmentBytes {
 		if err := kv.rotateLocked(); err != nil {
 			return err
 		}
@@ -573,10 +559,7 @@ func (kv *KV) Apply(ops []Op) error {
 func kvBatchSize(ops []Op) int {
 	n := 4
 	for i := range ops {
-		n += 1 + 4 + len(ops[i].Key)
-		if !ops[i].Del {
-			n += 4 + len(ops[i].Val)
-		}
+		n += 1 + 4 + len(ops[i].Key) + 4 + len(ops[i].Val)
 	}
 	return n
 }

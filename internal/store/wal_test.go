@@ -53,9 +53,6 @@ func TestKVReopenReplays(t *testing.T) {
 	if err := kv.PutValue("a", []byte("1-updated")); err != nil {
 		t.Fatal(err)
 	}
-	if err := kv.Apply([]Op{{Key: "b", Del: true}}); err != nil {
-		t.Fatal(err)
-	}
 	if err := kv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +63,11 @@ func TestKVReopenReplays(t *testing.T) {
 	if rec.TornTail != nil || rec.TruncatedBytes != 0 {
 		t.Fatalf("clean log reported torn tail: %+v", rec)
 	}
-	if rec.Records != 3 {
-		t.Fatalf("replayed %d records, want 3", rec.Records)
+	if rec.Records != 2 {
+		t.Fatalf("replayed %d records, want 2", rec.Records)
 	}
 	mustGet(t, kv2, "a", "1-updated")
-	mustAbsent(t, kv2, "b") // tombstone survives reopen
+	mustGet(t, kv2, "b", "2")
 }
 
 // kvRecord frames a payload as a WAL record (the real CRC unless a
@@ -81,6 +78,12 @@ func kvRecord(payload []byte) []byte {
 	return append(rec, payload...)
 }
 
+// kvSegmentHeader is the header every segment file starts with.
+func kvSegmentHeader() []byte {
+	hdr := binary.LittleEndian.AppendUint32(nil, kvMagic)
+	return binary.LittleEndian.AppendUint32(hdr, kvVersion)
+}
+
 // kvPutPayload encodes a single-put batch payload.
 func kvPutPayload(key, val string) []byte {
 	p := binary.LittleEndian.AppendUint32(nil, 1)
@@ -89,6 +92,15 @@ func kvPutPayload(key, val string) []byte {
 	p = append(p, key...)
 	p = binary.LittleEndian.AppendUint32(p, uint32(len(val)))
 	return append(p, val...)
+}
+
+// kvDeletePayload encodes a single-op batch of kind 2, the delete op
+// earlier releases wrote: kind, key, and no value.
+func kvDeletePayload(key string) []byte {
+	p := binary.LittleEndian.AppendUint32(nil, 1)
+	p = append(p, 2)
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(key)))
+	return append(p, key...)
 }
 
 func appendToFile(t testing.TB, path string, data []byte) {
@@ -241,7 +253,7 @@ func TestKVTornTail(t *testing.T) {
 // The same damage mid-log is corruption and must refuse to open.
 func TestKVMidLogCorruptionIsFatal(t *testing.T) {
 	dir := t.TempDir()
-	kv := openKVT(t, dir, KVOptions{SegmentBytes: 1}) // rotate after every record
+	kv := openKVT(t, dir, KVOptions{segmentBytes: 1}) // rotate after every record
 	if err := kv.PutValue("k1", []byte("value-one")); err != nil {
 		t.Fatal(err)
 	}
@@ -327,9 +339,27 @@ func TestKVMidLogCorruptionIsFatal(t *testing.T) {
 	}
 }
 
+// TestKVDeleteRecordRefused pins what replay does with a delete record
+// (op kind 2), which the store no longer writes: a CRC-valid record
+// holding one is an unknown op, so the open is refused, not replayed
+// with the key dropped.
+func TestKVDeleteRecordRefused(t *testing.T) {
+	dir := t.TempDir()
+	log := kvSegmentHeader()
+	log = append(log, kvRecord(kvPutPayload("k", "v"))...)
+	log = append(log, kvRecord(kvDeletePayload("k"))...)
+	if err := os.WriteFile(filepath.Join(dir, "wal-00000001.seg"), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenKV(dir, KVOptions{})
+	if err == nil || !strings.Contains(err.Error(), "invalid record") || !strings.Contains(err.Error(), "unknown op kind 2") {
+		t.Fatalf("OpenKV over a delete record = %v, want an invalid-record refusal", err)
+	}
+}
+
 func TestKVTruncatedSegmentHeader(t *testing.T) {
 	dir := t.TempDir()
-	kv := openKVT(t, dir, KVOptions{SegmentBytes: 1})
+	kv := openKVT(t, dir, KVOptions{segmentBytes: 1})
 	if err := kv.PutValue("k1", []byte("value-one")); err != nil {
 		t.Fatal(err) // rotation creates segment 2 right after this commit
 	}
@@ -370,7 +400,7 @@ func TestKVAlienFileRefused(t *testing.T) {
 
 func TestKVSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	kv := openKVT(t, dir, KVOptions{SegmentBytes: 1}) // every commit rotates
+	kv := openKVT(t, dir, KVOptions{segmentBytes: 1}) // every commit rotates
 	const n = 5
 	for i := 0; i < n; i++ {
 		if err := kv.PutValue(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -642,8 +672,7 @@ func BenchmarkKVReplay(b *testing.B) {
 	dir := b.TempDir()
 	val := strings.Repeat("v", 4096)
 	const keys = 1000
-	log := binary.LittleEndian.AppendUint32(nil, kvMagic)
-	log = binary.LittleEndian.AppendUint32(log, kvVersion)
+	log := kvSegmentHeader()
 	for i := 0; i < keys; i++ {
 		log = append(log, kvRecord(kvPutPayload(fmt.Sprintf("k%04d", i), val))...)
 	}

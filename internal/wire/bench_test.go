@@ -44,7 +44,7 @@ func BenchmarkWireDecodeSubmit(b *testing.B) {
 	b.SetBytes(benchPixels * 4)
 	for i := 0; i < b.N; i++ {
 		r := bytes.NewReader(frame)
-		_, payload, nbuf, err := readFrame(r, buf, DefaultMaxFrame)
+		_, payload, nbuf, err := readFrame(r, buf)
 		buf = nbuf
 		if err != nil {
 			b.Fatal(err)
@@ -80,7 +80,7 @@ func BenchmarkWireDecodeEstimate(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r := bytes.NewReader(frame)
-		_, payload, nbuf, err := readFrame(r, buf, DefaultMaxFrame)
+		_, payload, nbuf, err := readFrame(r, buf)
 		buf = nbuf
 		if err != nil {
 			b.Fatal(err)

@@ -8,28 +8,18 @@ import (
 	"time"
 )
 
-// ClientConfig parameterizes a wire Client.
-type ClientConfig struct {
-	// MaxFrame bounds one received frame. Default DefaultMaxFrame.
-	MaxFrame int
-	// DialTimeout bounds connection + preface. Default 5s.
-	DialTimeout time.Duration
-	// CallTimeout bounds fetch/stats/metrics/ping round trips and is
-	// the grace added on top of a Submit's wait budget. Default 5s.
-	CallTimeout time.Duration
-}
+// The Client's fixed timeouts.
+const (
+	// dialTimeout bounds connection + preface.
+	dialTimeout = 5 * time.Second
+	// callTimeout bounds fetch/stats/metrics/ping round trips and is the
+	// grace added on top of a Submit's wait budget.
+	callTimeout = 5 * time.Second
+)
 
-func (c *ClientConfig) fill() {
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.CallTimeout <= 0 {
-		c.CallTimeout = 5 * time.Second
-	}
-}
+// ClientConfig parameterizes a wire Client. It has no fields: every
+// client runs the fixed timeouts above and the maxFrame bound.
+type ClientConfig struct{}
 
 // Client is one multiplexed wire connection: any number of goroutines
 // (one per link session, typically many) issue requests concurrently;
@@ -38,7 +28,6 @@ func (c *ClientConfig) fill() {
 // fails every pending call; the owner (shard pool, load generator)
 // redials.
 type Client struct {
-	cfg  ClientConfig
 	conn net.Conn
 
 	wmu  sync.Mutex
@@ -63,13 +52,12 @@ type call struct {
 }
 
 // Dial connects to a wire server and performs the preface handshake.
-func Dial(addr string, cfg ClientConfig) (*Client, error) {
-	cfg.fill()
-	conn, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
+func Dial(addr string, _ ClientConfig) (*Client, error) {
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	_ = conn.SetDeadline(time.Now().Add(cfg.DialTimeout))
+	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
 	if err := writePreface(conn); err != nil {
 		conn.Close()
 		return nil, err
@@ -80,7 +68,6 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	}
 	_ = conn.SetDeadline(time.Time{})
 	c := &Client{
-		cfg:     cfg,
 		conn:    conn,
 		pending: map[uint64]*call{},
 		done:    make(chan struct{}),
@@ -126,7 +113,7 @@ func (c *Client) readLoop() {
 	br := bufio.NewReaderSize(c.conn, 64<<10)
 	var buf []byte
 	for {
-		hdr, payload, nbuf, err := readFrame(br, buf, c.cfg.MaxFrame)
+		hdr, payload, nbuf, err := readFrame(br, buf)
 		buf = nbuf
 		if err != nil {
 			c.fail(fmt.Errorf("wire: connection lost: %w", err))
@@ -235,7 +222,7 @@ func (c *Client) forget(id uint64) {
 
 // Submit sends a frame for a link session and fills reply with the
 // resulting estimate. wait is the server-side estimate wait (0 = server
-// default, capped at MaxWait); the client waits wait+CallTimeout for
+// default, capped at MaxWait); the client waits wait+callTimeout for
 // the reply. reply's CIR capacity is reused across calls.
 func (c *Client) Submit(link string, img []float32, wait time.Duration, reply *EstimateReply) error {
 	if wait < 0 {
@@ -247,7 +234,7 @@ func (c *Client) Submit(link string, img []float32, wait time.Duration, reply *E
 	cl := &call{est: reply}
 	return c.roundTrip(TypeSubmit, func(b []byte) []byte {
 		return appendSubmitPayload(b, link, img, wait)
-	}, cl, wait+c.cfg.CallTimeout)
+	}, cl, wait+callTimeout)
 }
 
 // SubmitNoWait sends a frame without waiting for its estimate — the
@@ -256,7 +243,7 @@ func (c *Client) SubmitNoWait(link string, img []float32, reply *EstimateReply) 
 	cl := &call{est: reply}
 	return c.roundTrip(TypeSubmit, func(b []byte) []byte {
 		return appendSubmitPayload(b, link, img, -1)
-	}, cl, c.cfg.CallTimeout)
+	}, cl, callTimeout)
 }
 
 // Fetch fills reply with the freshest estimate for a link session.
@@ -264,7 +251,7 @@ func (c *Client) Fetch(link string, reply *EstimateReply) error {
 	cl := &call{est: reply}
 	return c.roundTrip(TypeFetch, func(b []byte) []byte {
 		return appendLinkPayload(b, link)
-	}, cl, c.cfg.CallTimeout)
+	}, cl, callTimeout)
 }
 
 // Stats returns session statistics: the named link's, or every open
@@ -273,7 +260,7 @@ func (c *Client) Stats(link string, dst []LinkStats) ([]LinkStats, error) {
 	cl := &call{stats: &dst}
 	err := c.roundTrip(TypeStats, func(b []byte) []byte {
 		return appendLinkPayload(b, link)
-	}, cl, c.cfg.CallTimeout)
+	}, cl, callTimeout)
 	return dst, err
 }
 
@@ -282,22 +269,21 @@ func (c *Client) Stats(link string, dst []LinkStats) ([]LinkStats, error) {
 func (c *Client) CloseLink(link string) error {
 	return c.roundTrip(TypeCloseLink, func(b []byte) []byte {
 		return appendLinkPayload(b, link)
-	}, &call{ack: true}, c.cfg.CallTimeout)
+	}, &call{ack: true}, callTimeout)
 }
 
 // Metrics fetches the service counter snapshot.
 func (c *Client) Metrics() (MetricsReply, error) {
 	var m MetricsReply
 	cl := &call{metrics: &m}
-	err := c.roundTrip(TypeMetrics, nil, cl, c.cfg.CallTimeout)
+	err := c.roundTrip(TypeMetrics, nil, cl, callTimeout)
 	return m, err
 }
 
-// Ping probes liveness and load within the given budget (0 = the
-// configured CallTimeout).
+// Ping probes liveness and load within the given budget (0 = callTimeout).
 func (c *Client) Ping(timeout time.Duration) (PongReply, error) {
 	if timeout <= 0 {
-		timeout = c.cfg.CallTimeout
+		timeout = callTimeout
 	}
 	var p PongReply
 	cl := &call{pong: &p}

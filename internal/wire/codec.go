@@ -13,7 +13,7 @@ import (
 // before any allocation larger than these bounds, and every slice count
 // is checked against the bytes actually present in the frame.
 const (
-	DefaultMaxFrame = 16 << 20 // bytes in one message frame
+	maxFrame        = 16 << 20 // bytes in one message frame, either direction
 	maxLinkID       = 1024     // bytes in a link id
 	maxCIRTaps      = 4096     // complex taps per estimate (matches the store)
 	maxImagePixels  = 1 << 22  // float32 pixels per frame image
@@ -118,11 +118,11 @@ func finishFrame(b []byte) []byte {
 	return appendU32(b, crc)
 }
 
-// readFrame reads one message frame: length, bounded read into buf
-// (grown as needed and returned for reuse), CRC verification, header
-// parse. The returned payload aliases buf — callers must fully consume
+// readFrame reads one message frame: length, read bounded by maxFrame
+// into buf (grown as needed and returned for reuse), CRC verification,
+// header parse. The returned payload aliases buf — callers must fully consume
 // (or copy from) it before the next readFrame on the same buffer.
-func readFrame(r io.Reader, buf []byte, maxFrame int) (frameHeader, []byte, []byte, error) {
+func readFrame(r io.Reader, buf []byte) (frameHeader, []byte, []byte, error) {
 	var hdr frameHeader
 	var lenb [4]byte
 	if _, err := io.ReadFull(r, lenb[:]); err != nil {

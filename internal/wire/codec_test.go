@@ -20,7 +20,7 @@ func encodeFrame(typ byte, status Status, reqID uint64, enc func([]byte) []byte)
 
 func decodeOneFrame(t *testing.T, frame []byte) (frameHeader, []byte) {
 	t.Helper()
-	hdr, payload, _, err := readFrame(bytes.NewReader(frame), nil, DefaultMaxFrame)
+	hdr, payload, _, err := readFrame(bytes.NewReader(frame), nil)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
@@ -64,7 +64,7 @@ func TestFrameStreamCarriesMultipleMessages(t *testing.T) {
 	r := bytes.NewReader(stream.Bytes())
 	var buf []byte
 	for id := uint64(1); id <= 5; id++ {
-		hdr, payload, nbuf, err := readFrame(r, buf, DefaultMaxFrame)
+		hdr, payload, nbuf, err := readFrame(r, buf)
 		buf = nbuf
 		if err != nil {
 			t.Fatalf("frame %d: %v", id, err)
@@ -73,7 +73,7 @@ func TestFrameStreamCarriesMultipleMessages(t *testing.T) {
 			t.Fatalf("frame %d: hdr=%+v payload=%d", id, hdr, len(payload))
 		}
 	}
-	if _, _, _, err := readFrame(r, buf, DefaultMaxFrame); err != io.EOF {
+	if _, _, _, err := readFrame(r, buf); err != io.EOF {
 		t.Fatalf("after last frame: %v, want io.EOF", err)
 	}
 }
@@ -110,7 +110,7 @@ func TestReadFrameRejectsCorruption(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			frame := tc.mutate(append([]byte(nil), valid...))
-			_, _, _, err := readFrame(bytes.NewReader(frame), nil, DefaultMaxFrame)
+			_, _, _, err := readFrame(bytes.NewReader(frame), nil)
 			if tc.wantEOF {
 				if err != io.ErrUnexpectedEOF {
 					t.Fatalf("err = %v, want %v", err, io.ErrUnexpectedEOF)

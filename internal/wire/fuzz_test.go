@@ -95,7 +95,7 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		hdr, payload, _, err := readFrame(bytes.NewReader(data), nil, DefaultMaxFrame)
+		hdr, payload, _, err := readFrame(bytes.NewReader(data), nil)
 		if err != nil {
 			return // rejected before parsing; nothing to check
 		}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -15,11 +16,11 @@ import (
 )
 
 // httpFixture fronts a service with the HTTP/JSON codec over its
-// ServiceHandler. The 1-tap StubEstimator over 1-pixel frames serves
-// cir[0][0] == the frame's pixel.
+// ServiceHandler. The StubEstimator over 1-pixel frames serves
+// cir[0][0] == the frame's pixel (see stubCIR).
 func httpFixture(t *testing.T, scfg serve.Config) (*serve.Service, *httptest.Server) {
 	t.Helper()
-	scfg.Estimator = &serve.StubEstimator{Taps: 1}
+	scfg.Estimator = &serve.StubEstimator{}
 	scfg.InputSize = 1
 	s, err := serve.New(scfg)
 	if err != nil {
@@ -31,6 +32,17 @@ func httpFixture(t *testing.T, scfg serve.Config) (*serve.Service, *httptest.Ser
 		s.Close()
 	})
 	return s, ts
+}
+
+// stubCIRJSON is the StubEstimator's estimate of the 1-pixel frame
+// {pixel}, in the [[re,im],...] shape the HTTP codec serves.
+func stubCIRJSON(pixel float32) []any {
+	cir := stubCIR([]float32{pixel})
+	out := make([]any, len(cir))
+	for k, c := range cir {
+		out[k] = []any{float64(real(c)), float64(imag(c))}
+	}
+	return out
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, map[string]any) {
@@ -92,9 +104,8 @@ func TestHTTPEstimateRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST: %d (%v)", resp.StatusCode, body)
 	}
-	cir := body["cir"].([]any)
-	if len(cir) != 1 || cir[0].([]any)[0].(float64) != 42 {
-		t.Fatalf("cir = %v, want [[42 1]]", cir)
+	if got, want := body["cir"].([]any), stubCIRJSON(42); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cir = %v, want %v", got, want)
 	}
 	if body["frame_seq"].(float64) != 1 {
 		t.Fatalf("frame_seq = %v, want 1", body["frame_seq"])
@@ -178,8 +189,8 @@ func TestHTTPPostWithoutImageServesFreshest(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST without image: %d (%v)", resp.StatusCode, body)
 	}
-	if got := body["cir"].([]any)[0].([]any)[0].(float64); got != 7 {
-		t.Fatalf("cir = %v, want frame 7", got)
+	if got, want := body["cir"].([]any), stubCIRJSON(7); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cir = %v, want frame 7's %v", got, want)
 	}
 }
 

@@ -10,30 +10,24 @@ import (
 	"time"
 )
 
-// ServerConfig parameterizes a wire Server.
-type ServerConfig struct {
-	// MaxFrame bounds one message frame. Default DefaultMaxFrame.
-	MaxFrame int
-	// MaxInflight bounds concurrently-handled requests across every
+// The Server's fixed bounds.
+const (
+	// maxInflight bounds concurrently-handled requests across every
 	// connection; a request arriving beyond the bound is answered
 	// StatusOverloaded immediately (shed, never queued) — bounded
 	// in-flight backpressure is what keeps an overloaded backend
-	// degrading by shedding instead of by latency collapse. Default 256.
-	MaxInflight int
-	// PrefaceTimeout bounds the connection handshake. Default 5s.
-	PrefaceTimeout time.Duration
-}
+	// degrading by shedding instead of by latency collapse.
+	maxInflight = 256
+	// prefaceTimeout bounds the connection handshake.
+	prefaceTimeout = 5 * time.Second
+)
 
-func (c *ServerConfig) fill() {
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 256
-	}
-	if c.PrefaceTimeout <= 0 {
-		c.PrefaceTimeout = 5 * time.Second
-	}
+// ServerConfig parameterizes a wire Server. Its zero value runs the
+// fixed bounds above; it has no exported fields.
+type ServerConfig struct {
+	// maxInflight, when positive (tests only), replaces the in-flight
+	// bound.
+	maxInflight int
 }
 
 // Server speaks the wire protocol on accepted connections and forwards
@@ -41,8 +35,7 @@ func (c *ServerConfig) fill() {
 // request is handled on its own goroutine (a Submit blocks until its
 // estimate publishes), bounded by the server-wide in-flight cap.
 type Server struct {
-	h   Handler
-	cfg ServerConfig
+	h Handler
 
 	inflight chan struct{}
 	sheds    atomic.Uint64
@@ -56,11 +49,13 @@ type Server struct {
 
 // NewServer builds a Server fronting h.
 func NewServer(h Handler, cfg ServerConfig) *Server {
-	cfg.fill()
+	inflight := maxInflight
+	if cfg.maxInflight > 0 {
+		inflight = cfg.maxInflight
+	}
 	return &Server{
 		h:        h,
-		cfg:      cfg,
-		inflight: make(chan struct{}, cfg.MaxInflight),
+		inflight: make(chan struct{}, inflight),
 		lns:      map[net.Listener]struct{}{},
 		conns:    map[net.Conn]struct{}{},
 	}
@@ -178,7 +173,7 @@ func (w *connWriter) sendError(reqID uint64, code Status, msg string) {
 
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(s.cfg.PrefaceTimeout))
+	_ = conn.SetDeadline(time.Now().Add(prefaceTimeout))
 	if err := readPreface(conn); err != nil {
 		return
 	}
@@ -193,7 +188,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer reqWG.Wait() // all in-flight replies written (or conn dead) before return
 	var buf []byte
 	for {
-		hdr, payload, nbuf, err := readFrame(br, buf, s.cfg.MaxFrame)
+		hdr, payload, nbuf, err := readFrame(br, buf)
 		buf = nbuf
 		if err != nil {
 			// io.EOF between frames is a clean close; anything else —
@@ -312,7 +307,7 @@ func (s *Server) dispatchWith(w *connWriter, wg *sync.WaitGroup, reqID uint64, r
 	case s.inflight <- struct{}{}:
 	default:
 		s.sheds.Add(1)
-		w.sendError(reqID, StatusOverloaded, fmt.Sprintf("server at max in-flight requests (%d)", s.cfg.MaxInflight))
+		w.sendError(reqID, StatusOverloaded, fmt.Sprintf("server at max in-flight requests (%d)", cap(s.inflight)))
 		return
 	}
 	wg.Add(1)

@@ -44,14 +44,14 @@ func verifyNoLeaks(t *testing.T) {
 
 const testPixels = 64
 
-// stubCIR recomputes the StubEstimator's deterministic CIR for one
-// image, in the complex64 domain the wire carries.
-func stubCIR(img []float32, taps int) []complex64 {
+// stubCIR recomputes the StubEstimator's deterministic 11-tap CIR for
+// one image, in the complex64 domain the wire carries.
+func stubCIR(img []float32) []complex64 {
 	var sum float64
 	for j, p := range img {
 		sum += float64(p) * float64(j%7+1)
 	}
-	out := make([]complex64, taps)
+	out := make([]complex64, 11)
 	for k := range out {
 		out[k] = complex64(complex(sum+float64(k), float64(len(img))-float64(2*k)))
 	}
@@ -122,7 +122,7 @@ func TestSubmitRoundTrip(t *testing.T) {
 	if reply.FrameSeq < reply.SubmittedSeq {
 		t.Fatalf("FrameSeq %d older than submitted %d", reply.FrameSeq, reply.SubmittedSeq)
 	}
-	want := stubCIR(img, 11)
+	want := stubCIR(img)
 	if len(reply.CIR) != len(want) {
 		t.Fatalf("CIR taps = %d, want %d", len(reply.CIR), len(want))
 	}
@@ -322,7 +322,7 @@ func TestOverloadSheds(t *testing.T) {
 	// StatusOverloaded — bounded backpressure, no queueing.
 	fx := newWireFixture(t,
 		serve.Config{Estimator: &serve.StubEstimator{Latency: 300 * time.Millisecond}},
-		ServerConfig{MaxInflight: 1})
+		ServerConfig{maxInflight: 1})
 
 	started := make(chan struct{})
 	firstErr := make(chan error, 1)
@@ -441,7 +441,7 @@ func TestUnknownTypeGetsBadRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	hdr, payload, _, err := readFrame(conn, nil, DefaultMaxFrame)
+	hdr, payload, _, err := readFrame(conn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func TestClientFailsPendingOnConnectionLoss(t *testing.T) {
 		}
 		accepted <- conn
 	}()
-	client, err := Dial(ln.Addr().String(), ClientConfig{CallTimeout: 10 * time.Second})
+	client, err := Dial(ln.Addr().String(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

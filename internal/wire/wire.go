@@ -18,7 +18,7 @@
 // of order), and the Client correlates them — many links per
 // connection, full pipelining, no head-of-line blocking on the slow
 // submit path. The Server bounds concurrently-handled requests
-// (ServerConfig.MaxInflight) and sheds beyond the bound with
+// (256 in flight) and sheds beyond the bound with
 // StatusOverloaded instead of queueing — the 503-equivalent that keeps
 // an overloaded backend shedding rather than collapsing.
 //
